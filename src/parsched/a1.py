@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import Job, Schedule
+from .core import Job, Schedule, default_lane_cap
 from .oracle import MultisetInstance, MultisetSchedule, lpt_multiset, opt_multiset
 from .rational import ceil_log
 
@@ -33,17 +32,9 @@ __all__ = [
     "a1_family",
     "a1_family_size",
     "a1_count_cap",
-    "default_lane_cap",
 ]
 
 SMALL = 0
-
-_LANE_CAP_ENV = "PARSCHED_LANE_CAP"
-_DEFAULT_LANE_CAP = 500_000
-
-
-def default_lane_cap() -> int:
-    return int(os.environ.get(_LANE_CAP_ENV, _DEFAULT_LANE_CAP))
 
 
 class LaneCapExceeded(RuntimeError):
@@ -332,8 +323,7 @@ def a1_family(
         if any(v < 0 or v > cap for v in vector):
             raise ValueError("vector entries must lie in 0..floor(m/eps')")
         return A1Family(partition, m, [vector])
-    if lane_cap is None:
-        lane_cap = default_lane_cap()
+    lane_cap = default_lane_cap(lane_cap)
     total = (cap + 1) ** partition.levels
     if total > lane_cap:
         raise LaneCapExceeded(

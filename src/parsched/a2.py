@@ -12,22 +12,23 @@ sparsification.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Job, Schedule
+from .core import Job, Schedule, default_lane_cap
 from .rational import ceil_log
 
 __all__ = [
     "A2Params",
     "TargetConfiguration",
+    "A2Rule",
     "A2State",
     "A2Family",
     "AlgoChoice",
     "a2_params",
     "a2_classify",
+    "a2_block_lengths",
     "a2_config_from_u",
     "a2_is_valid",
     "a2_valid_u",
@@ -37,17 +38,9 @@ __all__ = [
     "a3_dispatch",
     "u_to_lane_index",
     "lane_index_to_u",
-    "default_lane_cap",
 ]
 
 SMALL = 0
-
-_LANE_CAP_ENV = "PARSCHED_LANE_CAP"
-_DEFAULT_LANE_CAP = 500_000
-
-
-def default_lane_cap() -> int:
-    return int(os.environ.get(_LANE_CAP_ENV, _DEFAULT_LANE_CAP))
 
 
 @dataclass(frozen=True)
@@ -202,11 +195,27 @@ class TargetConfiguration:
         return sum(self.machine_counts()[self.params.levels :])
 
 
+def a2_block_lengths(params: A2Params, u: Sequence[int]) -> tuple[int, ...]:
+    """Core machines each class claims under guess u, in class order.
+
+    Class i claims min(u_i * m0, mu - pos) machines after the pos claimed
+    before it.  A lane's behaviour depends on these lengths alone, so
+    guesses that differ only once the core is used up share one layout.
+    """
+    lengths = []
+    pos = 0
+    for ui in u:
+        n = min(ui * params.m0, params.mu - pos)
+        lengths.append(n)
+        pos += n
+    return tuple(lengths)
+
+
 def a2_config_from_u(params: A2Params, u: Sequence[int]) -> TargetConfiguration:
     """Expand a sparse guess u into a concrete core configuration.
 
-    Class i claims u_i * m0 consecutive core machines; the raw vector is
-    truncated to the core size or padded with zero entries.
+    Class i claims a block of consecutive core machines (see
+    a2_block_lengths); the core left over gets zero entries.
     """
     u = tuple(int(x) for x in u)
     if len(u) != params.n_classes:
@@ -214,10 +223,8 @@ def a2_config_from_u(params: A2Params, u: Sequence[int]) -> TargetConfiguration:
     if any(not 0 <= x <= params.kappa for x in u):
         raise ValueError("u entries must lie in 0..kappa")
     c: list[int] = []
-    for i, ui in enumerate(u, start=1):
-        if len(c) >= params.mu:
-            break
-        c.extend([i] * min(ui * params.m0, params.mu - len(c)))
+    for i, n in enumerate(a2_block_lengths(params, u), start=1):
+        c.extend([i] * n)
     c.extend([0] * (params.mu - len(c)))
     return TargetConfiguration(params, tuple(c))
 
@@ -298,12 +305,105 @@ def lane_index_to_u(params: A2Params, idx: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-class A2State:
-    """Mutable lane state for one target configuration.
+class A2Rule:
+    """The configuration-lane rule, over one exact ordered number type.
 
-    check_fill_line=True verifies after every job that at most one core
-    machine holds small jobs while sitting strictly below the fill line;
-    violations are counted and optionally raised.
+    ``c`` gives the class of each core machine (0 = none); machines are
+    0-based and jobs arrive as (class, size) pairs, class 0 for small
+    jobs.  ``params`` supplies the machine counts and slots per class.
+    Sizes, the load ceiling ``cap``, the fill line ``fill`` and the
+    per-class targeted load bounds (index 0 for class-free machines) must
+    share one number type: Fractions in A2State, common-scale integers in
+    the sweep.  Loads start at ``cap - cap``, that type's zero.
+    check_fill_line=True counts the jobs after which more than one core
+    machine holds small jobs while sitting strictly below the fill line.
+    """
+
+    def __init__(
+        self,
+        params: A2Params,
+        c: Sequence[int],
+        cap,
+        fill,
+        ell_minus_cls: Sequence,
+        ell_plus_cls: Sequence,
+        check_fill_line: bool = True,
+    ):
+        zero = cap - cap
+        self.c = c
+        self.m = params.m
+        self.mu = params.mu
+        self.cap = cap
+        self.fill = fill
+        self.loads = [zero] * params.m
+        self.ell_s = [zero] * params.mu
+        self.slots_left = [params.slots_of(cls) if cls else 0 for cls in c]
+        self.ell_minus = [ell_minus_cls[cls] for cls in c]
+        self.ell_plus = [ell_plus_cls[cls] for cls in c]
+        self._admissible: list[list[int]] = [[] for _ in range(params.n_classes)]
+        for j in range(params.mu - 1, -1, -1):  # pop() yields the lowest index first
+            if c[j]:
+                self._admissible[c[j] - 1].append(j)
+        self.check_fill_line = check_fill_line
+        self.fill_violations = 0
+        self._open_below = 0  # core machines with ell_s > 0 below the fill line
+
+    def choose(self, cls: int, p) -> int:
+        """Machine for a job of class cls and size p; nothing is committed.
+
+        Small jobs join the first core machine already holding small jobs
+        that stays under the cap, else open the fitting machine with the
+        lowest targeted minimum.  Large jobs take their class's next open
+        core slot, else the fullest reserve machine they fit on.
+        """
+        cap = self.cap
+        if cls == SMALL:
+            ell_s, ell_plus, ell_minus = self.ell_s, self.ell_plus, self.ell_minus
+            best = -1
+            for j in range(self.mu):
+                if ell_s[j] > 0:
+                    if ell_plus[j] + ell_s[j] + p <= cap:
+                        return j
+                elif ell_plus[j] + p <= cap and (best < 0 or ell_minus[j] < ell_minus[best]):
+                    best = j
+            return max(best, 0)
+        slots = self._admissible[cls - 1]
+        while slots and self.slots_left[slots[-1]] == 0:
+            slots.pop()
+        if slots:
+            return slots[-1]
+        loads = self.loads
+        if self.mu == self.m:
+            # No reserve machines exist (tiny m); out of the guarantee
+            # regime, complete with the least loaded core machine.
+            return loads.index(min(loads))
+        best = -1
+        for j in range(self.mu, self.m):
+            if loads[j] + p <= cap and (best < 0 or loads[j] > loads[best]):
+                best = j
+        return best if best >= 0 else self.mu
+
+    def put(self, cls: int, p, j: int) -> None:
+        """Commit a job of class cls and size p to machine j."""
+        if cls == SMALL:
+            if j >= self.mu:
+                raise ValueError("small jobs belong on core machines")
+            level = self.ell_minus[j] + self.ell_s[j]
+            was_open = self.ell_s[j] > 0 and level < self.fill
+            self.ell_s[j] += p
+            self._open_below += (level + p < self.fill) - was_open
+        elif j < self.mu and self.c[j] == cls and self.slots_left[j] > 0:
+            self.slots_left[j] -= 1
+        self.loads[j] += p
+        if self.check_fill_line and self._open_below > 1:
+            self.fill_violations += 1
+
+
+class A2State(A2Rule):
+    """One configuration lane over Fractions, stepping on Jobs.
+
+    Machines are 1-based here as everywhere in the public API.
+    strict=True raises on the first fill-line violation.
     """
 
     def __init__(
@@ -314,99 +414,34 @@ class A2State:
         strict: bool = False,
     ):
         params = config.params
+        bounds = [params.ell_bounds_of(cls) for cls in range(params.n_classes + 1)]
+        super().__init__(
+            params, config.c, params.load_cap, params.fill_line,
+            [lo for lo, _ in bounds], [hi for _, hi in bounds], check_fill_line,
+        )
         self.params = params
         self.config = config
-        self.m = params.m
         self.label = label
         self.schedule = Schedule(params.m, label)
-        self.loads = [Fraction(0)] * params.m
-        self.ell_s = [Fraction(0)] * params.mu
-        self.slots_left = [params.slots_of(cls) if cls else 0 for cls in config.c]
-        bounds = [params.ell_bounds_of(cls) for cls in config.c]
-        self.ell_minus = [lo for lo, _ in bounds]
-        self.ell_plus = [hi for _, hi in bounds]
-        self._admissible: list[list[int]] = [[] for _ in range(params.n_classes)]
-        for j, cls in enumerate(config.c):
-            if cls:
-                self._admissible[cls - 1].append(j)
-        for lst in self._admissible:
-            lst.reverse()  # pop() yields the lowest index first
-        self.check_fill_line = check_fill_line
         self.strict = strict
-        self.fill_violations = 0
-        self._open_below = 0  # core machines with ell_s > 0 below the fill line
-
-    def _propose_large(self, cls: int, p: Fraction) -> int:
-        lst = self._admissible[cls - 1]
-        while lst and self.slots_left[lst[-1]] == 0:
-            lst.pop()
-        if lst:
-            return lst[-1] + 1
-        params = self.params
-        if params.mu == params.m:
-            # No reserve machines exist (tiny m); out of the guarantee
-            # regime, complete with the least loaded core machine.
-            j = min(range(params.m), key=lambda q: (self.loads[q], q))
-            return j + 1
-        best = -1
-        for j in range(params.mu, params.m):
-            if self.loads[j] + p <= params.load_cap:
-                if best < 0 or self.loads[j] > self.loads[best]:
-                    best = j
-        if best < 0:
-            best = params.mu
-        return best + 1
-
-    def _propose_small(self, p: Fraction) -> int:
-        params = self.params
-        cap = params.load_cap
-        best = -1
-        for j in range(params.mu):
-            if self.ell_s[j] > 0:
-                if self.ell_plus[j] + self.ell_s[j] + p <= cap:
-                    return j + 1
-            elif self.ell_plus[j] + p <= cap:
-                if best < 0 or self.ell_minus[j] < self.ell_minus[best]:
-                    best = j
-        if best < 0:
-            best = 0
-        return best + 1
 
     def propose(self, job: Job) -> Optional[int]:
         cls = a2_classify(self.params, job.p)
         if cls is None:
             return None
-        if cls == SMALL:
-            return self._propose_small(job.p)
-        return self._propose_large(cls, job.p)
+        return self.choose(cls, job.p) + 1
 
     def record(self, job: Job, machine: int) -> None:
         cls = a2_classify(self.params, job.p)
         if cls is None:
             raise ValueError("cannot record a job that has no class")
-        j = machine - 1
-        if cls != SMALL and j < self.params.mu and self.config.c[j] == cls:
-            if self.slots_left[j] > 0:
-                self.slots_left[j] -= 1
-        if cls == SMALL:
-            if j >= self.params.mu:
-                raise ValueError("small jobs belong on core machines")
-            line = self.params.fill_line
-            was_open = self.ell_s[j] > 0 and self.ell_minus[j] + self.ell_s[j] < line
-            self.ell_s[j] += job.p
-            now_open = self.ell_minus[j] + self.ell_s[j] < line
-            if was_open and not now_open:
-                self._open_below -= 1
-            elif not was_open and now_open:
-                self._open_below += 1
-        self.loads[j] += job.p
+        violations = self.fill_violations
+        self.put(cls, job.p, machine - 1)
         self.schedule.assign(machine, job)
-        if self.check_fill_line and self._open_below > 1:
-            self.fill_violations += 1
-            if self.strict:
-                raise AssertionError(
-                    "more than one core machine holds small jobs below the fill line"
-                )
+        if self.strict and self.fill_violations > violations:
+            raise AssertionError(
+                "more than one core machine holds small jobs below the fill line"
+            )
 
     def step(self, job: Job) -> Optional[int]:
         machine = self.propose(job)
@@ -445,8 +480,7 @@ def a2_family(
     params = a2_params(eps, m, T)
     if u is not None:
         return A2Family(params, [tuple(int(x) for x in u)])
-    if lane_cap is None:
-        lane_cap = default_lane_cap()
+    lane_cap = default_lane_cap(lane_cap)
     total = a2_family_size(params)
     if total > lane_cap:
         raise RuntimeError(

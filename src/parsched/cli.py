@@ -49,7 +49,6 @@ def _add_run(sub):
     p.add_argument("--check-lemmas", action="store_true",
                    help="assert in-run invariants; nonzero exit on violation")
     p.add_argument("--lane-cap", type=int, default=None)
-    p.add_argument("--backend", default=None, choices=("auto", "kernel", "fallback"))
 
 
 def _add_oracle(sub):
@@ -161,7 +160,7 @@ def main(argv=None) -> int:
             result = run_algorithm(
                 args.algo, seq, epsilon=_rot(args.epsilon), assumed_opt=assumed,
                 mode=args.mode, check=args.check_lemmas, trace=trace,
-                lane_cap=args.lane_cap, backend=args.backend,
+                lane_cap=args.lane_cap,
             )
         except AssertionError as exc:
             print(f"invariant violated: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ throughout the public API.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
@@ -22,7 +23,28 @@ __all__ = [
     "OnlineScheduler",
     "LaneRunner",
     "select_best",
+    "default_lane_cap",
 ]
+
+_LANE_CAP_ENV = "PARSCHED_LANE_CAP"
+_DEFAULT_LANE_CAP = 500_000
+
+
+def default_lane_cap(lane_cap: Optional[int] = None) -> int:
+    """Lane cap for full families: ``lane_cap`` if given, else PARSCHED_LANE_CAP, else 500000.
+
+    Anything but a positive integer raises ValueError naming its source.
+    """
+    if lane_cap is not None:
+        if not isinstance(lane_cap, int) or lane_cap < 1:
+            raise ValueError(f"lane cap (--lane-cap) must be a positive integer, got {lane_cap!r}")
+        return lane_cap
+    raw = os.environ.get(_LANE_CAP_ENV)
+    if raw is None:
+        return _DEFAULT_LANE_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{_LANE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

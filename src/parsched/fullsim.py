@@ -1,10 +1,12 @@
-"""Backend front-end for the hot loops.
+"""Configuration-family sweeps and the brute-force test oracle, in exact integers.
 
-At import time the compiled engine is preferred; the pure-Python twin
-takes over when the extension is unavailable, when
-``PARSCHED_FORCE_FALLBACK=1`` is set, or when scaled magnitudes would
-not fit in 64-bit integers.  Both engines implement identical
-semantics, so results never depend on the backend.
+A sweep scales every size and threshold of one (eps, m, T) to a common
+denominator and drives ``a2.A2Rule`` over the resulting integers.  A
+lane's behaviour depends only on its per-class block lengths
+(``a2.a2_block_lengths``), not on its raw guess vector, so each distinct
+layout in the requested lane window is simulated once and its result
+copied to every lane that shares it.  At eps=1, m=256 the 226,981 lanes
+of the family have 4,960 distinct layouts.
 """
 
 from __future__ import annotations
@@ -13,17 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import _fallback
 from ._scaling import common_scale, scale_values
-from .a2 import A2Params, a2_classify, a2_params, default_lane_cap
-from .core import JobSequence
-
-try:  # pragma: no cover - exercised implicitly by backend tests
-    from . import _speedups as _kernel
-except ImportError:  # pragma: no cover
-    _kernel = None
-
-import os
+from .a2 import (
+    A2Params,
+    A2Rule,
+    a2_block_lengths,
+    a2_classify,
+    a2_config_from_u,
+    a2_family_size,
+    a2_params,
+    lane_index_to_u,
+)
+from .core import JobSequence, default_lane_cap
 
 __all__ = [
     "A2Sweep",
@@ -34,27 +37,15 @@ __all__ = [
     "brute_force_opt",
 ]
 
-_I64_LIMIT = 1 << 62
-
 
 def kernel_available() -> bool:
-    return _kernel is not None
+    """Always False: no compiled engine exists; kept for perfbench's engine report."""
+    return False
 
 
-def active_backend(requested: Optional[str] = None) -> str:
-    """Resolve 'kernel' or 'fallback' from the request and environment."""
-    if requested not in (None, "auto", "kernel", "fallback"):
-        raise ValueError(f"unknown backend {requested!r}")
-    if requested == "fallback":
-        return "fallback"
-    forced = os.environ.get("PARSCHED_FORCE_FALLBACK", "") not in ("", "0")
-    if requested == "kernel":
-        if _kernel is None:
-            raise RuntimeError("compiled engine is not available")
-        return "kernel"
-    if forced or _kernel is None:
-        return "fallback"
-    return "kernel"
+def active_backend() -> str:
+    """Name of the one engine, exact pure Python; kept for perfbench's engine report."""
+    return "python"
 
 
 @dataclass
@@ -67,7 +58,6 @@ class A2Sweep:
     scale: int
     makespans_scaled: list[int]
     fill_violations: int
-    backend: str
 
     @property
     def lane_count(self) -> int:
@@ -115,15 +105,17 @@ def a2_full_sweep(
     jobs: Sequence[Fraction],
     lanes: Optional[tuple[int, int]] = None,
     check_fill_line: bool = True,
-    backend: Optional[str] = None,
     lane_cap: Optional[int] = None,
 ) -> A2Sweep:
-    """Simulate a lane range (default: the whole family) in one pass."""
+    """Simulate a lane range (default: the whole family), once per distinct layout.
+
+    Per-lane makespans are kept; fill-line violations are summed over
+    lanes, so a layout's count is multiplied by the lanes that share it.
+    """
     params = a2_params(Fraction(eps), m, Fraction(T))
-    total_lanes = (params.kappa + 1) ** params.n_classes
+    total_lanes = a2_family_size(params)
     if lanes is None:
-        if lane_cap is None:
-            lane_cap = default_lane_cap()
+        lane_cap = default_lane_cap(lane_cap)
         if total_lanes > lane_cap:
             raise RuntimeError(
                 f"full family has {total_lanes} lanes, above the cap {lane_cap}"
@@ -133,18 +125,23 @@ def a2_full_sweep(
     if not 0 <= lane_lo <= lane_hi <= total_lanes:
         raise ValueError("lane range out of bounds")
     cls, scale, jobs_s, emc, epc, cap, fill = _prepare(params, jobs)
-    chosen = active_backend(backend)
-    if chosen == "kernel" and (sum(jobs_s) + cap) >= _I64_LIMIT:
-        if backend == "kernel":
-            raise OverflowError("scaled magnitudes too large for the compiled engine")
-        chosen = "fallback"
-    engine = _kernel if chosen == "kernel" else _fallback
-    makespans, violations = engine.a2_sweep_scaled(
-        jobs_s, cls, params.m, params.mu, params.m0, params.n_classes,
-        params.levels, params.kappa, cap, fill, emc, epc,
-        lane_lo, lane_hi, check_fill_line,
-    )
-    return A2Sweep(params, lane_lo, lane_hi, scale, list(makespans), int(violations), chosen)
+    stream = list(zip(cls, jobs_s))
+    by_layout: dict[tuple[int, ...], tuple[int, int]] = {}
+    makespans = []
+    violations = 0
+    for lane in range(lane_lo, lane_hi):
+        u = lane_index_to_u(params, lane)
+        layout = a2_block_lengths(params, u)
+        outcome = by_layout.get(layout)
+        if outcome is None:
+            rule = A2Rule(params, a2_config_from_u(params, u).c, cap, fill, emc, epc,
+                          check_fill_line)
+            for c, p in stream:
+                rule.put(c, p, rule.choose(c, p))
+            outcome = by_layout[layout] = (max(rule.loads), rule.fill_violations)
+        makespans.append(outcome[0])
+        violations += outcome[1]
+    return A2Sweep(params, lane_lo, lane_hi, scale, makespans, violations)
 
 
 def a2_lane_makespan(
@@ -153,22 +150,34 @@ def a2_lane_makespan(
     T: Fraction,
     jobs: Sequence[Fraction],
     lane: int,
-    backend: Optional[str] = None,
 ) -> tuple[Fraction, int]:
     """Makespan and fill-line violations of a single lane."""
-    sweep = a2_full_sweep(eps, m, T, jobs, lanes=(lane, lane + 1), backend=backend)
+    sweep = a2_full_sweep(eps, m, T, jobs, lanes=(lane, lane + 1))
     return sweep.makespan(lane), sweep.fill_violations
 
 
-def brute_force_opt(seq: JobSequence, backend: Optional[str] = None) -> Fraction:
+def brute_force_opt(seq: JobSequence) -> Fraction:
     """Exact optimum by full m**n enumeration (test oracle, no pruning)."""
-    sizes = seq.sizes()
-    scale = common_scale(sizes)
-    jobs_s = scale_values(sizes, scale)
-    chosen = active_backend(backend)
-    if chosen == "kernel" and sum(jobs_s) >= _I64_LIMIT:
-        if backend == "kernel":
-            raise OverflowError("scaled magnitudes too large for the compiled engine")
-        chosen = "fallback"
-    engine = _kernel if chosen == "kernel" else _fallback
-    return Fraction(engine.opt_brute_scaled(jobs_s, seq.m), scale)
+    jobs = seq.sizes()
+    scale = common_scale(jobs)
+    jobs_s = scale_values(jobs, scale)
+    n, m = len(jobs_s), seq.m
+    if n == 0:
+        return Fraction(0)
+    loads = [0] * m
+    best = sum(jobs_s) + 1
+
+    def walk(idx: int, cur_max: int) -> None:
+        nonlocal best
+        if idx == n:
+            if cur_max < best:
+                best = cur_max
+            return
+        p = jobs_s[idx]
+        for j in range(m):
+            loads[j] += p
+            walk(idx + 1, loads[j] if loads[j] > cur_max else cur_max)
+            loads[j] -= p
+
+    walk(0, 0)
+    return Fraction(best, scale)

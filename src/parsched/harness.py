@@ -321,18 +321,18 @@ def _run_plain_a1(seq, eps, T, mode, check, lane_cap) -> RunResult:
                      best.makespan(), best.label, opt=seq.planted_opt)
 
 
-def _run_plain_a2(seq, eps, T, mode, check, lane_cap, backend) -> RunResult:
+def _run_plain_a2(seq, eps, T, mode, check, lane_cap) -> RunResult:
     params = a2_params(eps, seq.m, T)
     sizes = seq.sizes()
     if mode == "targeted":
         counts = a2_class_counts(params, seq.jobs)
         u = a2_valid_u(params, counts)
         lane = u_to_lane_index(params, u)
-        sweep = a2_full_sweep(eps, seq.m, T, sizes, lanes=(lane, lane + 1), backend=backend)
+        sweep = a2_full_sweep(eps, seq.m, T, sizes, lanes=(lane, lane + 1))
         best_lane, makespan = sweep.best()
         lanes = 1
     else:
-        sweep = a2_full_sweep(eps, seq.m, T, sizes, backend=backend, lane_cap=lane_cap)
+        sweep = a2_full_sweep(eps, seq.m, T, sizes, lane_cap=lane_cap)
         best_lane, makespan = sweep.best()
         lanes = sweep.lane_count
     if check and sweep.fill_violations:
@@ -350,7 +350,6 @@ def run_algorithm(
     check: bool = False,
     trace: Optional[Callable[[dict], None]] = None,
     lane_cap: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> RunResult:
     """Run one algorithm id over one sequence and report the chosen schedule."""
     if mode not in ("targeted", "full"):
@@ -371,13 +370,13 @@ def run_algorithm(
             if choice.kind == "a1":
                 result = _run_plain_a1(seq, choice.eps, T, mode, check, lane_cap)
             else:
-                result = _run_plain_a2(seq, eps, T, mode, check, lane_cap, backend)
+                result = _run_plain_a2(seq, eps, T, mode, check, lane_cap)
             result.algo = "a3"
             result.epsilon = eps
             return result
         if algo == "a1":
             return _run_plain_a1(seq, eps, T, mode, check, lane_cap)
-        return _run_plain_a2(seq, eps, T, mode, check, lane_cap, backend)
+        return _run_plain_a2(seq, eps, T, mode, check, lane_cap)
     if algo in ("a1star", "a3star"):
         if eps is None:
             raise ValueError(f"{algo} requires an accuracy epsilon")

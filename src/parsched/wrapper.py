@@ -146,6 +146,28 @@ class GuessLane:
         heapq.heappush(self._virt_heap, (self.virtual_loads[v], v))
         return phys
 
+    def place(self, job: Job, gamma: Fraction, prefix_sum: Fraction, rho: Fraction) -> Optional[str]:
+        """Place one job: follow the inner rule unless a failure condition applies.
+
+        A lane that fails here, or failed before, puts the job on its least
+        loaded virtual machine.  Returns the reason when the lane fails on
+        this job, else None.
+        """
+        if self.failed:
+            self.commit(job, self.least_virtual())
+            return None
+        proposal = self.inner.propose(job)
+        virtual_load = Fraction(0) if proposal is None else self.virtual_loads[proposal - 1]
+        reason = check_failure(proposal, virtual_load, job.p, gamma, prefix_sum, self.m, rho)
+        if reason is None:
+            self.inner.record(job, proposal)
+            self.commit(job, proposal - 1)
+        else:
+            self.failed = True
+            self.fail_reason = reason
+            self.commit(job, self.least_virtual())
+        return reason
+
 
 class _Group:
     __slots__ = ("var_id", "gamma", "lanes", "last_adjust_t")
@@ -202,26 +224,6 @@ class AStar:
             self._emit(t=1, event="init", var=var_id, gamma=str(gamma))
             gamma = gamma * step
 
-    def _place(self, lane: GuessLane, group: _Group, job: Job) -> None:
-        if lane.failed:
-            lane.commit(job, lane.least_virtual())
-            return
-        proposal = lane.inner.propose(job)
-        virtual_load = Fraction(0) if proposal is None else lane.virtual_loads[proposal - 1]
-        reason = check_failure(
-            proposal, virtual_load, job.p, group.gamma,
-            self.prefix_sum, self.m, self.params.rho,
-        )
-        if reason is None:
-            lane.inner.record(job, proposal)
-            lane.commit(job, proposal - 1)
-        else:
-            lane.failed = True
-            lane.fail_reason = reason
-            self._emit(t=self.t, event="fail", var=group.var_id,
-                       gamma=str(group.gamma), lane=lane.physical.label, reason=reason)
-            lane.commit(job, lane.least_virtual())
-
     def _reset_group(self, group: _Group, new_gamma: Fraction, job: Job) -> None:
         if self.check:
             grown = group.gamma * (1 + self.params.eps_g) ** self.params.h
@@ -263,7 +265,10 @@ class AStar:
             self.max_p = job.p
         for group in self.groups:
             for lane in group.lanes:
-                self._place(lane, group, job)
+                reason = lane.place(job, group.gamma, self.prefix_sum, self.params.rho)
+                if reason is not None:
+                    self._emit(t=self.t, event="fail", var=group.var_id,
+                               gamma=str(group.gamma), lane=lane.physical.label, reason=reason)
         dead_positions = [
             pos for pos, group in enumerate(self.groups)
             if all(lane.failed for lane in group.lanes)
@@ -330,27 +335,14 @@ def run_guess_once(
     back to least-loaded placement.  This is the single-epoch view used
     to probe which lanes survive a given guess.
     """
-    m = seq.m
-    lanes = [GuessLane(m, label=k) for k in range(len(schedulers))]
+    lanes = [GuessLane(seq.m, label=k) for k in range(len(schedulers))]
     for lane, inner in zip(lanes, schedulers):
         lane.inner = inner
     prefix = Fraction(0)
     for job in seq:
         prefix += job.p
         for lane in lanes:
-            if lane.failed:
-                lane.commit(job, lane.least_virtual())
-                continue
-            proposal = lane.inner.propose(job)
-            virtual_load = Fraction(0) if proposal is None else lane.virtual_loads[proposal - 1]
-            reason = check_failure(proposal, virtual_load, job.p, gamma, prefix, m, rho)
-            if reason is None:
-                lane.inner.record(job, proposal)
-                lane.commit(job, proposal - 1)
-            else:
-                lane.failed = True
-                lane.fail_reason = reason
-                lane.commit(job, lane.least_virtual())
+            lane.place(job, gamma, prefix, rho)
     return (
         [lane.failed for lane in lanes],
         [lane.fail_reason for lane in lanes],

@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction as F
 
+from parsched.a2 import A2State, a2_config_from_u, a2_params
 from parsched.cli import main
 from parsched.core import JobSequence
+from parsched.rational import format_rational
 
 
 def run_cli(capsys, *argv):
@@ -100,3 +102,40 @@ def test_run_reports_bad_guess_cleanly(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+def test_run_full_a2_without_reserve_machines(tmp_path, capsys):
+    """At m=8, eps=1 the core is every machine and m0 is 0, so every lane has
+    the empty layout; the sweep must complete like A2State does."""
+    seq_path = tmp_path / "seq.json"
+    run_cli(capsys, "gen", "--m", "8", "--count-min", "2", "--count-max", "2",
+            "--denom", "12", "--seed", "5", "--out", str(seq_path))
+    code, out = run_cli(capsys, "run", "--algo", "a2", "--mode", "full", "--epsilon", "1",
+                        "--input", str(seq_path))
+    assert code == 0
+    params = a2_params(F(1), 8, F(1))
+    assert (params.mu, params.m0) == (8, 0)
+    lane = A2State(a2_config_from_u(params, (0, 0, 0)))
+    for job in JobSequence.load(seq_path):
+        lane.step(job)
+    doc = json.loads(out)
+    assert doc["lanes"] == 226_981 and doc["best_label"] == 0
+    assert doc["makespan"] == format_rational(max(lane.loads))
+
+
+def test_run_rejects_bad_lane_caps(tmp_path, capsys, monkeypatch):
+    seq_path = tmp_path / "seq.json"
+    run_cli(capsys, "gen", "--m", "2", "--count-min", "2", "--count-max", "2",
+            "--denom", "8", "--seed", "1", "--out", str(seq_path))
+    argv = ["run", "--algo", "a1", "--epsilon", "1", "--mode", "full", "--input", str(seq_path)]
+    for cap in ("0", "-5"):
+        assert main(argv + ["--lane-cap", cap]) == 2
+        assert "--lane-cap" in capsys.readouterr().err
+    for raw in ("abc", "0", "-5", "1.5", ""):
+        monkeypatch.setenv("PARSCHED_LANE_CAP", raw)
+        assert main(argv) == 2
+        assert "PARSCHED_LANE_CAP" in capsys.readouterr().err
+    monkeypatch.setenv("PARSCHED_LANE_CAP", "25")
+    assert main(argv) == 0  # the family has exactly 25 lanes
+    monkeypatch.setenv("PARSCHED_LANE_CAP", "24")
+    assert main(argv) == 2
