@@ -166,9 +166,8 @@ class A1Plan:
         """
         if len(vector) != partition.levels:
             raise ValueError("vector length must equal the number of large classes")
-        classes = tuple(
-            (partition.rounded_size(i + 1), v) for i, v in enumerate(vector) if v > 0
-        )
+        sizes = [partition.rounded_size(i + 1) for i in range(partition.levels)]
+        classes = tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0)
         inst = MultisetInstance(classes, m)
         if not exact:
             ms: MultisetSchedule = lpt_multiset(inst)
@@ -181,13 +180,10 @@ class A1Plan:
         by_size = {size: ms.counts[k] for k, size in enumerate(ms.sizes)}
         n_star = []
         for i, v in enumerate(vector):
-            row = by_size.get(partition.rounded_size(i + 1)) if v > 0 else None
+            row = by_size.get(sizes[i]) if v > 0 else None
             n_star.append(tuple(row) if row is not None else (0,) * m)
         ell_star = tuple(
-            sum(
-                (partition.rounded_size(i + 1) * n_star[i][j] for i in range(partition.levels)),
-                Fraction(0),
-            )
+            sum((size * row[j] for size, row in zip(sizes, n_star) if row[j]), Fraction(0))
             for j in range(m)
         )
         return cls(partition, m, vector, tuple(n_star), ell_star)

@@ -310,13 +310,21 @@ class A2Rule:
 
     ``c`` gives the class of each core machine (0 = none); machines are
     0-based and jobs arrive as (class, size) pairs, class 0 for small
-    jobs.  ``params`` supplies the machine counts and slots per class.
-    Sizes, the load ceiling ``cap``, the fill line ``fill`` and the
-    per-class targeted load bounds (index 0 for class-free machines) must
-    share one number type: Fractions in A2State, common-scale integers in
-    the sweep.  Loads start at ``cap - cap``, that type's zero.
-    check_fill_line=True counts the jobs after which more than one core
-    machine holds small jobs while sitting strictly below the fill line.
+    jobs, every size positive.  ``params`` supplies the machine counts
+    and slots per class.  Sizes, the load ceiling ``cap``, the fill line
+    ``fill`` and the per-class targeted load bounds (index 0 for
+    class-free machines) must share one number type: Fractions in
+    A2State, common-scale integers in the sweep.  Loads start at
+    ``cap - cap``, that type's zero.  check_fill_line=True counts the
+    jobs after which more than one core machine holds small jobs while
+    sitting strictly below the fill line.
+
+    A small job costs O(log mu + classes): a max-tree over the room
+    ``cap - ell_plus - ell_s`` of each core machine holding small jobs
+    finds the leftmost one with room, and per-class stacks of the other
+    core machines find the one to open.  A large job takes its class's
+    next core slot in amortised O(1), or scans the m - mu reserve
+    machines for best fit.
     """
 
     def __init__(
@@ -330,42 +338,65 @@ class A2Rule:
         check_fill_line: bool = True,
     ):
         zero = cap - cap
+        mu = params.mu
         self.c = c
         self.m = params.m
-        self.mu = params.mu
+        self.mu = mu
         self.cap = cap
-        self.fill = fill
         self.loads = [zero] * params.m
-        self.ell_s = [zero] * params.mu
         self.slots_left = [params.slots_of(cls) if cls else 0 for cls in c]
-        self.ell_minus = [ell_minus_cls[cls] for cls in c]
-        self.ell_plus = [ell_plus_cls[cls] for cls in c]
+        # Per-class stacks, pop() yields the lowest index first: core slots
+        # of each large class, and core machines not yet holding small jobs.
         self._admissible: list[list[int]] = [[] for _ in range(params.n_classes)]
-        for j in range(params.mu - 1, -1, -1):  # pop() yields the lowest index first
+        self._unopened: list[list[int]] = [[] for _ in range(params.n_classes + 1)]
+        for j in range(mu - 1, -1, -1):
             if c[j]:
                 self._admissible[c[j] - 1].append(j)
+            self._unopened[c[j]].append(j)
+        self._opened = bytearray(mu)
+        self._ell_minus = ell_minus_cls
+        self._full_room = [cap - hi for hi in ell_plus_cls]
+        # ell_minus + ell_s < fill  <=>  room > ell_minus + cap - ell_plus - fill
+        self._below_fill = [lo + cap - hi - fill for lo, hi in zip(ell_minus_cls, ell_plus_cls)]
+        size = 1
+        while size < mu:
+            size *= 2
+        self._size = size
+        # Max-tree over rooms: leaf size + j holds machine j's room once it
+        # holds small jobs and zero before, so no positive size selects it.
+        self._room = [zero] * (2 * size)
         self.check_fill_line = check_fill_line
         self.fill_violations = 0
-        self._open_below = 0  # core machines with ell_s > 0 below the fill line
+        self._open_below = 0  # core machines holding small jobs below the fill line
 
     def choose(self, cls: int, p) -> int:
         """Machine for a job of class cls and size p; nothing is committed.
 
         Small jobs join the first core machine already holding small jobs
         that stays under the cap, else open the fitting machine with the
-        lowest targeted minimum.  Large jobs take their class's next open
-        core slot, else the fullest reserve machine they fit on.
+        lowest targeted minimum (lowest index on ties), else machine 0.
+        Large jobs take their class's next open core slot, else the
+        fullest reserve machine they fit on.
         """
         cap = self.cap
         if cls == SMALL:
-            ell_s, ell_plus, ell_minus = self.ell_s, self.ell_plus, self.ell_minus
+            room = self._room
+            if room[1] >= p:
+                node, size = 1, self._size
+                while node < size:
+                    node *= 2
+                    if room[node] < p:
+                        node += 1
+                return node - size
+            opened, ell_minus = self._opened, self._ell_minus
             best = -1
-            for j in range(self.mu):
-                if ell_s[j] > 0:
-                    if ell_plus[j] + ell_s[j] + p <= cap:
-                        return j
-                elif ell_plus[j] + p <= cap and (best < 0 or ell_minus[j] < ell_minus[best]):
-                    best = j
+            for k, stack in enumerate(self._unopened):
+                while stack and opened[stack[-1]]:
+                    stack.pop()
+                if stack and p <= self._full_room[k]:
+                    j = stack[-1]
+                    if best < 0 or (ell_minus[k], j) < (ell_minus[self.c[best]], best):
+                        best = j
             return max(best, 0)
         slots = self._admissible[cls - 1]
         while slots and self.slots_left[slots[-1]] == 0:
@@ -388,10 +419,28 @@ class A2Rule:
         if cls == SMALL:
             if j >= self.mu:
                 raise ValueError("small jobs belong on core machines")
-            level = self.ell_minus[j] + self.ell_s[j]
-            was_open = self.ell_s[j] > 0 and level < self.fill
-            self.ell_s[j] += p
-            self._open_below += (level + p < self.fill) - was_open
+            k = self.c[j]
+            below = self._below_fill[k]
+            room = self._room
+            node = self._size + j
+            if self._opened[j]:
+                left = room[node]
+                was_open = left > below
+            else:
+                self._opened[j] = 1
+                left = self._full_room[k]
+                was_open = False
+            left -= p
+            self._open_below += (left > below) - was_open
+            room[node] = left
+            node //= 2
+            while node:
+                a, b = room[2 * node], room[2 * node + 1]
+                top = a if a >= b else b
+                if room[node] == top:
+                    break
+                room[node] = top
+                node //= 2
         elif j < self.mu and self.c[j] == cls and self.slots_left[j] > 0:
             self.slots_left[j] -= 1
         self.loads[j] += p

@@ -235,17 +235,19 @@ def main(argv=None) -> int:
         counts = (args.count_min, args.count_max)
         if args.count_min == args.count_max:
             counts = args.count_min
-        config = ExperimentConfig(
-            algo=args.algo, epsilon=_rot(args.epsilon), m=args.m,
-            instances=args.instances, mode=args.mode, seed=args.seed,
-            counts=counts, denom=args.denom, check=args.check_lemmas,
-            jsonl_path=args.jsonl, csv_path=args.csv,
-        )
         try:
-            rows = run_batch(config)
+            rows = run_batch(ExperimentConfig(
+                algo=args.algo, epsilon=_rot(args.epsilon), m=args.m,
+                instances=args.instances, mode=args.mode, seed=args.seed,
+                counts=counts, denom=args.denom, check=args.check_lemmas,
+                jsonl_path=args.jsonl, csv_path=args.csv,
+            ))
         except AssertionError as exc:
             print(f"invariant violated: {exc}", file=sys.stderr)
             return 1
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(json.dumps({"instances": len(rows)}))
         return 0
 

@@ -41,6 +41,8 @@ FAIL_NO_RULE = "i"
 FAIL_OVERLOAD = "ii"
 FAIL_BOUNDS = "iii"
 
+_ZERO = Fraction(0)  # one shared zero for every lane's fresh loads
+
 
 @dataclass(frozen=True)
 class WrapperParams:
@@ -91,7 +93,7 @@ class GuessLane:
 
     __slots__ = (
         "m", "physical", "inner", "failed", "fail_reason",
-        "virtual_loads", "_virt_heap", "binding", "bound_physical",
+        "virtual_loads", "_virt_heap", "binding", "bound_physical", "_free",
     )
 
     def __init__(self, m: int, label: int):
@@ -100,10 +102,11 @@ class GuessLane:
         self.inner: Optional[OnlineScheduler] = None
         self.failed = False
         self.fail_reason: Optional[str] = None
-        self.virtual_loads = [Fraction(0)] * m
-        self._virt_heap = [(Fraction(0), v) for v in range(m)]
+        self.virtual_loads = [_ZERO] * m
+        self._virt_heap = [(_ZERO, v) for v in range(m)]
         self.binding: dict[int, int] = {}
         self.bound_physical: set[int] = set()
+        self._free: Optional[list[int]] = None
 
     def least_virtual(self) -> int:
         heap = self._virt_heap
@@ -115,23 +118,29 @@ class GuessLane:
         self.inner = inner
         self.failed = False
         self.fail_reason = None
-        self.virtual_loads = [Fraction(0)] * self.m
-        self._virt_heap = [(Fraction(0), v) for v in range(self.m)]
+        self.virtual_loads = [_ZERO] * self.m
+        self._virt_heap = [(_ZERO, v) for v in range(self.m)]
         heapq.heapify(self._virt_heap)
         self.binding = {}
         self.bound_physical = set()
+        self._free = None
 
     def bind(self, v: int) -> int:
-        """Bind virtual machine v to the least-loaded unbound physical one."""
-        best = None
-        best_key = None
-        for pj in range(self.m):
-            if pj in self.bound_physical:
-                continue
-            key = (self.physical.load(pj + 1), pj)
-            if best_key is None or key < best_key:
-                best, best_key = pj, key
-        assert best is not None
+        """Bind virtual machine v to the least-loaded unbound physical one.
+
+        Unbound physical machines receive no jobs within an epoch, so
+        their loads stay frozen: the epoch's first bind orders all
+        machines once by (load, index), and each bind pops the least one
+        not bound yet.
+        """
+        free = self._free
+        if free is None:
+            loads = self.physical.loads()
+            free = self._free = sorted(range(self.m), key=loads.__getitem__)
+            free.reverse()  # the sort is stable, so pop() gives the lowest index on ties
+        best = free.pop()
+        while best in self.bound_physical:
+            best = free.pop()
         self.binding[v] = best
         self.bound_physical.add(best)
         return best
@@ -157,7 +166,7 @@ class GuessLane:
             self.commit(job, self.least_virtual())
             return None
         proposal = self.inner.propose(job)
-        virtual_load = Fraction(0) if proposal is None else self.virtual_loads[proposal - 1]
+        virtual_load = _ZERO if proposal is None else self.virtual_loads[proposal - 1]
         reason = check_failure(proposal, virtual_load, job.p, gamma, prefix_sum, self.m, rho)
         if reason is None:
             self.inner.record(job, proposal)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsched.a2 import (
+    A2Rule,
     A2State,
     TargetConfiguration,
     a2_class_counts,
@@ -20,6 +21,7 @@ from parsched.a2 import (
     u_to_lane_index,
 )
 from parsched.core import Job
+from parsched.fullsim import _prepare
 from parsched.harness import gen_planted
 
 EPS_ONE = a2_params(F(1), 256, F(1))
@@ -185,3 +187,133 @@ def test_valid_lane_guarantee_at_threshold():
         for job in seq:
             assert lane.step(job) is not None
         assert max(lane.loads) <= params.load_cap
+
+
+class LinearScanRule:
+    """Reference copy of the configuration-lane rule with plain linear scans.
+
+    Small jobs scan every core machine; nothing is indexed.  Same
+    constructor and choose/put contract as A2Rule.
+    """
+
+    def __init__(self, params, c, cap, fill, ell_minus_cls, ell_plus_cls):
+        zero = cap - cap
+        self.c, self.m, self.mu, self.cap, self.fill = c, params.m, params.mu, cap, fill
+        self.loads = [zero] * params.m
+        self.ell_s = [zero] * params.mu
+        self.slots_left = [params.slots_of(cls) if cls else 0 for cls in c]
+        self.ell_minus = [ell_minus_cls[cls] for cls in c]
+        self.ell_plus = [ell_plus_cls[cls] for cls in c]
+        self.fill_violations = 0
+
+    def choose(self, cls, p):
+        cap = self.cap
+        if cls == 0:
+            best = -1
+            for j in range(self.mu):
+                if self.ell_s[j] > 0:
+                    if self.ell_plus[j] + self.ell_s[j] + p <= cap:
+                        return j
+                elif self.ell_plus[j] + p <= cap and (
+                    best < 0 or self.ell_minus[j] < self.ell_minus[best]
+                ):
+                    best = j
+            return max(best, 0)
+        for j in range(self.mu):
+            if self.c[j] == cls and self.slots_left[j] > 0:
+                return j
+        loads = self.loads
+        if self.mu == self.m:
+            return loads.index(min(loads))
+        best = -1
+        for j in range(self.mu, self.m):
+            if loads[j] + p <= cap and (best < 0 or loads[j] > loads[best]):
+                best = j
+        return best if best >= 0 else self.mu
+
+    def put(self, cls, p, j):
+        if cls == 0:
+            self.ell_s[j] += p
+        elif j < self.mu and self.c[j] == cls and self.slots_left[j] > 0:
+            self.slots_left[j] -= 1
+        self.loads[j] += p
+        open_below = sum(
+            1 for k in range(self.mu)
+            if self.ell_s[k] > 0 and self.ell_minus[k] + self.ell_s[k] < self.fill
+        )
+        if open_below > 1:
+            self.fill_violations += 1
+
+
+def drive_both(rule, ref, stream, rng, stray=0.25):
+    """Step A2Rule and the reference side by side; every choice, load and
+    violation count must agree.  A share ``stray`` of the jobs is put on a
+    random machine (a core machine for small jobs), not the proposed one."""
+    for cls, p in stream:
+        j = ref.choose(cls, p)
+        assert rule.choose(cls, p) == j
+        if rng.random() < stray:
+            j = rng.randrange(ref.mu if cls == 0 else ref.m)
+        rule.put(cls, p, j)
+        ref.put(cls, p, j)
+        assert rule.loads == ref.loads
+        assert rule.fill_violations == ref.fill_violations
+
+
+@given(
+    eps=st.sampled_from([F(1), F(3, 4), F(1, 2)]),
+    # m <= 9 at eps=1 leaves no reserve machine; m >= 30 gives class blocks.
+    m=st.integers(min_value=2, max_value=12) | st.integers(min_value=30, max_value=48),
+    T=st.sampled_from([F(1), F(5, 4)]),
+    scaled=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_rule_matches_linear_scan_reference(eps, m, T, scaled, rng):
+    """A2Rule's indexed small-job step proposes exactly what scanning every
+    core machine proposes, over Fractions and over the sweep's scaled ints,
+    on configuration blocks and on arbitrary class mixes."""
+    params = a2_params(eps, m, T)
+    edges = (0, params.small_max) + params.class_bounds
+    jobs = []
+    for _ in range(rng.randint(1, 80)):
+        c = 0 if rng.random() < 0.6 else rng.randrange(len(edges) - 1)
+        jobs.append(edges[c] + (edges[c + 1] - edges[c]) * rng.randint(1, 12) / 12)
+    if rng.random() < 0.5:
+        u = [rng.randint(0, min(3, params.kappa)) for _ in range(params.n_classes)]
+        config = a2_config_from_u(params, u).c
+    else:
+        config = tuple(rng.randint(0, params.n_classes) for _ in range(params.mu))
+    cls, _, jobs_s, emc, epc, cap, fill = _prepare(params, jobs)
+    if not scaled:
+        bounds = [params.ell_bounds_of(k) for k in range(params.n_classes + 1)]
+        emc, epc = [lo for lo, _ in bounds], [hi for _, hi in bounds]
+        cap, fill, jobs_s = params.load_cap, params.fill_line, jobs
+    args = (params, config, cap, fill, emc, epc)
+    drive_both(A2Rule(*args), LinearScanRule(*args), list(zip(cls, jobs_s)), rng)
+
+
+@given(m=st.integers(min_value=2, max_value=40), rng=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_rule_counts_fill_line_violations_like_reference(m, rng):
+    """Hand-built bounds whose targeted maximum lies more than cap - fill
+    above the targeted minimum keep every core machine under the cap
+    below the fill line, so the second small job opens a second machine
+    and is a violation.  A small job larger than the cap fits nowhere and
+    goes to machine 0."""
+    params = a2_params(F(1), m, F(1))
+    base = rng.randint(2, 20)
+    cap = 2 * base + rng.randint(0, 20)
+    epc = [cap - rng.randint(base, 2 * base - 1) for _ in range(params.n_classes + 1)]
+    gap = rng.randint(0, min(epc) - 1)  # cap - fill
+    emc = [rng.randint(0, hi - gap - 1) for hi in epc]
+    config = tuple(rng.randint(0, params.n_classes) for _ in range(params.mu))
+    args = (params, config, cap, cap - gap, emc, epc)
+    rule, ref = A2Rule(*args), LinearScanRule(*args)
+    drive_both(rule, ref, [(0, base), (0, base)], rng, stray=0)
+    assert rule.fill_violations == 1
+    stream = [(rng.choice([0, 0, rng.randint(1, params.n_classes)]), rng.randint(1, cap))
+              for _ in range(rng.randint(0, 60))]
+    drive_both(rule, ref, stream, rng)
+    assert rule.choose(0, cap + 1) == ref.choose(0, cap + 1) == 0
+    drive_both(rule, ref, [(0, cap + 1)], rng, stray=0)

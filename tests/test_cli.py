@@ -139,3 +139,15 @@ def test_run_rejects_bad_lane_caps(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0  # the family has exactly 25 lanes
     monkeypatch.setenv("PARSCHED_LANE_CAP", "24")
     assert main(argv) == 2
+
+
+def test_batch_rejects_bad_lane_cap_cleanly(monkeypatch, capsys):
+    monkeypatch.setenv("PARSCHED_LANE_CAP", "abc")
+    assert main(["batch", "--algo", "a1", "--epsilon", "1", "--m", "2", "--mode", "full"]) == 2
+    assert "error: PARSCHED_LANE_CAP" in capsys.readouterr().err
+
+
+def test_batch_reports_family_above_lane_cap_cleanly(monkeypatch, capsys):
+    monkeypatch.setenv("PARSCHED_LANE_CAP", "1")
+    assert main(["batch", "--algo", "a1", "--epsilon", "1", "--m", "2", "--mode", "full"]) == 2
+    assert "above the cap 1" in capsys.readouterr().err

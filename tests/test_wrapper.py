@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parsched.a1 import a1_family
 from parsched.core import Job, JobSequence
@@ -14,6 +16,7 @@ from parsched.harness import (
 from parsched.oracle import opt_exact
 from parsched.wrapper import (
     AStar,
+    GuessLane,
     WrapperParams,
     astar_init,
     astar_params,
@@ -200,3 +203,52 @@ def test_single_guess_wrapper():
     for job in seq.jobs[1:]:
         state.step(job)
     assert state.finish().n_jobs() == len(seq)
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_bind_picks_least_loaded_unbound_machine(rng):
+    """Across epochs, with machines pre-bound the way an adjustment binds
+    the job it restarts on, every bind takes the unbound physical machine
+    of least (load, index), as a scan of all machines does."""
+    m = rng.randint(1, 12)
+    lane = GuessLane(m, label=0)
+    t = 0
+    for epoch in range(rng.randint(1, 5)):
+        if epoch:
+            lane.reset_epoch(None)
+            for _ in range(rng.randint(0, 2)):
+                v, phys = rng.randrange(m), rng.randrange(m)
+                if v not in lane.binding and phys not in lane.bound_physical:
+                    lane.binding[v] = phys
+                    lane.bound_physical.add(phys)
+        for _ in range(rng.randint(0, 3 * m)):
+            v = rng.randrange(m)
+            if v not in lane.binding:
+                free = [pj for pj in range(m) if pj not in lane.bound_physical]
+                expected = min(free, key=lambda pj: (lane.physical.load(pj + 1), pj))
+            else:
+                expected = lane.binding[v]
+            t += 1
+            assert lane.commit(Job(t, F(rng.randint(1, 3), 2)), v) == expected
+
+
+def test_a3star_with_configuration_lanes_end_to_end(monkeypatch):
+    """At m=1024 the inner accuracy 1/2 clears the configuration family's
+    machine threshold, so run_algorithm drives A2State lanes."""
+    from parsched.a2 import A2State
+
+    recorded = []
+    record = A2State.record
+
+    def counting_record(self, job, machine):
+        recorded.append(machine)
+        record(self, job, machine)
+
+    monkeypatch.setattr(A2State, "record", counting_record)
+    seq = gen_planted(1024, counts=(1, 2), denom=24, seed=3)
+    result = run_algorithm("a3star", seq, epsilon=F(1), check=True)
+    assert recorded
+    assert result.makespan <= F(7, 3)
+    assert result.live_lane
+    assert result.lanes == 37
