@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import Job, Schedule, default_lane_cap
+from ._scaling import ScaledLane, common_scale, scale_values
+from .core import Job, default_lane_cap
 from .oracle import MultisetInstance, MultisetSchedule, lpt_multiset, opt_multiset
 from .rational import ceil_log
 
@@ -47,8 +49,9 @@ class ClassPartition:
 
     Class 0 holds small jobs, sizes in (0, eps'*T].  Class i >= 1 holds
     sizes in (bounds[i-1], bounds[i]] where bounds[i] = (1+eps')^i *
-    eps' * T.  The top bound is always >= T, so every job of a sequence
-    whose true optimum is <= T falls into some class.
+    eps' * T, so a size's class is bisect_left(bounds, size), levels + 1
+    meaning none.  The top bound is always >= T, so every job of a
+    sequence whose true optimum is <= T falls into some class.
     """
 
     eps: Fraction
@@ -61,12 +64,8 @@ class ClassPartition:
         """Class of size p: 0 = small, 1..levels = large, None = too big."""
         if p <= 0:
             raise ValueError("processing time must be positive")
-        if p <= self.bounds[0]:
-            return SMALL
-        for i in range(1, self.levels + 1):
-            if p <= self.bounds[i]:
-                return i
-        return None
+        cls = bisect_left(self.bounds, p)
+        return cls if cls <= self.levels else None
 
     def rounded_size(self, cls: int) -> Fraction:
         """Ceiling used as the pessimistic stand-in for a class-cls job."""
@@ -189,76 +188,81 @@ class A1Plan:
         return cls(partition, m, vector, tuple(n_star), ell_star)
 
 
-class A1State:
-    """Mutable lane state stepping one schedule under a fixed plan."""
+class A1State(ScaledLane):
+    """Mutable lane state stepping one schedule under a fixed plan.
+
+    Sizes and loads are integers in units of a lane-local common
+    denominator that starts as the class bounds' (see ScaledLane).
+    """
 
     def __init__(self, plan: A1Plan, label: int = 0):
         self.plan = plan
-        self.m = plan.m
+        self.m = m = plan.m
         self.label = label
-        m = plan.m
-        self.n_cur = [[0] * m for _ in range(plan.partition.levels)]
-        self.ell_s = [Fraction(0)] * m
-        self.large_load = [Fraction(0)] * m
-        self.loads = [Fraction(0)] * m
-        self.schedule = Schedule(m, label)
-        # Per-class slot heaps: machine index pushed once per virtual slot.
-        self._slots = []
-        for i in range(plan.partition.levels):
-            heap = []
-            for j in range(m):
-                heap.extend([j] * plan.n_star[i][j])
-            heapq.heapify(heap)
-            self._slots.append(heap)
-        self._small_heap = [(plan.ell_star[j], j) for j in range(m)]
+        bounds = plan.partition.bounds
+        self._scale = scale = common_scale(bounds)
+        self._bounds = scale_values(bounds, scale)
+        self._level = scale_values(plan.ell_star, scale)  # virtual plus small load
+        self._loads = [0] * m
+        self._left = [list(row) for row in plan.n_star]  # open virtual slots
+        # Per-class slot heaps: machine index listed once per virtual slot,
+        # in ascending order and hence already a heap.
+        self._slots = [[j for j in range(m) for _ in range(row[j])] for row in plan.n_star]
+        self._small_heap = [(x, j) for j, x in enumerate(self._level)]
         heapq.heapify(self._small_heap)
-        self._load_heap = [(Fraction(0), j) for j in range(m)]
-        heapq.heapify(self._load_heap)
+        self._load_heap: Optional[list] = None  # least loaded, built on first fallback
 
-    def _slack(self, cls: int, j: int) -> int:
-        return self.plan.n_star[cls - 1][j] - self.n_cur[cls - 1][j]
+    def _rescale(self, k: int) -> None:
+        self._level = [x * k for x in self._level]
+        self._loads = [x * k for x in self._loads]
+        self._small_heap = [(x * k, j) for x, j in self._small_heap]
+        if self._load_heap is not None:
+            self._load_heap = [(x * k, j) for x, j in self._load_heap]
+
+    @property
+    def loads(self) -> list[Fraction]:
+        return [Fraction(x, self._scale) for x in self._loads]
+
+    @property
+    def large_load(self) -> list[Fraction]:
+        """Per-machine load of large jobs: load minus small load."""
+        return [Fraction(x - level, self._scale) + star
+                for x, level, star in zip(self._loads, self._level, self.plan.ell_star)]
 
     def propose(self, job: Job) -> Optional[int]:
-        cls = self.plan.partition.classify(job.p)
-        if cls is None:
-            return None
+        cls, _ = self._classify(job)
         if cls == SMALL:
-            heap = self._small_heap
-            while heap[0][0] != self.plan.ell_star[heap[0][1]] + self.ell_s[heap[0][1]]:
+            heap, level = self._small_heap, self._level
+            while heap[0][0] != level[heap[0][1]]:
                 heapq.heappop(heap)
             return heap[0][1] + 1
-        slots = self._slots[cls - 1]
-        while slots and self._slack(cls, slots[0]) <= 0:
+        if cls == len(self._bounds):
+            return None
+        slots, left = self._slots[cls - 1], self._left[cls - 1]
+        while slots and left[slots[0]] <= 0:
             heapq.heappop(slots)
         if slots:
             return slots[0] + 1
         # No machine wants this class any more: fall back to least loaded.
-        heap = self._load_heap
-        while heap[0][0] != self.loads[heap[0][1]]:
+        heap, loads = self._load_heap, self._loads
+        if heap is None:
+            heap = self._load_heap = [(x, j) for j, x in enumerate(loads)]
+            heapq.heapify(heap)
+        while heap[0][0] != loads[heap[0][1]]:
             heapq.heappop(heap)
         return heap[0][1] + 1
 
     def record(self, job: Job, machine: int) -> None:
-        cls = self.plan.partition.classify(job.p)
-        if cls is None:
-            raise ValueError("cannot record a job that has no class")
+        cls, q = self._take(job, machine)
         j = machine - 1
         if cls == SMALL:
-            self.ell_s[j] += job.p
-            heapq.heappush(self._small_heap, (self.plan.ell_star[j] + self.ell_s[j], j))
+            self._level[j] += q
+            heapq.heappush(self._small_heap, (self._level[j], j))
         else:
-            self.n_cur[cls - 1][j] += 1
-            self.large_load[j] += job.p
-        self.loads[j] += job.p
-        heapq.heappush(self._load_heap, (self.loads[j], j))
-        self.schedule.assign(machine, job)
-
-    def step(self, job: Job) -> Optional[int]:
-        """propose + record; None means the job had no class (not placed)."""
-        machine = self.propose(job)
-        if machine is not None:
-            self.record(job, machine)
-        return machine
+            self._left[cls - 1][j] -= 1
+        self._loads[j] += q
+        if self._load_heap is not None:
+            heapq.heappush(self._load_heap, (self._loads[j], j))
 
 
 class A1Family:

@@ -12,11 +12,14 @@ sparsification.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import Job, Schedule, default_lane_cap
+from ._scaling import ScaledLane, common_scale, scale_values
+from .core import Job, default_lane_cap
 from .rational import ceil_log
 
 __all__ = [
@@ -28,6 +31,7 @@ __all__ = [
     "AlgoChoice",
     "a2_params",
     "a2_classify",
+    "a2_rule_thresholds",
     "a2_block_lengths",
     "a2_config_from_u",
     "a2_is_valid",
@@ -89,6 +93,11 @@ class A2Params:
         doubled = tuple(2 * self.b[i] for i in range(self.levels - 1))
         return self.b + doubled
 
+    @cached_property
+    def size_bounds(self) -> tuple[Fraction, ...]:
+        """small_max, then the class bounds: a size's class is bisect_left(size_bounds, size)."""
+        return (self.small_max,) + self.class_bounds
+
     @property
     def top_bound(self) -> Fraction:
         return 2 * self.b[self.levels - 2] if self.levels >= 2 else self.b[-1]
@@ -145,12 +154,19 @@ def a2_classify(params: A2Params, p: Fraction) -> Optional[int]:
     p = Fraction(p)
     if p <= 0:
         raise ValueError("processing time must be positive")
-    if p <= params.small_max:
-        return SMALL
-    for i, bound in enumerate(params.class_bounds, start=1):
-        if p <= bound:
-            return i
-    return None
+    cls = bisect_left(params.size_bounds, p)
+    return cls if cls <= params.n_classes else None
+
+
+def a2_rule_thresholds(params: A2Params, extra: Sequence[Fraction] = ()):
+    """(scale, cap, fill, ell_minus, ell_plus) of an A2Rule over integers in
+    units of 1/scale, the least common denominator of them and of ``extra``."""
+    bounds = [params.ell_bounds_of(cls) for cls in range(params.n_classes + 1)]
+    ell_minus, ell_plus = [lo for lo, _ in bounds], [hi for _, hi in bounds]
+    fixed = [params.load_cap, params.fill_line]
+    scale = common_scale([*extra, *fixed, *ell_minus, *ell_plus])
+    cap, fill = scale_values(fixed, scale)
+    return scale, cap, fill, scale_values(ell_minus, scale), scale_values(ell_plus, scale)
 
 
 def a2_class_counts(params: A2Params, jobs, clamp: bool = False) -> tuple[int, ...]:
@@ -313,8 +329,9 @@ class A2Rule:
     jobs, every size positive.  ``params`` supplies the machine counts
     and slots per class.  Sizes, the load ceiling ``cap``, the fill line
     ``fill`` and the per-class targeted load bounds (index 0 for
-    class-free machines) must share one number type: Fractions in
-    A2State, common-scale integers in the sweep.  Loads start at
+    class-free machines) must share one exact number type: common-scale
+    integers in A2State and the sweep (see a2_rule_thresholds), any
+    exact type in tests.  Loads start at
     ``cap - cap``, that type's zero.  check_fill_line=True counts the
     jobs after which more than one core machine holds small jobs while
     sitting strictly below the fill line.
@@ -368,6 +385,15 @@ class A2Rule:
         self.check_fill_line = check_fill_line
         self.fill_violations = 0
         self._open_below = 0  # core machines holding small jobs below the fill line
+
+    def rescale(self, k: int) -> None:
+        """Multiply every size-valued number by k > 0; no choice changes."""
+        self.cap *= k
+        self.loads = [x * k for x in self.loads]
+        self._ell_minus = [x * k for x in self._ell_minus]
+        self._full_room = [x * k for x in self._full_room]
+        self._below_fill = [x * k for x in self._below_fill]
+        self._room = [x * k for x in self._room]
 
     def choose(self, cls: int, p) -> int:
         """Machine for a job of class cls and size p; nothing is committed.
@@ -448,8 +474,9 @@ class A2Rule:
             self.fill_violations += 1
 
 
-class A2State(A2Rule):
-    """One configuration lane over Fractions, stepping on Jobs.
+class A2State(ScaledLane):
+    """One configuration lane stepping on Jobs: an A2Rule over integers in
+    units of a lane-local common denominator (see ScaledLane).
 
     Machines are 1-based here as everywhere in the public API.
     strict=True raises on the first fill-line violation.
@@ -463,40 +490,41 @@ class A2State(A2Rule):
         strict: bool = False,
     ):
         params = config.params
-        bounds = [params.ell_bounds_of(cls) for cls in range(params.n_classes + 1)]
-        super().__init__(
-            params, config.c, params.load_cap, params.fill_line,
-            [lo for lo, _ in bounds], [hi for _, hi in bounds], check_fill_line,
-        )
+        self._scale, *thresholds = a2_rule_thresholds(params, params.size_bounds)
+        self._bounds = scale_values(params.size_bounds, self._scale)
+        self.rule = A2Rule(params, config.c, *thresholds, check_fill_line)
+        self.m = params.m
         self.params = params
         self.config = config
         self.label = label
-        self.schedule = Schedule(params.m, label)
         self.strict = strict
 
+    def _rescale(self, k: int) -> None:
+        self.rule.rescale(k)
+
+    @property
+    def loads(self) -> list[Fraction]:
+        return [Fraction(x, self._scale) for x in self.rule.loads]
+
+    @property
+    def fill_violations(self) -> int:
+        return self.rule.fill_violations
+
     def propose(self, job: Job) -> Optional[int]:
-        cls = a2_classify(self.params, job.p)
-        if cls is None:
+        cls, q = self._classify(job)
+        if cls == len(self._bounds):
             return None
-        return self.choose(cls, job.p) + 1
+        return self.rule.choose(cls, q) + 1
 
     def record(self, job: Job, machine: int) -> None:
-        cls = a2_classify(self.params, job.p)
-        if cls is None:
-            raise ValueError("cannot record a job that has no class")
-        violations = self.fill_violations
-        self.put(cls, job.p, machine - 1)
-        self.schedule.assign(machine, job)
-        if self.strict and self.fill_violations > violations:
+        cls, q = self._take(job, machine)
+        rule = self.rule
+        violations = rule.fill_violations
+        rule.put(cls, q, machine - 1)
+        if self.strict and rule.fill_violations > violations:
             raise AssertionError(
                 "more than one core machine holds small jobs below the fill line"
             )
-
-    def step(self, job: Job) -> Optional[int]:
-        machine = self.propose(job)
-        if machine is not None:
-            self.record(job, machine)
-        return machine
 
 
 class A2Family:

@@ -144,13 +144,19 @@ def main(argv=None) -> int:
         print(json.dumps({"m": seq.m, "n": len(seq), "opt": format_rational(seq.planted_opt)}))
         return 0
 
+    if args.command in ("oracle", "run"):
+        try:
+            seq = JobSequence.load(args.input)
+        except (OSError, ValueError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: {args.input}: {reason}", file=sys.stderr)
+            return 2
+
     if args.command == "oracle":
-        seq = JobSequence.load(args.input)
         print(json.dumps({"opt": format_rational(opt_exact(seq, cap=args.cap))}))
         return 0
 
     if args.command == "run":
-        seq = JobSequence.load(args.input)
         assumed = _rot(args.assumed_opt)
         if assumed is None and args.algo in ("a1", "a2", "a3"):
             assumed = seq.planted_opt

@@ -112,8 +112,23 @@ class JobSequence:
 
     @classmethod
     def from_json(cls, doc: dict) -> "JobSequence":
-        opt = parse_rational(doc["opt"]) if "opt" in doc else None
-        return cls.from_sizes(int(doc["m"]), doc["jobs"], opt)
+        """Parse to_json's document; a ValueError names the bad entry.
+
+        JSON floats and booleans are rejected: they are not exact.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError('expected an object with "m" and "jobs"')
+        for key in ("m", "jobs"):
+            if key not in doc:
+                raise ValueError(f'missing "{key}"')
+        if not isinstance(doc["jobs"], list):
+            raise ValueError('"jobs" must be a list')
+        m = doc["m"]
+        if type(m) is not int or m < 1:
+            raise ValueError(f'"m" must be a positive integer, got {m!r}')
+        sizes = [_exact(p, f"jobs[{k}]", positive=True) for k, p in enumerate(doc["jobs"])]
+        opt = _exact(doc["opt"], '"opt"') if "opt" in doc else None
+        return cls.from_sizes(m, sizes, opt)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -124,6 +139,19 @@ class JobSequence:
     def load(cls, path) -> "JobSequence":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _exact(value, where: str, positive: bool = False) -> Fraction:
+    """A nonnegative (positive) number from a JSON integer or rational string."""
+    if type(value) not in (int, str):
+        raise ValueError(f'{where}: expected an integer or a string like "3/4", got {value!r}')
+    try:
+        p = parse_rational(value) if type(value) is str else Fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if p < 0 or (positive and p == 0):
+        raise ValueError(f"{where}: must be {'positive' if positive else 'nonnegative'}, got {value!r}")
+    return p
 
 
 class Schedule:

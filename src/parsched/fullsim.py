@@ -24,6 +24,7 @@ from .a2 import (
     a2_config_from_u,
     a2_family_size,
     a2_params,
+    a2_rule_thresholds,
     lane_index_to_u,
 )
 from .core import JobSequence, default_lane_cap
@@ -82,20 +83,8 @@ def _prepare(params: A2Params, jobs: Sequence[Fraction]):
                 "the assumed optimum is too small for a standalone run"
             )
         cls.append(c)
-    ell_minus_cls = [Fraction(0)]
-    ell_plus_cls = [Fraction(0)]
-    for c in range(1, params.n_classes + 1):
-        lo, hi = params.ell_bounds_of(c)
-        ell_minus_cls.append(lo)
-        ell_plus_cls.append(hi)
-    to_scale = list(jobs) + ell_minus_cls + ell_plus_cls + [params.load_cap, params.fill_line]
-    scale = common_scale(to_scale)
-    jobs_s = scale_values(list(jobs), scale)
-    emc = scale_values(ell_minus_cls, scale)
-    epc = scale_values(ell_plus_cls, scale)
-    cap = scale_values([params.load_cap], scale)[0]
-    fill = scale_values([params.fill_line], scale)[0]
-    return cls, scale, jobs_s, emc, epc, cap, fill
+    scale, cap, fill, emc, epc = a2_rule_thresholds(params, jobs)
+    return cls, scale, scale_values(list(jobs), scale), emc, epc, cap, fill
 
 
 def a2_full_sweep(

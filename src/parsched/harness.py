@@ -21,13 +21,16 @@ import csv
 import json
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .a1 import (
     A1Plan,
     A1State,
+    ClassPartition,
     a1_count_cap,
     a1_family,
     a1_family_size,
@@ -152,45 +155,53 @@ def gen_planted(
 # Targeted lane factories (hindsight shortcuts for wrapper runs).
 
 
-def _a1_suffix_plan(seq: JobSequence, eps_inner: Fraction, T: Fraction, start_t: int) -> A1Plan:
-    partition = a1_partition(eps_inner, T)
-    counts = [0] * partition.levels
-    doomed = False
-    suffix_total = Fraction(0)
-    for job in seq.jobs[start_t - 1 :]:
-        suffix_total += job.p
-        if job.p > T:
-            doomed = True  # guess below the largest job: bound failure is certain
-        cls = partition.classify(job.p)
-        if cls is None:
-            doomed = True  # a suffix job above the top bound certifies OPT > T
-            continue
-        if cls != 0:
-            counts[cls - 1] += 1
-    if suffix_total > seq.m * T:
-        doomed = True  # guess below average load: bound failure is certain
-    cap = a1_count_cap(seq.m, partition.eps_prime)
-    if any(c > cap for c in counts):
-        doomed = True
-    vector = tuple(min(c, cap) for c in counts)
-    volume = sum(
-        (partition.rounded_size(i + 1) * vector[i] for i in range(partition.levels)),
-        Fraction(0),
-    )
-    if volume > seq.m * (1 + partition.eps_prime) * T:
-        doomed = True
-    # The lane survives guesses at or above the suffix optimum as long
-    # as its virtual schedule stays within (1+eps')*T, so a greedy
-    # schedule certified against that bound is as good as the exact one.
-    return A1Plan.build(partition, seq.m, vector, exact=not doomed,
-                        certify=(1 + partition.eps_prime) * T)
+def _suffix_census(seq: JobSequence) -> Callable[[int], tuple[list[Fraction], Fraction]]:
+    """start_t -> the sizes of jobs start_t.. sorted, and their total; every
+    guess of an epoch asks for the same start_t, so one answer is kept."""
+
+    @lru_cache(maxsize=1)
+    def census(start_t: int) -> tuple[list[Fraction], Fraction]:
+        sizes = sorted(job.p for job in seq.jobs[start_t - 1 :])
+        return sizes, sum(sizes, Fraction(0))
+
+    return census
+
+
+def _ladder_counts(sizes: list[Fraction], bounds: Sequence[Fraction]) -> list[int]:
+    """Counts of sorted sizes in (bounds[i-1], bounds[i]] for i = 1..len(bounds)-1."""
+    edges = [bisect_right(sizes, b) for b in bounds]
+    return [hi - lo for lo, hi in zip(edges, edges[1:])]
+
+
+def _a1_suffix_census(
+    sizes: list[Fraction], total: Fraction, partition: ClassPartition, m: int
+) -> tuple[tuple[int, ...], bool]:
+    """(count vector capped at floor(m/eps'), doomed) of a sorted suffix.
+
+    Doomed: the suffix certifies OPT > T by a job above T (which covers
+    jobs above the top bound, itself >= T) or a total above m*T.  A
+    count above its cap, or a rounded volume above m*(1+eps')*T, implies
+    such a total: class sizes exceed eps'*T and round up by at most 1+eps'.
+    """
+    T = partition.T
+    cap = a1_count_cap(m, partition.eps_prime)
+    vector = tuple(min(c, cap) for c in _ladder_counts(sizes, partition.bounds))
+    return vector, (bool(sizes) and sizes[-1] > T) or total > m * T
 
 
 def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
     """Single-lane factory following the true census of each epoch suffix."""
+    census = _suffix_census(seq)
 
     def make(T: Fraction, start_t: int):
-        return [A1State(_a1_suffix_plan(seq, eps_inner, T, start_t))]
+        partition = a1_partition(eps_inner, T)
+        vector, doomed = _a1_suffix_census(*census(start_t), partition, seq.m)
+        # The lane survives guesses at or above the suffix optimum as long
+        # as its virtual schedule stays within (1+eps')*T, so a greedy
+        # schedule certified against that bound is as good as the exact one.
+        plan = A1Plan.build(partition, seq.m, vector, exact=not doomed,
+                            certify=(1 + partition.eps_prime) * T)
+        return [A1State(plan)]
 
     return make
 
@@ -201,10 +212,11 @@ def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
     choice = a3_dispatch(eps_inner, seq.m, Fraction(1))
     if choice.kind == "a1":
         return a1_targeted_factory(seq, Fraction(1, 3))
+    census = _suffix_census(seq)
 
     def make(T: Fraction, start_t: int):
         params = a2_params(eps_inner, seq.m, T)
-        counts = a2_class_counts(params, seq.jobs[start_t - 1 :], clamp=True)
+        counts = _ladder_counts(census(start_t)[0], params.size_bounds)
         try:
             u = a2_valid_u(params, counts)
         except ValueError:

@@ -177,7 +177,8 @@ class MultisetSchedule:
 
     def machine_load(self, j: int) -> Fraction:
         """Load of 1-based machine j."""
-        return sum((self.sizes[i] * row[j - 1] for i, row in enumerate(self.counts)), Fraction(0))
+        return sum((size * row[j - 1] for size, row in zip(self.sizes, self.counts) if row[j - 1]),
+                   Fraction(0))
 
     def loads(self) -> tuple[Fraction, ...]:
         return tuple(self.machine_load(j) for j in range(1, self.inst.m + 1))

@@ -2,7 +2,8 @@
 
 Every quantity that behaves like a real number in this package (job
 sizes, machine loads, interval endpoints, guesses) is a
-``fractions.Fraction``.  No float ever enters a scheduling decision;
+``fractions.Fraction`` in the public API; hot loops scale them to exact
+integers (``_scaling``).  No float ever enters a scheduling decision;
 interval membership and threshold comparisons must be decided exactly
 because boundary jobs would otherwise be misclassified.
 """

@@ -103,13 +103,17 @@ class GuessLane:
         self.failed = False
         self.fail_reason: Optional[str] = None
         self.virtual_loads = [_ZERO] * m
-        self._virt_heap = [(_ZERO, v) for v in range(m)]
+        self._virt_heap: Optional[list] = None
         self.binding: dict[int, int] = {}
         self.bound_physical: set[int] = set()
         self._free: Optional[list[int]] = None
 
     def least_virtual(self) -> int:
+        # Only failed lanes ask: build the heap at an epoch's first failure.
         heap = self._virt_heap
+        if heap is None:
+            heap = self._virt_heap = [(load, v) for v, load in enumerate(self.virtual_loads)]
+            heapq.heapify(heap)
         while heap[0][0] != self.virtual_loads[heap[0][1]]:
             heapq.heappop(heap)
         return heap[0][1]
@@ -119,8 +123,7 @@ class GuessLane:
         self.failed = False
         self.fail_reason = None
         self.virtual_loads = [_ZERO] * self.m
-        self._virt_heap = [(_ZERO, v) for v in range(self.m)]
-        heapq.heapify(self._virt_heap)
+        self._virt_heap = None
         self.binding = {}
         self.bound_physical = set()
         self._free = None
@@ -152,7 +155,8 @@ class GuessLane:
             phys = self.bind(v)
         self.physical.assign(phys + 1, job)
         self.virtual_loads[v] += job.p
-        heapq.heappush(self._virt_heap, (self.virtual_loads[v], v))
+        if self._virt_heap is not None:
+            heapq.heappush(self._virt_heap, (self.virtual_loads[v], v))
         return phys
 
     def place(self, job: Job, gamma: Fraction, prefix_sum: Fraction, rho: Fraction) -> Optional[str]:
@@ -261,7 +265,6 @@ class AStar:
             lane.binding[v] = phys_of_job
             lane.bound_physical.add(phys_of_job)
             lane.virtual_loads[v] = job.p
-            heapq.heappush(lane._virt_heap, (job.p, v))
 
     def step(self, job: Job) -> None:
         self.t += 1

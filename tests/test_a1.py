@@ -1,3 +1,4 @@
+import heapq
 from fractions import Fraction as F
 
 import pytest
@@ -140,3 +141,116 @@ def test_full_family_best_lane_within_guarantee():
             runner.run(seq.jobs)
             schedules.append(runner.schedule)
         assert select_best(schedules).makespan() <= 2
+
+
+class FractionA1Lane:
+    """Reference copy of the census lane stepping over Fractions, with the
+    per-class bound scan for classification."""
+
+    def __init__(self, plan):
+        m, levels = plan.m, plan.partition.levels
+        self.plan, self.m = plan, m
+        self.n_cur = [[0] * m for _ in range(levels)]
+        self.ell_s = [F(0)] * m
+        self.large_load = [F(0)] * m
+        self.loads = [F(0)] * m
+        self._slots = []
+        for i in range(levels):
+            heap = []
+            for j in range(m):
+                heap.extend([j] * plan.n_star[i][j])
+            heapq.heapify(heap)
+            self._slots.append(heap)
+        self._small_heap = [(plan.ell_star[j], j) for j in range(m)]
+        heapq.heapify(self._small_heap)
+        self._load_heap = [(F(0), j) for j in range(m)]
+        heapq.heapify(self._load_heap)
+
+    def classify(self, p):
+        bounds = self.plan.partition.bounds
+        for i, bound in enumerate(bounds):
+            if p <= bound:
+                return i
+        return None
+
+    def propose(self, job):
+        cls = self.classify(job.p)
+        if cls is None:
+            return None
+        if cls == 0:
+            heap = self._small_heap
+            while heap[0][0] != self.plan.ell_star[heap[0][1]] + self.ell_s[heap[0][1]]:
+                heapq.heappop(heap)
+            return heap[0][1] + 1
+        slots = self._slots[cls - 1]
+        while slots and self.plan.n_star[cls - 1][slots[0]] - self.n_cur[cls - 1][slots[0]] <= 0:
+            heapq.heappop(slots)
+        if slots:
+            return slots[0] + 1
+        heap = self._load_heap
+        while heap[0][0] != self.loads[heap[0][1]]:
+            heapq.heappop(heap)
+        return heap[0][1] + 1
+
+    def record(self, job, machine):
+        cls = self.classify(job.p)
+        j = machine - 1
+        if cls == 0:
+            self.ell_s[j] += job.p
+            heapq.heappush(self._small_heap, (self.plan.ell_star[j] + self.ell_s[j], j))
+        else:
+            self.n_cur[cls - 1][j] += 1
+            self.large_load[j] += job.p
+        self.loads[j] += job.p
+        heapq.heappush(self._load_heap, (self.loads[j], j))
+
+
+@given(
+    eps=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+    m=st.integers(min_value=1, max_value=6),
+    T=st.sampled_from([F(1), F(5, 4), F(7, 3)]),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_lane_matches_fraction_reference(eps, m, T, rng):
+    """A1State over lane-local integers proposes, loads and splits loads
+    exactly like the Fraction lane, including when sizes with fresh
+    denominators (2..60) grow the scale mid-stream, on bounds, above the
+    top bound, with a quarter of the jobs recorded off-proposal and some
+    recorded after proposing another job."""
+    partition = a1_partition(eps, T)
+    cap = a1_count_cap(m, partition.eps_prime)
+    vector = tuple(rng.randint(0, min(cap, 3)) for _ in range(partition.levels))
+    plan = A1Plan.build(partition, m, vector, exact=False)
+    lane, ref = A1State(plan), FractionA1Lane(plan)
+    top = partition.bounds[-1]
+    recorded = None
+    for t in range(1, rng.randint(1, 60) + 1):
+        if rng.random() < 0.2:
+            p = rng.choice(partition.bounds)
+        else:
+            den = rng.randint(2, 60)
+            p = F(rng.randint(1, den), den) * top * F(rng.choice([1, 1, 1, 9]), 8)
+        job = Job(t, p)
+        proposal = ref.propose(job)
+        assert lane.propose(job) == proposal
+        if proposal is None:
+            with pytest.raises(ValueError):
+                lane.record(job, 1)
+            continue
+        machine = proposal if rng.random() < 0.75 else rng.randint(1, m)
+        if rng.random() < 0.1:  # a proposal nobody takes up, then record anyway
+            lane.propose(Job(t, F(1, rng.randint(2, 60)) * top))
+        lane.record(job, machine)
+        ref.record(job, machine)
+        recorded = job
+        assert lane.loads == ref.loads
+        assert lane.large_load == ref.large_load
+    fresh = Job(100, partition.bounds[0])
+    for machine in (0, m + 1):
+        with pytest.raises(ValueError):
+            lane.record(fresh, machine)
+    if recorded is not None:
+        with pytest.raises(ValueError):
+            lane.record(recorded, 1)
+    assert lane.loads == ref.loads

@@ -317,3 +317,63 @@ def test_rule_counts_fill_line_violations_like_reference(m, rng):
     drive_both(rule, ref, stream, rng)
     assert rule.choose(0, cap + 1) == ref.choose(0, cap + 1) == 0
     drive_both(rule, ref, [(0, cap + 1)], rng, stray=0)
+
+
+@given(
+    eps=st.sampled_from([F(1), F(3, 4), F(1, 2)]),
+    m=st.integers(min_value=2, max_value=12) | st.integers(min_value=30, max_value=48),
+    T=st.sampled_from([F(1), F(5, 4), F(7, 3)]),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_lane_matches_fraction_rule(eps, m, T, rng):
+    """A2State over lane-local integers proposes, loads and counts fill-line
+    violations exactly like A2Rule driven over Fractions with a2_classify,
+    including when sizes with fresh denominators (2..60) grow the scale
+    mid-stream, on bounds, above the top bound, off-proposal and after
+    proposing another job."""
+    params = a2_params(eps, m, T)
+    if rng.random() < 0.5:
+        u = [rng.randint(0, min(3, params.kappa)) for _ in range(params.n_classes)]
+        config = a2_config_from_u(params, u)
+    else:
+        config = TargetConfiguration(
+            params, tuple(rng.randint(0, params.n_classes) for _ in range(params.mu)))
+    bounds = [params.ell_bounds_of(k) for k in range(params.n_classes + 1)]
+    ref = A2Rule(params, config.c, params.load_cap, params.fill_line,
+                 [lo for lo, _ in bounds], [hi for _, hi in bounds])
+    lane = A2State(config)
+    top = params.size_bounds[-1]
+    recorded = None
+    for t in range(1, rng.randint(1, 80) + 1):
+        if rng.random() < 0.2:
+            p = rng.choice(params.size_bounds)
+        else:
+            den = rng.randint(2, 60)
+            p = F(rng.randint(1, den), den) * top * F(rng.choice([1, 1, 1, 9]), 8)
+        job = Job(t, p)
+        cls = a2_classify(params, p)
+        proposal = None if cls is None else ref.choose(cls, p) + 1
+        assert lane.propose(job) == proposal
+        if proposal is None:
+            with pytest.raises(ValueError):
+                lane.record(job, 1)
+            continue
+        machine = proposal
+        if rng.random() < 0.25:
+            machine = rng.randint(1, params.mu if cls == 0 else m)
+        if rng.random() < 0.1:  # a proposal nobody takes up, then record anyway
+            lane.propose(Job(t, F(1, rng.randint(2, 60)) * top))
+        lane.record(job, machine)
+        ref.put(cls, p, machine - 1)
+        recorded = job
+        assert lane.loads == ref.loads
+        assert lane.fill_violations == ref.fill_violations
+    fresh = Job(100, params.small_max)
+    for machine in (0, m + 1):
+        with pytest.raises(ValueError):
+            lane.record(fresh, machine)
+    if recorded is not None:
+        with pytest.raises(ValueError):
+            lane.record(recorded, 1)
+    assert lane.loads == ref.loads

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from parsched.a2 import A2State, a2_config_from_u, a2_params
 from parsched.cli import main
 from parsched.core import JobSequence
@@ -151,3 +153,26 @@ def test_batch_reports_family_above_lane_cap_cleanly(monkeypatch, capsys):
     monkeypatch.setenv("PARSCHED_LANE_CAP", "1")
     assert main(["batch", "--algo", "a1", "--epsilon", "1", "--m", "2", "--mode", "full"]) == 2
     assert "above the cap 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,text,reason", [
+    ("invalid_json", '{"m": 2, "jobs": [', "Expecting value"),
+    ("missing_m", '{"jobs": ["1/2"]}', 'missing "m"'),
+    ("bad_job", '{"m": 2, "jobs": ["1/2", "abc"]}', "jobs[1]: not a nonnegative rational"),
+    ("zero_job", '{"m": 2, "jobs": ["0"]}', "jobs[0]: must be positive"),
+    ("float_job", '{"m": 2, "jobs": [0.1]}', "jobs[0]: expected an integer or a string"),
+    ("bool_job", '{"m": 2, "jobs": ["1/2", true]}', "jobs[1]: expected an integer or a string"),
+    ("missing_file", None, "No such file or directory"),
+])
+def test_malformed_sequence_files_fail_cleanly(tmp_path, capsys, name, text, reason):
+    """run and oracle report a malformed or missing sequence file as
+    `error: <path>: <reason>` with exit 2, not a traceback."""
+    path = tmp_path / f"{name}.json"
+    if text is not None:
+        path.write_text(text)
+    for argv in (["run", "--algo", "list"], ["oracle"]):
+        assert main([*argv, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert reason in captured.err

@@ -59,8 +59,11 @@ def test_sweep_matches_exact_reference():
 @settings(max_examples=200, deadline=None)
 def test_dedup_sweep_matches_per_lane_fraction_loop(eps, m, T, rng):
     """One simulation per distinct layout reproduces, lane by lane, the
-    makespans and summed fill-line violations of A2State over Fractions,
-    including m <= 9 where no reserve machine exists at eps=1."""
+    makespans and summed fill-line violations of stepping every lane's own
+    A2State, including m <= 9 where no reserve machine exists at eps=1.
+    Both sides run the integer A2Rule, so this checks the layout dedup;
+    test_a2's differential tests check A2State against A2Rule over
+    Fractions."""
     params = a2_params(eps, m, T)
     edges = (0, params.small_max) + params.class_bounds
     jobs = []

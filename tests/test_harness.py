@@ -1,12 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parsched.a1 import a1_family_size
-from parsched.a2 import a2_family_size, a2_params
+from parsched.a1 import a1_count_cap, a1_family_size, a1_partition
+from parsched.a2 import a2_config_from_u, a2_family_size, a2_params, a2_valid_u
+from parsched.core import JobSequence
 from parsched.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _a1_suffix_census,
+    _ladder_counts,
+    _suffix_census,
+    a1_targeted_factory,
+    a3_targeted_factory,
     compose,
     gen_planted,
     gen_planted_with_witness,
@@ -128,3 +136,72 @@ def test_run_batch_empty(tmp_path):
     assert run_batch(config) == []
     assert jsonl.read_text() == ""
     assert csv_path.read_text().splitlines() == [",".join(CSV_COLUMNS)]
+
+
+def per_job_a1_census(jobs, partition, m, T):
+    """The census lane's count vector and doomed flag, one job at a time."""
+    counts = [0] * partition.levels
+    doomed = False
+    total = F(0)
+    for job in jobs:
+        total += job.p
+        doomed |= job.p > T
+        cls = next((i for i, b in enumerate(partition.bounds) if job.p <= b), None)
+        if cls is None:
+            doomed = True
+        elif cls:
+            counts[cls - 1] += 1
+    cap = a1_count_cap(m, partition.eps_prime)
+    vector = tuple(min(c, cap) for c in counts)
+    volume = sum((partition.bounds[i + 1] * c for i, c in enumerate(vector)), F(0))
+    doomed |= total > m * T or max(counts) > cap or volume > m * (1 + partition.eps_prime) * T
+    return vector, doomed
+
+
+def per_job_a2_counts(jobs, params):
+    """Per-class counts of the configuration family, jobs above the top skipped."""
+    counts = [0] * params.n_classes
+    for job in jobs:
+        cls = next((i for i, b in enumerate(params.size_bounds) if job.p <= b), None)
+        if cls:
+            counts[cls - 1] += 1
+    return counts
+
+
+@given(
+    m=st.integers(min_value=1, max_value=8) | st.sampled_from([256, 300]),
+    T=st.sampled_from([F(1, 2), F(1), F(5, 4), F(3)]),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_suffix_census_matches_per_job_loop(m, T, rng):
+    """Sorting each epoch's suffix once gives the per-job loop's class
+    counts and doomed flag, for both targeted factories, at several epoch
+    starts in any order and with sizes exactly on class bounds and on T."""
+    partition = a1_partition(F(1, 3), T)  # the a3 factory's census accuracy
+    params = a2_params(F(1), m, T)
+    edges = [*partition.bounds, *params.size_bounds, T]
+    # Mostly at most T, many of them small, so each doomed test can decide alone.
+    scale = [F(1, 8), F(1, 8), F(1), F(2)]
+    sizes = [rng.choice(edges) if rng.random() < 0.3
+             else F(rng.randint(1, 40), 40) * T * rng.choice(scale)
+             for _ in range(rng.randint(1, 40))]
+    seq = JobSequence.from_sizes(m, sizes)
+    census = _suffix_census(seq)
+    a1_make = a1_targeted_factory(seq, F(1, 3))
+    a3_make = a3_targeted_factory(seq, F(1))
+    for start_t in [rng.randint(1, len(seq)) for _ in range(3)]:
+        suffix = seq.jobs[start_t - 1:]
+        vector, doomed = per_job_a1_census(suffix, partition, m, T)
+        assert _a1_suffix_census(*census(start_t), partition, m) == (vector, doomed)
+        counts = per_job_a2_counts(suffix, params)
+        assert _ladder_counts(census(start_t)[0], params.size_bounds) == counts
+        assert a1_make(T, start_t)[0].plan.vector == vector
+        if m < 256:  # below the configuration threshold a3 builds census lanes
+            assert a3_make(T, start_t)[0].plan.vector == vector
+            continue
+        try:
+            u = a2_valid_u(params, counts)
+        except ValueError:
+            continue  # the lane is allowed to fail; its fallback guess is not checked
+        assert a3_make(T, start_t)[0].config == a2_config_from_u(params, u)

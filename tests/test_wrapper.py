@@ -252,3 +252,26 @@ def test_a3star_with_configuration_lanes_end_to_end(monkeypatch):
     assert result.makespan <= F(7, 3)
     assert result.live_lane
     assert result.lanes == 37
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_least_virtual_matches_scan(rng):
+    """The least loaded virtual machine, whose heap a lane builds only at
+    its first failure, equals a scan over (load, index) after every job:
+    across failures, adjustments that reset epochs and pre-bind the job
+    they restart on, and lanes asked early or not at all."""
+    m = rng.randint(1, 3)
+    sizes = sorted(F(rng.randint(1, 24), 24) * rng.choice([1, 1, 4]) for _ in range(rng.randint(1, 20)))
+    if rng.random() < 0.5:
+        rng.shuffle(sizes)
+    seq = JobSequence.from_sizes(m, sizes)
+    # Whole families: single lanes fail while their guess lives on.
+    state = AStar(astar_params(F(1), F(1)), m, a1_full_factory(F(1), m))
+    for job in seq:
+        state.step(job)
+        for group in state.groups:
+            for lane in group.lanes:
+                if lane.failed or rng.random() < 0.2:
+                    scan = min(range(m), key=lambda v: (lane.virtual_loads[v], v))
+                    assert lane.least_virtual() == scan
