@@ -9,6 +9,7 @@ throughout the public API.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,9 +159,13 @@ class Schedule:
     """Per-machine loads and the job->machine assignment for one lane.
 
     Assignment is append-only: jobs are never migrated once placed.
+    Loads are kept as integers in units of 1/_scale, the lcm of the
+    assigned jobs' denominators (grown, with every load multiplied to
+    match, when a job's denominator does not divide it); ``load``,
+    ``loads`` and ``makespan`` return them as Fractions.
     """
 
-    __slots__ = ("m", "label", "assignment", "_loads", "_counts")
+    __slots__ = ("m", "label", "assignment", "_loads", "_counts", "_scale")
 
     def __init__(self, m: int, label: int = 0):
         if m < 1:
@@ -168,8 +173,9 @@ class Schedule:
         self.m = m
         self.label = label
         self.assignment: dict[int, int] = {}
-        self._loads = [Fraction(0)] * m
+        self._loads = [0] * m
         self._counts = [0] * m
+        self._scale = 1
 
     def assign(self, machine: int, job: Job) -> None:
         if not 1 <= machine <= self.m:
@@ -177,20 +183,31 @@ class Schedule:
         if job.index in self.assignment:
             raise ValueError(f"job {job.index} already assigned")
         self.assignment[job.index] = machine
-        self._loads[machine - 1] += job.p
+        p, scale = job.p, self._scale
+        den = p.denominator
+        if scale % den:
+            k = den // math.gcd(scale, den)
+            self._scale = scale = scale * k
+            self._loads = [x * k for x in self._loads]
+        self._loads[machine - 1] += p.numerator * (scale // den)
         self._counts[machine - 1] += 1
 
     def load(self, machine: int) -> Fraction:
-        return self._loads[machine - 1]
+        return Fraction(self._loads[machine - 1], self._scale)
 
     def job_count(self, machine: int) -> int:
         return self._counts[machine - 1]
 
     def loads(self) -> tuple[Fraction, ...]:
-        return tuple(self._loads)
+        scale = self._scale
+        return tuple(Fraction(x, scale) for x in self._loads)
 
     def makespan(self) -> Fraction:
-        return max(self._loads) if self._loads else Fraction(0)
+        return Fraction(max(self._loads), self._scale)
+
+    def machines_by_load(self) -> list[int]:
+        """0-based machine indices ordered by (load, index)."""
+        return sorted(range(self.m), key=self._loads.__getitem__)
 
     def n_jobs(self) -> int:
         return len(self.assignment)
@@ -201,7 +218,7 @@ class Schedule:
         for job in jobs:
             if job.index in self.assignment:
                 sums[self.assignment[job.index] - 1] += job.p
-        return sums == self._loads
+        return tuple(sums) == self.loads()
 
 
 class OnlineScheduler(Protocol):

@@ -17,6 +17,7 @@ selection sees complete schedules including pre-epoch jobs.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -26,6 +27,7 @@ from .rational import ceil_log
 
 __all__ = [
     "WrapperParams",
+    "InvariantViolation",
     "GuessLane",
     "AStar",
     "astar_params",
@@ -41,7 +43,13 @@ FAIL_NO_RULE = "i"
 FAIL_OVERLOAD = "ii"
 FAIL_BOUNDS = "iii"
 
-_ZERO = Fraction(0)  # one shared zero for every lane's fresh loads
+
+class InvariantViolation(AssertionError):
+    """A checked wrapper invariant does not hold.
+
+    Raised explicitly, so ``python -O`` keeps the check; it subclasses
+    AssertionError so callers that catch failed checks see it too.
+    """
 
 
 @dataclass(frozen=True)
@@ -66,30 +74,38 @@ def astar_params(rho: Fraction, eps: Fraction) -> WrapperParams:
 
 def check_failure(
     proposal: Optional[int],
-    virtual_load: Fraction,
-    p: Fraction,
-    gamma: Fraction,
-    prefix_sum: Fraction,
-    m: int,
-    rho: Fraction,
+    virtual_load: int,
+    q: int,
+    prefix: int,
+    caps: tuple[int, int, int],
 ) -> Optional[str]:
     """First failure condition that applies, or None.
 
-    ``prefix_sum`` is over the whole sequence processed so far including
-    the current job, never epoch-relative; ``virtual_load`` is the
-    epoch-relative load of the proposed machine.
+    Every number is an integer in units of 1/S for one run-wide scale S:
+    ``q`` is the job's size, ``prefix`` the sum of the whole sequence
+    processed so far including the current job (never epoch-relative),
+    ``virtual_load`` the epoch-relative load of the proposed machine, and
+    ``caps`` the guess's ``(floor(gamma*S), floor(gamma*m*S),
+    floor(rho*gamma*S))``.  Since q, prefix and the load are integers,
+    ``q > floor(gamma*S)`` is exactly ``gamma < p``, and likewise for the
+    average-load and overload tests.
     """
     if proposal is None:
         return FAIL_NO_RULE
-    if gamma < prefix_sum / m or gamma < p:
+    gamma_cap, mean_cap, load_cap = caps
+    if q > gamma_cap or prefix > mean_cap:
         return FAIL_BOUNDS
-    if virtual_load + p > rho * gamma:
+    if virtual_load + q > load_cap:
         return FAIL_OVERLOAD
     return None
 
 
 class GuessLane:
-    """One inner scheduler plus its virtual/physical bookkeeping."""
+    """One inner scheduler plus its virtual/physical bookkeeping.
+
+    Virtual loads are integers in units of 1/S for the run-wide scale S
+    of the driving ``AStar``; ``rescale`` follows its growth.
+    """
 
     __slots__ = (
         "m", "physical", "inner", "failed", "fail_reason",
@@ -102,7 +118,7 @@ class GuessLane:
         self.inner: Optional[OnlineScheduler] = None
         self.failed = False
         self.fail_reason: Optional[str] = None
-        self.virtual_loads = [_ZERO] * m
+        self.virtual_loads = [0] * m
         self._virt_heap: Optional[list] = None
         self.binding: dict[int, int] = {}
         self.bound_physical: set[int] = set()
@@ -118,11 +134,21 @@ class GuessLane:
             heapq.heappop(heap)
         return heap[0][1]
 
+    def rescale(self, k: int) -> None:
+        """Multiply the virtual loads by k (the run-wide scale grew k-fold).
+
+        Scaling keeps the heap's order, and a stale entry stays below its
+        machine's load, so the heap stays valid.
+        """
+        self.virtual_loads = [x * k for x in self.virtual_loads]
+        if self._virt_heap is not None:
+            self._virt_heap = [(load * k, v) for load, v in self._virt_heap]
+
     def reset_epoch(self, inner: OnlineScheduler) -> None:
         self.inner = inner
         self.failed = False
         self.fail_reason = None
-        self.virtual_loads = [_ZERO] * self.m
+        self.virtual_loads = [0] * self.m
         self._virt_heap = None
         self.binding = {}
         self.bound_physical = set()
@@ -138,9 +164,8 @@ class GuessLane:
         """
         free = self._free
         if free is None:
-            loads = self.physical.loads()
-            free = self._free = sorted(range(self.m), key=loads.__getitem__)
-            free.reverse()  # the sort is stable, so pop() gives the lowest index on ties
+            free = self._free = self.physical.machines_by_load()
+            free.reverse()  # pop() gives the least (load, index)
         best = free.pop()
         while best in self.bound_physical:
             best = free.pop()
@@ -148,52 +173,60 @@ class GuessLane:
         self.bound_physical.add(best)
         return best
 
-    def commit(self, job: Job, v: int) -> int:
-        """Place the job on virtual machine v; returns the physical machine."""
+    def commit(self, job: Job, v: int, q: int) -> int:
+        """Place the job, of scaled size q, on virtual machine v; returns the physical machine."""
         phys = self.binding.get(v)
         if phys is None:
             phys = self.bind(v)
         self.physical.assign(phys + 1, job)
-        self.virtual_loads[v] += job.p
+        load = self.virtual_loads[v] = self.virtual_loads[v] + q
         if self._virt_heap is not None:
-            heapq.heappush(self._virt_heap, (self.virtual_loads[v], v))
+            heapq.heappush(self._virt_heap, (load, v))
         return phys
 
-    def place(self, job: Job, gamma: Fraction, prefix_sum: Fraction, rho: Fraction) -> Optional[str]:
+    def place(self, job: Job, q: int, prefix: int, caps: tuple[int, int, int]) -> Optional[str]:
         """Place one job: follow the inner rule unless a failure condition applies.
 
-        A lane that fails here, or failed before, puts the job on its least
+        ``q``, ``prefix`` and ``caps`` are as in ``check_failure``.  A lane
+        that fails here, or failed before, puts the job on its least
         loaded virtual machine.  Returns the reason when the lane fails on
         this job, else None.
         """
         if self.failed:
-            self.commit(job, self.least_virtual())
+            self.commit(job, self.least_virtual(), q)
             return None
         proposal = self.inner.propose(job)
-        virtual_load = _ZERO if proposal is None else self.virtual_loads[proposal - 1]
-        reason = check_failure(proposal, virtual_load, job.p, gamma, prefix_sum, self.m, rho)
+        virtual_load = 0 if proposal is None else self.virtual_loads[proposal - 1]
+        reason = check_failure(proposal, virtual_load, q, prefix, caps)
         if reason is None:
             self.inner.record(job, proposal)
-            self.commit(job, proposal - 1)
+            self.commit(job, proposal - 1, q)
         else:
             self.failed = True
             self.fail_reason = reason
-            self.commit(job, self.least_virtual())
+            self.commit(job, self.least_virtual(), q)
         return reason
 
 
 class _Group:
-    __slots__ = ("var_id", "gamma", "lanes", "last_adjust_t")
+    __slots__ = ("var_id", "gamma", "lanes", "last_adjust_t", "caps")
 
     def __init__(self, var_id: int, gamma: Fraction, lanes: list[GuessLane]):
         self.var_id = var_id
         self.gamma = gamma
         self.lanes = lanes
         self.last_adjust_t = 1
+        self.caps = (0, 0, 0)  # check_failure's caps, set by AStar._set_caps
 
 
 class AStar:
-    """The wrapper's run state over all guesses and lanes."""
+    """The wrapper's run state over all guesses and lanes.
+
+    Sizes, the prefix sum and every lane's virtual loads are integers in
+    units of 1/S, where the run-wide scale S is the lcm of the job
+    denominators seen so far; when a job's denominator does not divide S,
+    S and every stored number grow by the same factor.
+    """
 
     def __init__(
         self,
@@ -209,15 +242,43 @@ class AStar:
         self.check = check
         self.trace = trace
         self.groups: list[_Group] = []
-        self.prefix_sum = Fraction(0)
-        self.max_p = Fraction(0)
         self.t = 0
         self.adjustments = 0
         self.lanes_per_guess = 0
+        self._scale = 1
+        self._prefix = 0
 
     def _emit(self, **event) -> None:
         if self.trace is not None:
             self.trace(event)
+
+    def _set_caps(self, group: _Group) -> None:
+        """floor(gamma*S), floor(gamma*m*S) and floor(rho*gamma*S) for the group's guess."""
+        rho = self.params.rho
+        num, den = group.gamma.numerator * self._scale, group.gamma.denominator
+        group.caps = (num // den, num * self.m // den,
+                      num * rho.numerator // (den * rho.denominator))
+
+    def _feed(self, p: Fraction) -> int:
+        """The job size in units of 1/S, added to the prefix; grows S first if needed."""
+        scale, den = self._scale, p.denominator
+        if scale % den:
+            k = den // math.gcd(scale, den)
+            self._scale = scale = scale * k
+            self._prefix *= k
+            for group in self.groups:
+                self._set_caps(group)
+                for lane in group.lanes:
+                    lane.rescale(k)
+        q = p.numerator * (scale // den)
+        self._prefix += q
+        return q
+
+    def _check_guess_order(self) -> None:
+        step = 1 + self.params.eps_g
+        for lo, hi in zip(self.groups, self.groups[1:]):
+            if lo.gamma * step > hi.gamma:
+                raise InvariantViolation("guess order broken")
 
     def _init(self, p1: Fraction) -> None:
         step = 1 + self.params.eps_g
@@ -233,17 +294,23 @@ class AStar:
                 lane = GuessLane(self.m, label=var_id * self.lanes_per_guess + k)
                 lane.inner = inner
                 lanes.append(lane)
-            self.groups.append(_Group(var_id, gamma, lanes))
+            group = _Group(var_id, gamma, lanes)
+            self._set_caps(group)
+            self.groups.append(group)
             self._emit(t=1, event="init", var=var_id, gamma=str(gamma))
             gamma = gamma * step
+        if self.check:
+            self._check_guess_order()
 
-    def _reset_group(self, group: _Group, new_gamma: Fraction, job: Job) -> None:
+    def _reset_group(self, group: _Group, new_gamma: Fraction, job: Job, q: int) -> None:
         if self.check:
             grown = group.gamma * (1 + self.params.eps_g) ** self.params.h
-            assert new_gamma >= grown, "adjustment grew the guess too little"
+            if new_gamma < grown:
+                raise InvariantViolation("adjustment grew the guess too little")
         self._emit(t=self.t, event="adjust", var=group.var_id,
                    old=str(group.gamma), new=str(new_gamma))
         group.gamma = new_gamma
+        self._set_caps(group)
         group.last_adjust_t = self.t
         self.adjustments += 1
         inners = list(self.factory(new_gamma, self.t))
@@ -264,39 +331,43 @@ class AStar:
             # first job on the machine the fresh inner would open.
             lane.binding[v] = phys_of_job
             lane.bound_physical.add(phys_of_job)
-            lane.virtual_loads[v] = job.p
+            lane.virtual_loads[v] = q
+
+    def _place(self, job: Job, q: int) -> None:
+        """Every lane places the job under its group's guess."""
+        prefix = self._prefix
+        for group in self.groups:
+            caps = group.caps
+            for lane in group.lanes:
+                reason = lane.place(job, q, prefix, caps)
+                if reason is not None:
+                    self._emit(t=self.t, event="fail", var=group.var_id,
+                               gamma=str(group.gamma), lane=lane.physical.label, reason=reason)
 
     def step(self, job: Job) -> None:
         self.t += 1
         if self.t != job.index:
             raise ValueError("jobs must be fed in arrival order")
+        q = self._feed(job.p)
         if self.t == 1 and not self.groups:
             self._init(job.p)
-        self.prefix_sum += job.p
-        if job.p > self.max_p:
-            self.max_p = job.p
-        for group in self.groups:
-            for lane in group.lanes:
-                reason = lane.place(job, group.gamma, self.prefix_sum, self.params.rho)
-                if reason is not None:
-                    self._emit(t=self.t, event="fail", var=group.var_id,
-                               gamma=str(group.gamma), lane=lane.physical.label, reason=reason)
+        self._place(job, q)
         dead_positions = [
             pos for pos, group in enumerate(self.groups)
             if all(lane.failed for lane in group.lanes)
         ]
         if dead_positions:
             i_star = max(dead_positions)
-            anchor = max(self.groups[-1].gamma, job.p, self.prefix_sum / self.m)
+            mean = Fraction(self._prefix, self._scale * self.m)
+            anchor = max(self.groups[-1].gamma, job.p, mean)
             step = 1 + self.params.eps_g
             new_gamma = anchor
             for group in self.groups[: i_star + 1]:
                 new_gamma = new_gamma * step
-                self._reset_group(group, new_gamma, job)
+                self._reset_group(group, new_gamma, job, q)
             self.groups.sort(key=lambda g: g.gamma)
-        if self.check:
-            for lo, hi in zip(self.groups, self.groups[1:]):
-                assert lo.gamma * (1 + self.params.eps_g) <= hi.gamma, "guess order broken"
+            if self.check:
+                self._check_guess_order()
 
     def run(self, seq: JobSequence) -> Schedule:
         for job in seq:
@@ -347,14 +418,13 @@ def run_guess_once(
     back to least-loaded placement.  This is the single-epoch view used
     to probe which lanes survive a given guess.
     """
-    lanes = [GuessLane(seq.m, label=k) for k in range(len(schedulers))]
-    for lane, inner in zip(lanes, schedulers):
-        lane.inner = inner
-    prefix = Fraction(0)
+    # One guess (h = 1) whose factory hands out the given schedulers.
+    params = WrapperParams(Fraction(rho), Fraction(1), Fraction(0), 1)
+    state = AStar(params, seq.m, lambda T, start_t: schedulers)
+    state._init(Fraction(gamma))
     for job in seq:
-        prefix += job.p
-        for lane in lanes:
-            lane.place(job, gamma, prefix, rho)
+        state._place(job, state._feed(job.p))
+    lanes = state.groups[0].lanes
     return (
         [lane.failed for lane in lanes],
         [lane.fail_reason for lane in lanes],

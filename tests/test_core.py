@@ -92,3 +92,33 @@ def test_loads_always_match_assignment(sizes, m, data):
         s.assign(data.draw(st.integers(min_value=1, max_value=m)), job)
         assert s.check_loads(seq.jobs)
     assert s.makespan() == max(s.loads())
+
+
+@given(
+    m=st.integers(min_value=1, max_value=4),
+    dens=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=15),
+    data=st.data(),
+)
+@settings(max_examples=120)
+def test_integer_loads_match_fraction_sums_as_scale_grows(m, dens, data):
+    """Loads kept in units of a growing common denominator (denominators
+    1..60 arrive in any order) read back as the plain Fraction sums, and
+    every load, the loads tuple and the makespan are Fractions."""
+    s = Schedule(m)
+    sums = [F(0)] * m
+    jobs = []
+    for t, den in enumerate(dens, start=1):
+        job = Job(t, F(data.draw(st.integers(min_value=1, max_value=3 * den)), den))
+        machine = data.draw(st.integers(min_value=1, max_value=m))
+        s.assign(machine, job)
+        jobs.append(job)
+        sums[machine - 1] += job.p
+        assert s.loads() == tuple(sums)
+        assert [s.load(i) for i in range(1, m + 1)] == sums
+        assert s.makespan() == max(sums)
+        assert s.check_loads(jobs)
+        values = (*s.loads(), *(s.load(i) for i in range(1, m + 1)), s.makespan())
+        assert all(type(v) is F for v in values)
+    heavier = jobs[:-1] + [Job(jobs[-1].index, jobs[-1].p + F(1, 61))]
+    assert not s.check_loads(heavier)
+    assert s.machines_by_load() == sorted(range(m), key=lambda i: (sums[i], i))

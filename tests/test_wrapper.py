@@ -1,11 +1,18 @@
+import functools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsched.a1 import a1_family
+from parsched.a1 import A1State, a1_family
+from parsched.adversary import StackScheduler
 from parsched.core import Job, JobSequence
 from parsched.harness import (
     a1_full_factory,
@@ -17,6 +24,7 @@ from parsched.oracle import opt_exact
 from parsched.wrapper import (
     AStar,
     GuessLane,
+    InvariantViolation,
     WrapperParams,
     astar_init,
     astar_params,
@@ -47,14 +55,19 @@ def test_initial_guesses_are_geometric():
 
 
 def test_check_failure_conditions():
+    # Integers in units of 1/S; caps are (floor(gamma*S), floor(gamma*m*S), floor(rho*gamma*S)).
     # Bounds violations: guess below the largest job or below average load.
-    assert check_failure(1, F(0), F(2), F(1), F(2), 2, F(1)) == "iii"
-    assert check_failure(1, F(0), F(1, 2), F(1), F(3), 2, F(1)) == "iii"
+    # p=2, prefix=2, gamma=1, m=2, rho=1 at S=1.
+    assert check_failure(1, 0, 2, 2, (1, 2, 1)) == "iii"
+    # p=1/2, prefix=3, gamma=1, m=2, rho=1 at S=2.
+    assert check_failure(1, 0, 1, 6, (2, 4, 2)) == "iii"
     # Overload: the proposed machine would pass rho * gamma.
-    assert check_failure(1, F(1), F(1, 2), F(1), F(3, 2), 2, F(5, 4)) == "ii"
-    # No rule from the inner scheduler.
-    assert check_failure(None, F(0), F(1, 2), F(1), F(1, 2), 2, F(1)) == "i"
-    assert check_failure(1, F(0), F(1, 2), F(1), F(1), 2, F(1)) is None
+    # load=1, p=1/2, prefix=3/2, gamma=1, m=2, rho=5/4 at S=4.
+    assert check_failure(1, 4, 2, 6, (4, 8, 5)) == "ii"
+    # No rule from the inner scheduler: p=1/2, prefix=1/2, gamma=1, m=2, rho=1 at S=2.
+    assert check_failure(None, 0, 1, 1, (2, 4, 2)) == "i"
+    # p=1/2, prefix=1, gamma=1, m=2, rho=1 at S=2.
+    assert check_failure(1, 0, 1, 2, (2, 4, 2)) is None
 
 
 def test_survivor_exists_when_guess_covers_optimum():
@@ -205,12 +218,13 @@ def test_single_guess_wrapper():
     assert state.finish().n_jobs() == len(seq)
 
 
-@given(rng=st.randoms(use_true_random=False))
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=150, deadline=None)
-def test_bind_picks_least_loaded_unbound_machine(rng):
+def test_bind_picks_least_loaded_unbound_machine(seed):
     """Across epochs, with machines pre-bound the way an adjustment binds
     the job it restarts on, every bind takes the unbound physical machine
     of least (load, index), as a scan of all machines does."""
+    rng = random.Random(seed)
     m = rng.randint(1, 12)
     lane = GuessLane(m, label=0)
     t = 0
@@ -230,7 +244,8 @@ def test_bind_picks_least_loaded_unbound_machine(rng):
             else:
                 expected = lane.binding[v]
             t += 1
-            assert lane.commit(Job(t, F(rng.randint(1, 3), 2)), v) == expected
+            q = rng.randint(1, 3)  # virtual loads in units of 1/2
+            assert lane.commit(Job(t, F(q, 2)), v, q) == expected
 
 
 def test_a3star_with_configuration_lanes_end_to_end(monkeypatch):
@@ -254,13 +269,14 @@ def test_a3star_with_configuration_lanes_end_to_end(monkeypatch):
     assert result.lanes == 37
 
 
-@given(rng=st.randoms(use_true_random=False))
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=40, deadline=None)
-def test_least_virtual_matches_scan(rng):
+def test_least_virtual_matches_scan(seed):
     """The least loaded virtual machine, whose heap a lane builds only at
     its first failure, equals a scan over (load, index) after every job:
     across failures, adjustments that reset epochs and pre-bind the job
     they restart on, and lanes asked early or not at all."""
+    rng = random.Random(seed)
     m = rng.randint(1, 3)
     sizes = sorted(F(rng.randint(1, 24), 24) * rng.choice([1, 1, 4]) for _ in range(rng.randint(1, 20)))
     if rng.random() < 0.5:
@@ -275,3 +291,242 @@ def test_least_virtual_matches_scan(rng):
                 if lane.failed or rng.random() < 0.2:
                     scan = min(range(m), key=lambda v: (lane.virtual_loads[v], v))
                     assert lane.least_virtual() == scan
+
+
+# A test-local copy of the wrapper over Fractions, before its loads, caps
+# and prefix moved to integers: the reference for the integer AStar.
+def fraction_check_failure(proposal, virtual_load, p, gamma, prefix_sum, m, rho):
+    if proposal is None:
+        return "i"
+    if gamma < prefix_sum / m or gamma < p:
+        return "iii"
+    if virtual_load + p > rho * gamma:
+        return "ii"
+    return None
+
+
+class FractionLane:
+    def __init__(self, m, label, inner):
+        self.m, self.label, self.inner = m, label, inner
+        self.failed, self.fail_reason = False, None
+        self.virtual_loads = [F(0)] * m
+        self.binding, self.bound = {}, set()
+        self.loads = [F(0)] * m
+        self.assignment = {}
+
+    def reset_epoch(self, inner):
+        self.inner = inner
+        self.failed, self.fail_reason = False, None
+        self.virtual_loads = [F(0)] * self.m
+        self.binding, self.bound = {}, set()
+
+    def least_virtual(self):
+        return min(range(self.m), key=lambda v: (self.virtual_loads[v], v))
+
+    def commit(self, job, v):
+        if v not in self.binding:
+            free = [pj for pj in range(self.m) if pj not in self.bound]
+            self.binding[v] = min(free, key=lambda pj: (self.loads[pj], pj))
+            self.bound.add(self.binding[v])
+        phys = self.binding[v]
+        self.assignment[job.index] = phys
+        self.loads[phys] += job.p
+        self.virtual_loads[v] += job.p
+
+    def place(self, job, gamma, prefix_sum, rho):
+        if self.failed:
+            self.commit(job, self.least_virtual())
+            return None
+        proposal = self.inner.propose(job)
+        load = F(0) if proposal is None else self.virtual_loads[proposal - 1]
+        reason = fraction_check_failure(proposal, load, job.p, gamma, prefix_sum, self.m, rho)
+        if reason is None:
+            self.inner.record(job, proposal)
+            self.commit(job, proposal - 1)
+        else:
+            self.failed, self.fail_reason = True, reason
+            self.commit(job, self.least_virtual())
+        return reason
+
+
+class FractionAStar:
+    def __init__(self, params, m, factory):
+        self.params, self.m, self.factory = params, m, factory
+        self.groups = []  # [var_id, gamma, lanes]
+        self.prefix_sum = F(0)
+        self.t = 0
+        self.events = []
+
+    def step(self, job):
+        self.t += 1
+        step = 1 + self.params.eps_g
+        if self.t == 1:
+            gamma = job.p
+            for var_id in range(self.params.h):
+                inners = list(self.factory(gamma, 1))
+                lanes = [FractionLane(self.m, var_id * len(inners) + k, inner)
+                         for k, inner in enumerate(inners)]
+                self.groups.append([var_id, gamma, lanes])
+                gamma = gamma * step
+        self.prefix_sum += job.p
+        for var_id, gamma, lanes in self.groups:
+            for lane in lanes:
+                reason = lane.place(job, gamma, self.prefix_sum, self.params.rho)
+                if reason is not None:
+                    self.events.append(("fail", self.t, var_id, str(gamma), lane.label, reason))
+        dead = [pos for pos, g in enumerate(self.groups) if all(lane.failed for lane in g[2])]
+        if dead:
+            new_gamma = max(self.groups[-1][1], job.p, self.prefix_sum / self.m)
+            for group in self.groups[: max(dead) + 1]:
+                new_gamma = new_gamma * step
+                self.events.append(("adjust", self.t, group[0], str(group[1]), str(new_gamma)))
+                group[1] = new_gamma
+                for lane, inner in zip(group[2], self.factory(new_gamma, self.t)):
+                    phys = lane.assignment[job.index]
+                    lane.reset_epoch(inner)
+                    proposal = inner.propose(job)
+                    if proposal is None:
+                        lane.failed, lane.fail_reason, v = True, "i", 0
+                    else:
+                        inner.record(job, proposal)
+                        v = proposal - 1
+                    lane.binding[v] = phys
+                    lane.bound.add(phys)
+                    lane.virtual_loads[v] = job.p
+            self.groups.sort(key=lambda g: g[1])
+
+
+def _family_and_stacker(m):
+    """Factory of the whole census family at accuracy 1 plus a lane that
+    stacks every job on machine 1 (so overloads are common); plans are
+    built once per guess and shared by every caller, lane states are fresh."""
+
+    @functools.lru_cache(maxsize=None)
+    def plans(T):
+        family = a1_family(F(1), m, T)
+        return [family.plan(v) for v in family.vectors]
+
+    def make(T, start_t):
+        return [A1State(plan, label=k) for k, plan in enumerate(plans(T))] + [StackScheduler(m)]
+
+    return make
+
+
+def _edge_size(rng, ref, scale):
+    """A size on one of the failure tests' boundaries under the reference's
+    current state, or rounded down to a whole number of units 1/lcm(scale, d)
+    for the lcm ``scale`` of the sizes so far and a fresh d (so the job
+    lands on the floor of a boundary that is not a whole number of units),
+    or a random size with a fresh denominator in 2..60."""
+    kind = rng.random()
+    edge = None
+    if ref.groups:
+        _, gamma, lanes = rng.choice(ref.groups)
+        if kind < 0.15:
+            edge = gamma
+        elif kind < 0.25:
+            # The stacker's machine 1 reaches rho * gamma, or gets within
+            # one job (at most gamma) of it.
+            load = ref.params.rho * gamma - lanes[-1].virtual_loads[0]
+            edge = next((p for p in (load, load - gamma) if 0 < p <= gamma), None)
+        elif kind < 0.35:
+            edge = ref.params.rho * gamma - rng.choice(lanes).virtual_loads[rng.randrange(ref.m)]
+        elif kind < 0.45:
+            edge = ref.m * gamma - ref.prefix_sum
+    if edge is not None and edge > 0:
+        unit = math.lcm(scale, rng.randint(2, 60))
+        below = F(math.floor(edge * unit), unit)
+        return below if below > 0 and rng.random() < 0.5 else edge
+    den = rng.randint(2, 60)
+    return F(rng.randint(1, 2 * den), den) * rng.choice([1, 1, 1, 8])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    m=st.sampled_from([1, 2, 3, 3]),  # the stacker overloads before the average only if m > rho
+    rho=st.sampled_from([F(2), F(5, 2)]),
+    eps_g=st.sampled_from([F(1, 6), F(2, 15), F(1, 3)]),
+    h=st.integers(min_value=1, max_value=4),  # fewer guesses than astar_params gives, to keep it fast
+)
+@settings(max_examples=40, deadline=None)
+def test_integer_wrapper_matches_fraction_reference(seed, m, rho, eps_g, h):
+    """The integer AStar (run-wide scale, integer caps and loads) fails the
+    same lanes for the same reasons, adjusts the same guesses to the same
+    values and puts every job on the same physical machine, job by job, as
+    the Fraction wrapper.  Whole census families at small m make single
+    lanes fail while their guess lives on, a stacking lane overloads,
+    fresh denominators grow the scale mid-stream, and sizes land exactly on
+    the guess, on rho * guess minus a virtual load and on prefix = m * guess."""
+    rng = random.Random(seed)
+    params = WrapperParams(rho, F(1), eps_g, h)
+    factory = _family_and_stacker(m)
+    events = []
+    state = AStar(params, m, factory, check=True, trace=events.append)
+    ref = FractionAStar(params, m, factory)
+    scale = 1
+    for t in range(1, rng.randint(1, 12) + 1):
+        job = Job(t, _edge_size(rng, ref, scale))
+        scale = math.lcm(scale, job.p.denominator)
+        state.step(job)
+        ref.step(job)
+        got = [(e["event"], e["t"], e["var"], e["gamma"], e["lane"], e["reason"]) if e["event"] == "fail"
+               else (e["event"], e["t"], e["var"], e["old"], e["new"])
+               for e in events if e["event"] != "init"]
+        assert got == ref.events
+        assert [g.gamma for g in state.groups] == [g[1] for g in ref.groups]
+        assert state._scale == scale  # the lcm of the job denominators so far
+        for group in state.groups:
+            g = group.gamma
+            assert group.caps == (math.floor(g * scale), math.floor(g * m * scale),
+                                  math.floor(rho * g * scale))
+        assert state.adjustments == sum(e[0] == "adjust" for e in ref.events)
+        for group, (_, _, ref_lanes) in zip(state.groups, ref.groups):
+            for lane, ref_lane in zip(group.lanes, ref_lanes):
+                assert (lane.failed, lane.fail_reason) == (ref_lane.failed, ref_lane.fail_reason)
+                assert lane.physical.assignment[t] - 1 == ref_lane.assignment[t]
+                assert lane.physical.loads() == tuple(ref_lane.loads)
+    best = state.finish()
+    lanes = [lane for g in ref.groups for lane in g[2]]
+    assert (best.makespan(), best.label) == min((max(lane.loads), lane.label) for lane in lanes)
+
+
+_BROKEN_GUESSES = """
+from fractions import Fraction as F
+from parsched.adversary import StackScheduler
+from parsched.core import Job
+from parsched.wrapper import AStar, InvariantViolation, astar_params
+
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+state = AStar(astar_params(F(1), F(1)), 1, lambda T, t: [StackScheduler(1)], check=True)
+state.step(Job(1, F(1)))  # guesses 1, 4/3, ..., (4/3)**6
+if "{broken}" == "order":
+    # The two largest guesses collapse onto one value; job 2 resets only
+    # the guesses below it, which land above them and leave the two equal.
+    state.groups[-2].gamma = state.groups[-1].gamma = F(1000)
+else:
+    # The smallest guess jumps so high that its adjustment cannot grow it enough.
+    state.groups[0].gamma = F(10**6)
+for group in state.groups:
+    state._set_caps(group)  # the failure tests read the integer caps of each guess
+try:
+    state.step(Job(2, F(10)))
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("order", "guess order broken"),
+    ("growth", "adjustment grew the guess too little"),
+])
+def test_guess_checks_survive_optimize_flag(broken, message):
+    """The check=True guess-order and guess-growth checks raise
+    InvariantViolation (an AssertionError) under python -O too."""
+    assert issubclass(InvariantViolation, AssertionError)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_GUESSES.format(broken=broken)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"raised: {message}"
