@@ -29,7 +29,6 @@ __all__ = [
     "A1Family",
     "LaneCapExceeded",
     "a1_partition",
-    "a1_classify",
     "a1_true_vector",
     "a1_family",
     "a1_family_size",
@@ -89,44 +88,28 @@ def a1_partition(eps: Fraction, T: Fraction) -> ClassPartition:
     return ClassPartition(eps, eps_prime, levels, T, tuple(bounds))
 
 
-def a1_classify(partition: ClassPartition, p: Fraction) -> Optional[int]:
-    return partition.classify(Fraction(p))
-
-
 def a1_count_cap(m: int, eps_prime: Fraction) -> int:
     """Per-class count ceiling floor(m/eps'); larger counts contradict OPT <= T."""
     return int(Fraction(m) / eps_prime)
 
 
-def a1_true_vector(
-    jobs: Iterable[Job],
-    partition: ClassPartition,
-    m: int,
-    clamp: bool = False,
-) -> tuple[int, ...]:
+def a1_true_vector(jobs: Iterable[Job], partition: ClassPartition, m: int) -> tuple[int, ...]:
     """Exact per-class counts of the large jobs in the stream.
 
     Raises if a count exceeds floor(m/eps') or a job exceeds the top
-    class bound, both of which certify that the true optimum is above T;
-    with clamp=True those jobs/overshoots are capped instead (useful
-    when the caller wants a lane that is allowed to fail).
+    class bound, both of which certify that the true optimum is above T.
     """
     counts = [0] * partition.levels
     for job in jobs:
         cls = partition.classify(job.p)
         if cls is None:
-            if clamp:
-                continue
             raise ValueError(f"job of size {job.p} exceeds the top class bound")
         if cls != SMALL:
             counts[cls - 1] += 1
     cap = a1_count_cap(m, partition.eps_prime)
     for i, c in enumerate(counts):
         if c > cap:
-            if clamp:
-                counts[i] = cap
-            else:
-                raise ValueError(f"class {i + 1} count {c} exceeds cap {cap}")
+            raise ValueError(f"class {i + 1} count {c} exceeds cap {cap}")
     return tuple(counts)
 
 
@@ -277,18 +260,13 @@ class A1Family:
         self.partition = partition
         self.m = m
         self.vectors = vectors
-        self._plans: dict[tuple[int, ...], A1Plan] = {}
 
     @property
     def size(self) -> int:
         return len(self.vectors)
 
     def plan(self, vector: tuple[int, ...]) -> A1Plan:
-        plan = self._plans.get(vector)
-        if plan is None:
-            plan = A1Plan.build(self.partition, self.m, vector)
-            self._plans[vector] = plan
-        return plan
+        return A1Plan.build(self.partition, self.m, vector)
 
     def lanes(self) -> list[A1State]:
         return [A1State(self.plan(v), label=k) for k, v in enumerate(self.vectors)]
@@ -306,14 +284,8 @@ def a1_family(
     T: Fraction,
     vector: Optional[tuple[int, ...]] = None,
     lane_cap: Optional[int] = None,
-    prune: bool = False,
 ) -> A1Family:
-    """Build the lane family; `vector` restricts it to a single lane.
-
-    prune=True drops vectors whose rounded total volume already exceeds
-    m*(1+eps')*T, which no sequence with optimum <= T can realize.  The
-    flag is off by default so the full family matches the closed form.
-    """
+    """Build the lane family; `vector` restricts it to a single lane."""
     partition = a1_partition(Fraction(eps), Fraction(T))
     cap = a1_count_cap(m, partition.eps_prime)
     if vector is not None:
@@ -330,15 +302,5 @@ def a1_family(
             f"full family has {total} lanes, above the cap {lane_cap}; "
             "use a targeted vector or raise the cap"
         )
-    vectors = []
-    budget = m * (1 + partition.eps_prime) * partition.T
-    for v in itertools.product(range(cap + 1), repeat=partition.levels):
-        if prune:
-            volume = sum(
-                (partition.rounded_size(i + 1) * v[i] for i in range(partition.levels)),
-                Fraction(0),
-            )
-            if volume > budget:
-                continue
-        vectors.append(v)
+    vectors = list(itertools.product(range(cap + 1), repeat=partition.levels))
     return A1Family(partition, m, vectors)

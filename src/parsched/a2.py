@@ -11,7 +11,6 @@ sparsification.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from ._scaling import ScaledLane, common_scale, scale_values
-from .core import Job, default_lane_cap
+from .core import InvariantViolation, Job
 from .rational import ceil_log
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "TargetConfiguration",
     "A2Rule",
     "A2State",
-    "A2Family",
     "AlgoChoice",
     "a2_params",
     "a2_classify",
@@ -37,7 +35,6 @@ __all__ = [
     "a2_is_valid",
     "a2_valid_u",
     "a2_family_size",
-    "a2_family",
     "a2_class_counts",
     "a3_dispatch",
     "u_to_lane_index",
@@ -169,14 +166,12 @@ def a2_rule_thresholds(params: A2Params, extra: Sequence[Fraction] = ()):
     return scale, cap, fill, scale_values(ell_minus, scale), scale_values(ell_plus, scale)
 
 
-def a2_class_counts(params: A2Params, jobs, clamp: bool = False) -> tuple[int, ...]:
+def a2_class_counts(params: A2Params, jobs) -> tuple[int, ...]:
     """Per-class counts of the large jobs in a stream (class 1..2l-1)."""
     counts = [0] * params.n_classes
     for job in jobs:
         cls = a2_classify(params, job.p)
         if cls is None:
-            if clamp:
-                continue
             raise ValueError(f"job of size {job.p} exceeds the top class bound")
         if cls != SMALL:
             counts[cls - 1] += 1
@@ -332,7 +327,7 @@ class A2Rule:
     class-free machines) must share one exact number type: common-scale
     integers in A2State and the sweep (see a2_rule_thresholds), any
     exact type in tests.  Loads start at
-    ``cap - cap``, that type's zero.  check_fill_line=True counts the
+    ``cap - cap``, that type's zero.  ``fill_violations`` counts the
     jobs after which more than one core machine holds small jobs while
     sitting strictly below the fill line.
 
@@ -352,7 +347,6 @@ class A2Rule:
         fill,
         ell_minus_cls: Sequence,
         ell_plus_cls: Sequence,
-        check_fill_line: bool = True,
     ):
         zero = cap - cap
         mu = params.mu
@@ -382,7 +376,6 @@ class A2Rule:
         # Max-tree over rooms: leaf size + j holds machine j's room once it
         # holds small jobs and zero before, so no positive size selects it.
         self._room = [zero] * (2 * size)
-        self.check_fill_line = check_fill_line
         self.fill_violations = 0
         self._open_below = 0  # core machines holding small jobs below the fill line
 
@@ -470,7 +463,7 @@ class A2Rule:
         elif j < self.mu and self.c[j] == cls and self.slots_left[j] > 0:
             self.slots_left[j] -= 1
         self.loads[j] += p
-        if self.check_fill_line and self._open_below > 1:
+        if self._open_below > 1:
             self.fill_violations += 1
 
 
@@ -482,17 +475,11 @@ class A2State(ScaledLane):
     strict=True raises on the first fill-line violation.
     """
 
-    def __init__(
-        self,
-        config: TargetConfiguration,
-        label: int = 0,
-        check_fill_line: bool = True,
-        strict: bool = False,
-    ):
+    def __init__(self, config: TargetConfiguration, label: int = 0, strict: bool = False):
         params = config.params
         self._scale, *thresholds = a2_rule_thresholds(params, params.size_bounds)
         self._bounds = scale_values(params.size_bounds, self._scale)
-        self.rule = A2Rule(params, config.c, *thresholds, check_fill_line)
+        self.rule = A2Rule(params, config.c, *thresholds)
         self.m = params.m
         self.params = params
         self.config = config
@@ -522,50 +509,9 @@ class A2State(ScaledLane):
         violations = rule.fill_violations
         rule.put(cls, q, machine - 1)
         if self.strict and rule.fill_violations > violations:
-            raise AssertionError(
+            raise InvariantViolation(
                 "more than one core machine holds small jobs below the fill line"
             )
-
-
-class A2Family:
-    """Enumerated guess vectors for one parameter choice; lanes on demand."""
-
-    def __init__(self, params: A2Params, vectors: list[tuple[int, ...]]):
-        self.params = params
-        self.vectors = vectors
-
-    @property
-    def size(self) -> int:
-        return len(self.vectors)
-
-    def lane(self, k: int, **kwargs) -> A2State:
-        config = a2_config_from_u(self.params, self.vectors[k])
-        return A2State(config, label=k, **kwargs)
-
-    def lanes(self, **kwargs) -> list[A2State]:
-        return [self.lane(k, **kwargs) for k in range(self.size)]
-
-
-def a2_family(
-    eps: Fraction,
-    m: int,
-    T: Fraction,
-    u: Optional[Sequence[int]] = None,
-    lane_cap: Optional[int] = None,
-) -> A2Family:
-    """Full family (all u vectors, cap-guarded) or a single targeted lane."""
-    params = a2_params(eps, m, T)
-    if u is not None:
-        return A2Family(params, [tuple(int(x) for x in u)])
-    lane_cap = default_lane_cap(lane_cap)
-    total = a2_family_size(params)
-    if total > lane_cap:
-        raise RuntimeError(
-            f"full family has {total} lanes, above the cap {lane_cap}; "
-            "use a targeted vector or raise the cap"
-        )
-    vectors = list(itertools.product(range(params.kappa + 1), repeat=params.n_classes))
-    return A2Family(params, vectors)
 
 
 @dataclass(frozen=True)

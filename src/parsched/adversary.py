@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import Job, JobSequence, LaneRunner, OnlineScheduler, Schedule
+from .core import InvariantViolation, Job, JobSequence, LaneRunner, OnlineScheduler, Schedule
 
 __all__ = [
     "AdversaryReport",
@@ -223,7 +223,8 @@ def lb1_run(
             t += 1
     for j, job in enumerate(sigma2, start=1):  # top up to load 1
         witness.assign(j, job)
-    assert witness.makespan() == 1, "witness schedule must have makespan exactly 1"
+    if witness.makespan() != 1:
+        raise InvariantViolation("witness schedule must have makespan exactly 1")
     return AdversaryReport(seq, Fraction(1), witness, _min_makespan(runners),
                            (m1s, m3s), [r.schedule for r in runners])
 
@@ -314,6 +315,7 @@ def lb2_run(
             k += 1
     for j, job in enumerate(sigma2, start=1):
         witness.assign(j, job)
-    assert witness.makespan() == 1, "witness schedule must have makespan exactly 1"
+    if witness.makespan() != 1:
+        raise InvariantViolation("witness schedule must have makespan exactly 1")
     return AdversaryReport(seq, Fraction(1), witness, _min_makespan(runners),
                            missing, [r.schedule for r in runners])

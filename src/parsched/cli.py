@@ -96,9 +96,20 @@ def _rot(text):
     return parse_rational(text) if text is not None else None
 
 
+def _load(path: str) -> JobSequence:
+    """The sequence file at path; a ValueError names the path and the reason."""
+    try:
+        return JobSequence.load(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _victims(descriptor: str, m: int):
     if descriptor.startswith("list:"):
-        k = int(descriptor.split(":", 1)[1])
+        count = descriptor.split(":", 1)[1]
+        if not count.isdecimal():
+            raise ValueError(f"victim list:K needs a whole number K, got {count!r}")
+        k = int(count)
         perms = []
         base = list(range(1, m + 1))
         for i in range(k):
@@ -123,6 +134,7 @@ def _victims(descriptor: str, m: int):
 
 
 def main(argv=None) -> int:
+    """Run one command; a broken invariant exits 1, bad input exits 2."""
     parser = argparse.ArgumentParser(prog="parsched")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_gen(sub)
@@ -132,7 +144,17 @@ def main(argv=None) -> int:
     _add_params(sub)
     _add_batch(sub)
     args = parser.parse_args(argv)
+    try:
+        return _command(args)
+    except AssertionError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _command(args) -> int:
     if args.command == "gen":
         counts = (args.count_min, args.count_max)
         if args.count_min == args.count_max:
@@ -144,19 +166,13 @@ def main(argv=None) -> int:
         print(json.dumps({"m": seq.m, "n": len(seq), "opt": format_rational(seq.planted_opt)}))
         return 0
 
-    if args.command in ("oracle", "run"):
-        try:
-            seq = JobSequence.load(args.input)
-        except (OSError, ValueError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            print(f"error: {args.input}: {reason}", file=sys.stderr)
-            return 2
-
     if args.command == "oracle":
+        seq = _load(args.input)
         print(json.dumps({"opt": format_rational(opt_exact(seq, cap=args.cap))}))
         return 0
 
     if args.command == "run":
+        seq = _load(args.input)
         assumed = _rot(args.assumed_opt)
         if assumed is None and args.algo in ("a1", "a2", "a3"):
             assumed = seq.planted_opt
@@ -168,12 +184,6 @@ def main(argv=None) -> int:
                 mode=args.mode, check=args.check_lemmas, trace=trace,
                 lane_cap=args.lane_cap,
             )
-        except AssertionError as exc:
-            print(f"invariant violated: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         finally:
             if trace_fh:
                 trace_fh.close()
@@ -241,19 +251,12 @@ def main(argv=None) -> int:
         counts = (args.count_min, args.count_max)
         if args.count_min == args.count_max:
             counts = args.count_min
-        try:
-            rows = run_batch(ExperimentConfig(
-                algo=args.algo, epsilon=_rot(args.epsilon), m=args.m,
-                instances=args.instances, mode=args.mode, seed=args.seed,
-                counts=counts, denom=args.denom, check=args.check_lemmas,
-                jsonl_path=args.jsonl, csv_path=args.csv,
-            ))
-        except AssertionError as exc:
-            print(f"invariant violated: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        rows = run_batch(ExperimentConfig(
+            algo=args.algo, epsilon=_rot(args.epsilon), m=args.m,
+            instances=args.instances, mode=args.mode, seed=args.seed,
+            counts=counts, denom=args.denom, check=args.check_lemmas,
+            jsonl_path=args.jsonl, csv_path=args.csv,
+        ))
         print(json.dumps({"instances": len(rows)}))
         return 0
 

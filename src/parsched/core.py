@@ -21,6 +21,7 @@ __all__ = [
     "Job",
     "JobSequence",
     "Schedule",
+    "InvariantViolation",
     "OnlineScheduler",
     "LaneRunner",
     "select_best",
@@ -46,6 +47,14 @@ def default_lane_cap(lane_cap: Optional[int] = None) -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{_LANE_CAP_ENV} must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+class InvariantViolation(AssertionError):
+    """A checked invariant does not hold.
+
+    Raised explicitly, so ``python -O`` keeps the check; it subclasses
+    AssertionError so callers that catch failed checks see it too.
+    """
 
 
 @dataclass(frozen=True)

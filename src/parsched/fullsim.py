@@ -93,7 +93,6 @@ def a2_full_sweep(
     T: Fraction,
     jobs: Sequence[Fraction],
     lanes: Optional[tuple[int, int]] = None,
-    check_fill_line: bool = True,
     lane_cap: Optional[int] = None,
 ) -> A2Sweep:
     """Simulate a lane range (default: the whole family), once per distinct layout.
@@ -123,8 +122,7 @@ def a2_full_sweep(
         layout = a2_block_lengths(params, u)
         outcome = by_layout.get(layout)
         if outcome is None:
-            rule = A2Rule(params, a2_config_from_u(params, u).c, cap, fill, emc, epc,
-                          check_fill_line)
+            rule = A2Rule(params, a2_config_from_u(params, u).c, cap, fill, emc, epc)
             for c, p in stream:
                 rule.put(c, p, rule.choose(c, p))
             outcome = by_layout[layout] = (max(rule.loads), rule.fill_violations)
@@ -146,23 +144,38 @@ def a2_lane_makespan(
 
 
 def brute_force_opt(seq: JobSequence) -> Fraction:
-    """Exact optimum by full m**n enumeration (test oracle, no pruning)."""
+    """Exact optimum by full m**n enumeration (test oracle, no pruning).
+
+    Recursion places all but the last two jobs and plain loops place
+    those two, so every one of the m**n assignments is still evaluated.
+    """
     jobs = seq.sizes()
+    n, m = len(jobs), seq.m
+    if n <= 1:
+        return sum(jobs, Fraction(0))
     scale = common_scale(jobs)
     jobs_s = scale_values(jobs, scale)
-    n, m = len(jobs_s), seq.m
-    if n == 0:
-        return Fraction(0)
     loads = [0] * m
     best = sum(jobs_s) + 1
+    last = jobs_s[-1]
 
     def walk(idx: int, cur_max: int) -> None:
         nonlocal best
-        if idx == n:
-            if cur_max < best:
-                best = cur_max
-            return
         p = jobs_s[idx]
+        if idx == n - 2:
+            for j in range(m):
+                top = loads[j] + p
+                loads[j] = top
+                if top < cur_max:
+                    top = cur_max
+                for load in loads:
+                    load += last
+                    if load < top:
+                        load = top
+                    if load < best:
+                        best = load
+                loads[j] -= p
+            return
         for j in range(m):
             loads[j] += p
             walk(idx + 1, loads[j] if loads[j] > cur_max else cur_max)

@@ -47,8 +47,8 @@ from .a2 import (
     a3_dispatch,
     u_to_lane_index,
 )
-from .core import JobSequence, LaneRunner, select_best
-from .fullsim import a2_full_sweep
+from .core import InvariantViolation, JobSequence, LaneRunner, select_best
+from .fullsim import a2_full_sweep, a2_lane_makespan
 from .oracle import list_schedule, opt_exact
 from .rational import format_rational
 from .wrapper import AStar, WrapperParams, astar_params
@@ -132,9 +132,10 @@ def gen_planted_with_witness(
         items = woven
     seq = JobSequence.from_sizes(m, [p for p, _ in items], planted_opt=Fraction(1))
     witness = [machine for _, machine in items]
-    assert seq.total() == m, "planted volume must equal the machine count"
-    if verify_cap and len(seq) <= verify_cap:
-        assert opt_exact(seq) == 1, "planted optimum failed verification"
+    if seq.total() != m:
+        raise InvariantViolation("planted volume must equal the machine count")
+    if verify_cap and len(seq) <= verify_cap and opt_exact(seq) != 1:
+        raise InvariantViolation("planted optimum failed verification")
     return seq, witness
 
 
@@ -226,7 +227,7 @@ def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
                 for i in range(params.n_classes)
             )
         config = a2_config_from_u(params, u)
-        return [A2State(config, check_fill_line=True, strict=False)]
+        return [A2State(config)]
 
     return make
 
@@ -326,7 +327,7 @@ def _run_plain_a1(seq, eps, T, mode, check, lane_cap) -> RunResult:
         runner = LaneRunner(lane, label=lane.label)
         runner.run(seq.jobs)
         if check and runner.had_no_rule:
-            raise AssertionError("census lane had no rule; assumed optimum too small")
+            raise InvariantViolation("census lane had no rule; assumed optimum too small")
         schedules.append(runner.schedule)
     best = select_best(schedules)
     return RunResult("a1", eps, seq.m, len(seq), family.size,
@@ -334,23 +335,20 @@ def _run_plain_a1(seq, eps, T, mode, check, lane_cap) -> RunResult:
 
 
 def _run_plain_a2(seq, eps, T, mode, check, lane_cap) -> RunResult:
-    params = a2_params(eps, seq.m, T)
     sizes = seq.sizes()
     if mode == "targeted":
-        counts = a2_class_counts(params, seq.jobs)
-        u = a2_valid_u(params, counts)
-        lane = u_to_lane_index(params, u)
-        sweep = a2_full_sweep(eps, seq.m, T, sizes, lanes=(lane, lane + 1))
-        best_lane, makespan = sweep.best()
+        params = a2_params(eps, seq.m, T)
+        best_lane = u_to_lane_index(params, a2_valid_u(params, a2_class_counts(params, seq.jobs)))
+        makespan, violations = a2_lane_makespan(eps, seq.m, T, sizes, best_lane)
         lanes = 1
     else:
         sweep = a2_full_sweep(eps, seq.m, T, sizes, lane_cap=lane_cap)
         best_lane, makespan = sweep.best()
-        lanes = sweep.lane_count
-    if check and sweep.fill_violations:
-        raise AssertionError("a core machine rule violated the fill-line property")
+        lanes, violations = sweep.lane_count, sweep.fill_violations
+    if check and violations:
+        raise InvariantViolation("a core machine rule violated the fill-line property")
     return RunResult("a2", eps, seq.m, len(seq), lanes, makespan, best_lane,
-                     opt=seq.planted_opt, fill_violations=sweep.fill_violations)
+                     opt=seq.planted_opt, fill_violations=violations)
 
 
 def run_algorithm(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Job, JobSequence, Schedule
+from .core import Job, JobSequence, LaneRunner, Schedule
 
 __all__ = [
     "MultisetInstance",
@@ -44,13 +44,7 @@ def lower_bound(prefix_sum: Fraction, max_p: Fraction, m: int) -> Fraction:
 
 def list_schedule(seq: JobSequence, label: int = 0) -> Schedule:
     """Least-loaded assignment in arrival order, ties to lowest index."""
-    runner_schedule = Schedule(seq.m, label)
-    loads = [Fraction(0)] * seq.m
-    for job in seq:
-        j = min(range(seq.m), key=lambda i: (loads[i], i))
-        loads[j] += job.p
-        runner_schedule.assign(j + 1, job)
-    return runner_schedule
+    return LaneRunner(ListScheduler(seq.m), label).run(seq.jobs)
 
 
 def lpt_schedule(seq: JobSequence, label: int = 0) -> Schedule:
@@ -58,13 +52,8 @@ def lpt_schedule(seq: JobSequence, label: int = 0) -> Schedule:
 
     Equal sizes keep arrival order, so the result is deterministic.
     """
-    schedule = Schedule(seq.m, label)
-    loads = [Fraction(0)] * seq.m
-    for job in sorted(seq.jobs, key=lambda job: (-job.p, job.index)):
-        j = min(range(seq.m), key=lambda i: (loads[i], i))
-        loads[j] += job.p
-        schedule.assign(j + 1, job)
-    return schedule
+    jobs = sorted(seq.jobs, key=lambda job: (-job.p, job.index))
+    return LaneRunner(ListScheduler(seq.m), label).run(jobs)
 
 
 class ListScheduler:
@@ -106,7 +95,7 @@ def opt_exact(seq: JobSequence, cap: int = 24) -> Fraction:
         return Fraction(0)
     m = seq.m
     sizes = sorted((job.p for job in seq), reverse=True)
-    floor_bound = max(sizes[0], seq.total() / m)
+    floor_bound = lower_bound(seq.total(), sizes[0], m)
     best = lpt_schedule(seq).makespan()
     if best == floor_bound:
         return best
@@ -186,17 +175,6 @@ class MultisetSchedule:
     def makespan(self) -> Fraction:
         loads = self.loads()
         return max(loads) if loads else Fraction(0)
-
-    def to_schedule(self, label: int = 0) -> Schedule:
-        """Expand into a job-level schedule (class-major job numbering)."""
-        schedule = Schedule(self.inst.m, label)
-        t = 1
-        for i, size in enumerate(self.sizes):
-            for j in range(self.inst.m):
-                for _ in range(self.counts[i][j]):
-                    schedule.assign(j + 1, Job(t, size))
-                    t += 1
-        return schedule
 
     def to_sequence(self) -> JobSequence:
         sizes = []
@@ -393,7 +371,7 @@ def opt_multiset(inst: MultisetInstance, node_cap: int = 2_000_000) -> MultisetS
         return MultisetSchedule(inst, (), ())
     incumbent = lpt_multiset(inst)
     ub = incumbent.makespan()
-    lb = max(sizes[0], inst.total() / m)
+    lb = lower_bound(inst.total(), sizes[0], m)
     if ub == lb:
         return incumbent
     sums = {Fraction(0)}

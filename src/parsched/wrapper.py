@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import Job, JobSequence, OnlineScheduler, Schedule, select_best
+from .core import InvariantViolation, Job, JobSequence, OnlineScheduler, Schedule, select_best
 from .rational import ceil_log
 
 __all__ = [
@@ -42,14 +42,6 @@ InnerFactory = Callable[[Fraction, int], Sequence[OnlineScheduler]]
 FAIL_NO_RULE = "i"
 FAIL_OVERLOAD = "ii"
 FAIL_BOUNDS = "iii"
-
-
-class InvariantViolation(AssertionError):
-    """A checked wrapper invariant does not hold.
-
-    Raised explicitly, so ``python -O`` keeps the check; it subclasses
-    AssertionError so callers that catch failed checks see it too.
-    """
 
 
 @dataclass(frozen=True)

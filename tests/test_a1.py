@@ -9,7 +9,6 @@ from parsched.a1 import (
     A1Plan,
     A1State,
     LaneCapExceeded,
-    a1_classify,
     a1_count_cap,
     a1_family,
     a1_family_size,
@@ -31,12 +30,12 @@ def test_partition_examples():
 
 def test_classify_examples():
     p = a1_partition(F(1), F(1))
-    assert a1_classify(p, F(1, 2)) == 0  # boundary stays small
-    assert a1_classify(p, F(3, 5)) == 1
-    assert a1_classify(p, F(1)) == 2
-    assert a1_classify(p, F(2)) is None
+    assert p.classify(F(1, 2)) == 0  # boundary stays small
+    assert p.classify(F(3, 5)) == 1
+    assert p.classify(F(1)) == 2
+    assert p.classify(F(2)) is None
     with pytest.raises(ValueError):
-        a1_classify(p, F(0))
+        p.classify(F(0))
 
 
 @given(eps=st.fractions(min_value=F(1, 20), max_value=F(1)),
@@ -58,16 +57,6 @@ def test_family_sizes():
         a1_family(F(1, 2), 2, F(1), lane_cap=1000)  # 9**7 lanes
 
 
-def test_family_prune_flag():
-    full = a1_family(F(1), 2, F(1))
-    pruned = a1_family(F(1), 2, F(1), prune=True)
-    assert pruned.size < full.size
-    budget = 2 * (1 + F(1, 2)) * 1
-    for v in pruned.vectors:
-        volume = sum(full.partition.rounded_size(i + 1) * v[i] for i in range(2))
-        assert volume <= budget
-
-
 def test_true_vector():
     p = a1_partition(F(1), F(1))
     seq = JobSequence.from_sizes(2, ["0.6", "0.6", "0.3"])
@@ -76,7 +65,6 @@ def test_true_vector():
     too_many = JobSequence.from_sizes(2, ["0.6"] * (a1_count_cap(2, F(1, 2)) + 1))
     with pytest.raises(ValueError):
         a1_true_vector(too_many.jobs, p, 2)
-    assert a1_true_vector(too_many.jobs, p, 2, clamp=True) == (4, 0)
 
 
 def test_step_follows_virtual_slots():

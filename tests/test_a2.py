@@ -11,7 +11,6 @@ from parsched.a2 import (
     a2_class_counts,
     a2_classify,
     a2_config_from_u,
-    a2_family,
     a2_family_size,
     a2_is_valid,
     a2_params,
@@ -21,7 +20,7 @@ from parsched.a2 import (
     u_to_lane_index,
 )
 from parsched.core import Job
-from parsched.fullsim import _prepare
+from parsched.fullsim import _prepare, a2_full_sweep
 from parsched.harness import gen_planted
 
 EPS_ONE = a2_params(F(1), 256, F(1))
@@ -148,10 +147,11 @@ def test_dispatch_threshold():
 
 
 def test_family_enumeration_and_cap():
-    fam = a2_family(F(1), 12, F(1), u=(1, 2, 3))
-    assert fam.size == 1
-    with pytest.raises(RuntimeError):
-        a2_family(F(1), 12, F(1), lane_cap=1000)
+    params = a2_params(F(1), 12, F(1))
+    lane = u_to_lane_index(params, (1, 2, 3))
+    assert a2_full_sweep(F(1), 12, F(1), [], lanes=(lane, lane + 1)).lane_count == 1
+    with pytest.raises(RuntimeError, match="above the cap 1000"):
+        a2_full_sweep(F(1), 12, F(1), [], lane_cap=1000)
 
 
 @given(data=st.data())

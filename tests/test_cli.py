@@ -176,3 +176,27 @@ def test_malformed_sequence_files_fail_cleanly(tmp_path, capsys, name, text, rea
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
         assert reason in captured.err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ("gen --m 2 --denom 1 --out {out}", "denominator must be at least 2"),
+    ("gen --m 0 --out {out}", "machine count must be positive"),
+    ("params --epsilon 2 --m 256", "eps must lie in (0, 1]"),
+    ("adversary --theorem lb1 --m 6 --victim list:abc --out {out}", "got 'abc'"),
+    ("adversary --theorem lb1 --m 6 --victim list:0 --out {out}", "need at least one victim"),
+    ("adversary --theorem lb1 --m 6 --victim file:{missing} --out {out}",
+     "No such file or directory"),
+    ("oracle --cap 3 --input {seq}", "exceeds the search cap 3"),
+])
+def test_bad_input_fails_cleanly_for_every_command(tmp_path, capsys, argv, reason):
+    """Bad input to any command is `error: ...` with exit 2, not a traceback."""
+    seq_path = tmp_path / "seq.json"
+    JobSequence.from_sizes(2, [1] * 4).save(seq_path)
+    out_path = tmp_path / "out.json"
+    argv = argv.format(out=out_path, seq=seq_path, missing=tmp_path / "missing.json").split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert reason in captured.err
+    assert not out_path.exists()

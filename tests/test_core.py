@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -122,3 +126,46 @@ def test_integer_loads_match_fraction_sums_as_scale_grows(m, dens, data):
     heavier = jobs[:-1] + [Job(jobs[-1].index, jobs[-1].p + F(1, 61))]
     assert not s.check_loads(heavier)
     assert s.machines_by_load() == sorted(range(m), key=lambda i: (sums[i], i))
+
+
+_BROKEN_CHECK = """
+from fractions import Fraction as F
+from parsched import adversary, harness
+from parsched.core import InvariantViolation
+from parsched.oracle import ListScheduler
+
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+
+
+class OffByOne(adversary.Schedule):
+    def makespan(self):
+        return super().makespan() + 1
+
+
+try:
+    {breaks}
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("breaks, message", [
+    ("harness._composition_parts = lambda rng, total, parts, floor: [floor] * parts; "
+     "harness.gen_planted(2, counts=2)", "planted volume must equal the machine count"),
+    ("harness.opt_exact = lambda seq: 2; harness.gen_planted(2, counts=2, verify_cap=10)",
+     "planted optimum failed verification"),
+    ("adversary.Schedule = OffByOne; adversary.lb1_run(6, [ListScheduler(6)])",
+     "witness schedule must have makespan exactly 1"),
+    ("adversary.Schedule = OffByOne; adversary.lb2_run(4, F(1, 4), [ListScheduler(4)])",
+     "witness schedule must have makespan exactly 1"),
+], ids=["planted_volume", "planted_verify", "lb1_witness", "lb2_witness"])
+def test_checks_survive_optimize_flag(breaks, message):
+    """The generator's and the adversaries' checks raise InvariantViolation
+    under python -O, once the child breaks what they check."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CHECK.format(breaks=breaks)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"raised: {message}"

@@ -36,7 +36,8 @@ def test_scaling_round_trip():
 
 
 def test_sweep_matches_exact_reference():
-    """Engine lanes reproduce the Fraction-arithmetic lane exactly."""
+    """The sweep's per-lane makespans equal those of stepping each lane's
+    own A2State over Jobs."""
     rng = random.Random(11)
     m, eps, T = 24, F(1), F(1)
     params = a2_params(eps, m, T)
