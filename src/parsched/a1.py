@@ -13,18 +13,20 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from ._scaling import ScaledLane, common_scale, scale_values
 from .core import Job, default_lane_cap
-from .oracle import MultisetInstance, MultisetSchedule, lpt_multiset, opt_multiset
+from .oracle import MultisetInstance, lpt_multiset, opt_multiset
 from .rational import ceil_log
 
 __all__ = [
     "ClassPartition",
     "A1Plan",
+    "A1Plans",
     "A1State",
     "A1Family",
     "LaneCapExceeded",
@@ -51,6 +53,10 @@ class ClassPartition:
     eps' * T, so a size's class is bisect_left(bounds, size), levels + 1
     meaning none.  The top bound is always >= T, so every job of a
     sequence whose true optimum is <= T falls into some class.
+
+    The bounds are T times a fixed ladder: bounds[i] = ladder[i] * T / unit
+    for the integers ``ladder`` and their common denominator ``unit``,
+    which depend on eps alone.
     """
 
     eps: Fraction
@@ -58,6 +64,8 @@ class ClassPartition:
     levels: int  # number of large classes
     T: Fraction
     bounds: tuple[Fraction, ...]  # bounds[0] = eps'*T .. bounds[levels]
+    unit: int
+    ladder: tuple[int, ...]
 
     def classify(self, p: Fraction) -> Optional[int]:
         """Class of size p: 0 = small, 1..levels = large, None = too big."""
@@ -73,6 +81,18 @@ class ClassPartition:
         return self.bounds[cls]
 
 
+@lru_cache(maxsize=None)
+def _unit_ladder(eps: Fraction) -> tuple[Fraction, int, int, tuple[int, ...]]:
+    """(eps', levels, unit, ladder) of the class bounds at T = 1."""
+    eps_prime = eps / 2
+    levels = ceil_log(1 / eps_prime, 1 + eps_prime)
+    bounds = [eps_prime]
+    for _ in range(levels):
+        bounds.append(bounds[-1] * (1 + eps_prime))
+    unit = common_scale(bounds)
+    return eps_prime, levels, unit, tuple(scale_values(bounds, unit))
+
+
 def a1_partition(eps: Fraction, T: Fraction) -> ClassPartition:
     eps = Fraction(eps)
     T = Fraction(T)
@@ -80,12 +100,10 @@ def a1_partition(eps: Fraction, T: Fraction) -> ClassPartition:
         raise ValueError("eps must lie in (0, 1]")
     if T <= 0:
         raise ValueError("assumed optimum must be positive")
-    eps_prime = eps / 2
-    levels = ceil_log(1 / eps_prime, 1 + eps_prime)
-    bounds = [eps_prime * T]
-    for _ in range(levels):
-        bounds.append(bounds[-1] * (1 + eps_prime))
-    return ClassPartition(eps, eps_prime, levels, T, tuple(bounds))
+    eps_prime, levels, unit, ladder = _unit_ladder(eps)
+    num, den = T.numerator, T.denominator * unit
+    bounds = tuple(Fraction(x * num, den) for x in ladder)
+    return ClassPartition(eps, eps_prime, levels, T, bounds, unit, ladder)
 
 
 def a1_count_cap(m: int, eps_prime: Fraction) -> int:
@@ -117,16 +135,35 @@ def a1_true_vector(jobs: Iterable[Job], partition: ClassPartition, m: int) -> tu
 class A1Plan:
     """Immutable per-lane data: the count vector and its virtual schedule.
 
-    n_star[i][j] is the number of class-(i+1) slots on machine j+1;
-    ell_star[j] the virtual load of machine j+1.  Plans are shareable
-    across runs; all mutable stepping state lives in A1State.
+    n_star[i][j] is the number of class-(i+1) slots on machine j+1 and
+    loads[j] the virtual load of machine j+1, an integer in units of
+    T/partition.unit; slots[i] lists, ascending, the machine indices j
+    with n_star[i][j] > 0.  None of these depends on T, because the class
+    ceilings are T times a fixed ladder: ``build`` works at T = 1 over
+    integers and ``at`` rebinds a plan to another guess.  Plans are
+    shareable across runs; all mutable stepping state lives in A1State.
     """
 
     partition: ClassPartition
     m: int
     vector: tuple[int, ...]
     n_star: tuple[tuple[int, ...], ...]
-    ell_star: tuple[Fraction, ...]
+    loads: tuple[int, ...]
+    slots: tuple[tuple[int, ...], ...]
+
+    @property
+    def ell_star(self) -> tuple[Fraction, ...]:
+        """Virtual loads at the partition's T."""
+        T, unit = self.partition.T, self.partition.unit
+        return tuple(Fraction(x * T.numerator, unit * T.denominator) for x in self.loads)
+
+    def at(self, partition: ClassPartition) -> "A1Plan":
+        """The same virtual schedule under another guess's partition."""
+        if partition is self.partition:
+            return self
+        if (partition.unit, partition.ladder) != (self.partition.unit, self.partition.ladder):
+            raise ValueError("a plan can only be rebound to a partition of the same accuracy")
+        return replace(self, partition=partition)
 
     @classmethod
     def build(
@@ -135,12 +172,12 @@ class A1Plan:
         m: int,
         vector: tuple[int, ...],
         exact: bool = True,
-        certify: Optional[Fraction] = None,
+        certify: bool = False,
     ) -> "A1Plan":
         """Construct the virtual schedule for the rounded count vector.
 
-        With certify=bound, a greedy virtual schedule is used whenever
-        its makespan provably stays within the bound (the guarantee only
+        With certify=True, a greedy virtual schedule is used whenever its
+        makespan provably stays within (1+eps')*T (the guarantee only
         needs the virtual schedule to be that good), and the exact
         search runs otherwise.  exact=False always takes the greedy
         schedule; only callers that can prove the lane irrelevant to any
@@ -148,49 +185,64 @@ class A1Plan:
         """
         if len(vector) != partition.levels:
             raise ValueError("vector length must equal the number of large classes")
-        sizes = [partition.rounded_size(i + 1) for i in range(partition.levels)]
-        classes = tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0)
-        inst = MultisetInstance(classes, m)
-        if not exact:
-            ms: MultisetSchedule = lpt_multiset(inst)
-        elif certify is not None:
-            ms = lpt_multiset(inst)
-            if ms.makespan() > certify:
-                ms = opt_multiset(inst)
-        else:
+        sizes = partition.ladder[1:]  # the rounded class sizes at T = 1, in units
+        inst = MultisetInstance(tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0), m)
+        if exact and not certify:
             ms = opt_multiset(inst)
-        by_size = {size: ms.counts[k] for k, size in enumerate(ms.sizes)}
-        n_star = []
-        for i, v in enumerate(vector):
-            row = by_size.get(sizes[i]) if v > 0 else None
-            n_star.append(tuple(row) if row is not None else (0,) * m)
-        ell_star = tuple(
-            sum((size * row[j] for size, row in zip(sizes, n_star) if row[j]), Fraction(0))
-            for j in range(m)
-        )
-        return cls(partition, m, vector, tuple(n_star), ell_star)
+        else:
+            ms = lpt_multiset(inst)
+            if exact and ms.makespan() > partition.unit + partition.ladder[0]:  # (1+eps')*T
+                ms = opt_multiset(inst)
+        by_size = dict(zip(ms.sizes, ms.counts))
+        zero = (0,) * m
+        n_star = tuple(by_size[size] if v > 0 else zero for size, v in zip(sizes, vector))
+        slots = tuple(tuple(itertools.compress(range(m), row)) for row in n_star)
+        return cls(partition, m, vector, n_star, ms.loads(), slots)
+
+
+class A1Plans:
+    """One run's census plans: the plan of each (vector, exact) is built
+    once, by the first guess that asks for it, and rebound to every later
+    guess and epoch.  ``certify`` applies to every plan built."""
+
+    def __init__(self, m: int, certify: bool = False):
+        self.m = m
+        self.certify = certify
+        self._built: dict[tuple[tuple[int, ...], bool], A1Plan] = {}
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def get(self, partition: ClassPartition, vector: tuple[int, ...], exact: bool = True) -> A1Plan:
+        plan = self._built.get((vector, exact))
+        if plan is None:
+            plan = self._built[vector, exact] = A1Plan.build(
+                partition, self.m, vector, exact, self.certify)
+        return plan.at(partition)
 
 
 class A1State(ScaledLane):
     """Mutable lane state stepping one schedule under a fixed plan.
 
     Sizes and loads are integers in units of a lane-local common
-    denominator that starts as the class bounds' (see ScaledLane).
+    denominator that starts as unit * T.denominator, which makes the
+    class bounds and the plan's virtual loads integers (see ScaledLane).
     """
 
     def __init__(self, plan: A1Plan, label: int = 0):
         self.plan = plan
         self.m = m = plan.m
         self.label = label
-        bounds = plan.partition.bounds
-        self._scale = scale = common_scale(bounds)
-        self._bounds = scale_values(bounds, scale)
-        self._level = scale_values(plan.ell_star, scale)  # virtual plus small load
+        partition = plan.partition
+        num = partition.T.numerator
+        self._scale = partition.unit * partition.T.denominator
+        self._bounds = [x * num for x in partition.ladder]
+        self._level = [x * num for x in plan.loads]  # virtual plus small load
         self._loads = [0] * m
         self._left = [list(row) for row in plan.n_star]  # open virtual slots
-        # Per-class slot heaps: machine index listed once per virtual slot,
-        # in ascending order and hence already a heap.
-        self._slots = [[j for j in range(m) for _ in range(row[j])] for row in plan.n_star]
+        # Per class, the position in plan.slots of the lowest machine that
+        # may still have an open slot: open slots only ever close.
+        self._next_slot = [0] * len(plan.slots)
         self._small_heap = [(x, j) for j, x in enumerate(self._level)]
         heapq.heapify(self._small_heap)
         self._load_heap: Optional[list] = None  # least loaded, built on first fallback
@@ -221,11 +273,13 @@ class A1State(ScaledLane):
             return heap[0][1] + 1
         if cls == len(self._bounds):
             return None
-        slots, left = self._slots[cls - 1], self._left[cls - 1]
-        while slots and left[slots[0]] <= 0:
-            heapq.heappop(slots)
-        if slots:
-            return slots[0] + 1
+        slots, left = self.plan.slots[cls - 1], self._left[cls - 1]
+        k = self._next_slot[cls - 1]
+        while k < len(slots) and left[slots[k]] <= 0:
+            k += 1
+        self._next_slot[cls - 1] = k
+        if k < len(slots):
+            return slots[k] + 1
         # No machine wants this class any more: fall back to least loaded.
         heap, loads = self._load_heap, self._loads
         if heap is None:
@@ -256,17 +310,19 @@ class A1Family:
     family-size accounting does not pay for virtual schedules.
     """
 
-    def __init__(self, partition: ClassPartition, m: int, vectors: list[tuple[int, ...]]):
+    def __init__(self, partition: ClassPartition, m: int, vectors: list[tuple[int, ...]],
+                 plans: Optional[A1Plans] = None):
         self.partition = partition
         self.m = m
         self.vectors = vectors
+        self.plans = plans if plans is not None else A1Plans(m)
 
     @property
     def size(self) -> int:
         return len(self.vectors)
 
     def plan(self, vector: tuple[int, ...]) -> A1Plan:
-        return A1Plan.build(self.partition, self.m, vector)
+        return self.plans.get(self.partition, vector)
 
     def lanes(self) -> list[A1State]:
         return [A1State(self.plan(v), label=k) for k, v in enumerate(self.vectors)]
@@ -284,8 +340,12 @@ def a1_family(
     T: Fraction,
     vector: Optional[tuple[int, ...]] = None,
     lane_cap: Optional[int] = None,
+    plans: Optional[A1Plans] = None,
 ) -> A1Family:
-    """Build the lane family; `vector` restricts it to a single lane."""
+    """Build the lane family; `vector` restricts it to a single lane.
+
+    ``plans`` shares already built plans, e.g. across the guesses of one
+    run (it must serve the same m and accuracy)."""
     partition = a1_partition(Fraction(eps), Fraction(T))
     cap = a1_count_cap(m, partition.eps_prime)
     if vector is not None:
@@ -294,7 +354,7 @@ def a1_family(
             raise ValueError("vector length must equal the number of large classes")
         if any(v < 0 or v > cap for v in vector):
             raise ValueError("vector entries must lie in 0..floor(m/eps')")
-        return A1Family(partition, m, [vector])
+        return A1Family(partition, m, [vector], plans)
     lane_cap = default_lane_cap(lane_cap)
     total = (cap + 1) ** partition.levels
     if total > lane_cap:
@@ -303,4 +363,4 @@ def a1_family(
             "use a targeted vector or raise the cap"
         )
     vectors = list(itertools.product(range(cap + 1), repeat=partition.levels))
-    return A1Family(partition, m, vectors)
+    return A1Family(partition, m, vectors, plans)

@@ -116,21 +116,43 @@ def _victims(descriptor: str, m: int):
             perms.append(base[i:] + base[:i])  # k distinct tie-breaking rotations
         return [ListScheduler(m, perm) for perm in perms]
     if descriptor.startswith("file:"):
-        with open(descriptor.split(":", 1)[1]) as fh:
-            doc = json.load(fh)
-        victims = []
-        for lane in doc["lanes"]:
-            kind = lane["kind"]
-            if kind == "list":
-                victims.append(ListScheduler(m, lane.get("perm")))
-            elif kind == "stack":
-                victims.append(StackScheduler(m, lane.get("machine", 1)))
-            elif kind == "random":
-                victims.append(RandomScheduler(m, lane.get("seed", 0)))
-            else:
-                raise ValueError(f"unknown victim kind {kind!r}")
-        return victims
+        return _file_victims(descriptor.split(":", 1)[1], m)
     raise ValueError(f"unknown victim descriptor {descriptor!r}")
+
+
+def _int_field(lane: dict, key: str, default: int, where: str) -> int:
+    value = lane.get(key, default)
+    if type(value) is not int:  # bool is an int subclass, but not a number here
+        raise ValueError(f"{where}.{key}: expected an integer")
+    return value
+
+
+def _file_victims(path: str, m: int):
+    """Victims from a strategy file {"lanes": [{"kind": ..., ...}, ...]}."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    lanes = doc.get("lanes") if isinstance(doc, dict) else None
+    if not isinstance(lanes, list):
+        raise ValueError(f'{path}: missing "lanes" list')
+    victims = []
+    for k, lane in enumerate(lanes):
+        where = f"{path}: lanes[{k}]"
+        if not isinstance(lane, dict) or "kind" not in lane:
+            raise ValueError(f'{where}: missing "kind"')
+        kind = lane["kind"]
+        if kind == "list":
+            perm = lane.get("perm")
+            if perm is not None and not (isinstance(perm, list)
+                                         and all(type(x) is int for x in perm)):
+                raise ValueError(f"{where}.perm: expected a list of machine numbers")
+            victims.append(ListScheduler(m, perm))
+        elif kind == "stack":
+            victims.append(StackScheduler(m, _int_field(lane, "machine", 1, where)))
+        elif kind == "random":
+            victims.append(RandomScheduler(m, _int_field(lane, "seed", 0, where)))
+        else:
+            raise ValueError(f"{where}: unknown victim kind {kind!r}")
+    return victims
 
 
 def main(argv=None) -> int:

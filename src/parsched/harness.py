@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .a1 import (
-    A1Plan,
+    A1Plans,
     A1State,
     ClassPartition,
     a1_count_cap,
@@ -191,18 +191,20 @@ def _a1_suffix_census(
 
 
 def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
-    """Single-lane factory following the true census of each epoch suffix."""
+    """Single-lane factory following the true census of each epoch suffix.
+
+    Plans do not depend on the guess, so each (vector, exact) is built
+    once per factory and shared by every guess and epoch."""
     census = _suffix_census(seq)
+    # The lane survives guesses at or above the suffix optimum as long
+    # as its virtual schedule stays within (1+eps')*T, so a greedy
+    # schedule certified against that bound is as good as the exact one.
+    plans = A1Plans(seq.m, certify=True)
 
     def make(T: Fraction, start_t: int):
         partition = a1_partition(eps_inner, T)
         vector, doomed = _a1_suffix_census(*census(start_t), partition, seq.m)
-        # The lane survives guesses at or above the suffix optimum as long
-        # as its virtual schedule stays within (1+eps')*T, so a greedy
-        # schedule certified against that bound is as good as the exact one.
-        plan = A1Plan.build(partition, seq.m, vector, exact=not doomed,
-                            certify=(1 + partition.eps_prime) * T)
-        return [A1State(plan)]
+        return [A1State(plans.get(partition, vector, exact=not doomed))]
 
     return make
 
@@ -233,10 +235,12 @@ def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
 
 
 def a1_full_factory(eps_inner: Fraction, m: int, lane_cap: Optional[int] = None):
-    """Whole-family factory; only sensible when the family is small."""
+    """Whole-family factory; only sensible when the family is small.  Every
+    guess and epoch shares one set of plans."""
+    plans = A1Plans(m)
 
     def make(T: Fraction, start_t: int):
-        return a1_family(eps_inner, m, T, lane_cap=lane_cap).lanes()
+        return a1_family(eps_inner, m, T, lane_cap=lane_cap, plans=plans).lanes()
 
     return make
 

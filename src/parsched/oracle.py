@@ -13,6 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .core import Job, JobSequence, LaneRunner, Schedule
@@ -129,7 +130,11 @@ def opt_exact(seq: JobSequence, cap: int = 24) -> Fraction:
 
 @dataclass(frozen=True)
 class MultisetInstance:
-    """Jobs given as (size, count) classes on m machines."""
+    """Jobs given as (size, count) classes on m machines.
+
+    Sizes are exact numbers of one type, ints or Fractions; every load,
+    subset sum and makespan computed from them stays in that type.
+    """
 
     classes: tuple[tuple[Fraction, int], ...]
     m: int
@@ -150,7 +155,7 @@ class MultisetInstance:
         return tuple(sorted(((s, c) for s, c in self.classes if c > 0), key=lambda sc: -sc[0]))
 
     def total(self) -> Fraction:
-        return sum((s * c for s, c in self.classes), Fraction(0))
+        return sum(s * c for s, c in self.classes)
 
     def n_jobs(self) -> int:
         return sum(c for _, c in self.classes)
@@ -164,13 +169,11 @@ class MultisetSchedule:
     sizes: tuple[Fraction, ...]
     counts: tuple[tuple[int, ...], ...]  # [class][machine], machine 0-based
 
-    def machine_load(self, j: int) -> Fraction:
-        """Load of 1-based machine j."""
-        return sum((size * row[j - 1] for size, row in zip(self.sizes, self.counts) if row[j - 1]),
-                   Fraction(0))
-
     def loads(self) -> tuple[Fraction, ...]:
-        return tuple(self.machine_load(j) for j in range(1, self.inst.m + 1))
+        """Per-machine loads, machine 1 first."""
+        if not self.sizes:
+            return (0,) * self.inst.m
+        return tuple(sum(map(mul, self.sizes, column)) for column in zip(*self.counts))
 
     def makespan(self) -> Fraction:
         loads = self.loads()
@@ -185,7 +188,7 @@ class MultisetSchedule:
 
 def _greedy_counts(sizes, counts, m):
     """Least-loaded placement of the multiset, largest sizes first."""
-    heap = [(Fraction(0), j) for j in range(m)]
+    heap = [(0, j) for j in range(m)]
     heapq.heapify(heap)
     placed = [[0] * m for _ in sizes]
     for i, size in enumerate(sizes):
@@ -206,7 +209,7 @@ def lpt_multiset(inst: MultisetInstance) -> MultisetSchedule:
 
 def _ffd_fits(sizes, counts, m, limit):
     """First-fit-decreasing under a load limit; returns counts or None."""
-    loads = [Fraction(0)] * m
+    loads = [0] * m
     placed = [[0] * m for _ in sizes]
     for i, size in enumerate(sizes):
         for _ in range(counts[i]):
@@ -374,7 +377,7 @@ def opt_multiset(inst: MultisetInstance, node_cap: int = 2_000_000) -> MultisetS
     lb = lower_bound(inst.total(), sizes[0], m)
     if ub == lb:
         return incumbent
-    sums = {Fraction(0)}
+    sums = {0}
     for size, count in zip(sizes, counts):
         reach = min(count, int(ub // size))  # more copies cannot fit under ub
         step = {s + k * size for s in sums for k in range(1, reach + 1) if s + k * size <= ub}

@@ -201,12 +201,13 @@ class GuessLane:
 
 
 class _Group:
-    __slots__ = ("var_id", "gamma", "lanes", "last_adjust_t", "caps")
+    __slots__ = ("var_id", "gamma", "lanes", "live", "last_adjust_t", "caps")
 
     def __init__(self, var_id: int, gamma: Fraction, lanes: list[GuessLane]):
         self.var_id = var_id
         self.gamma = gamma
         self.lanes = lanes
+        self.live = len(lanes)  # lanes that have not failed
         self.last_adjust_t = 1
         self.caps = (0, 0, 0)  # check_failure's caps, set by AStar._set_caps
 
@@ -324,17 +325,27 @@ class AStar:
             lane.binding[v] = phys_of_job
             lane.bound_physical.add(phys_of_job)
             lane.virtual_loads[v] = q
+        group.live = sum(not lane.failed for lane in group.lanes)
 
-    def _place(self, job: Job, q: int) -> None:
-        """Every lane places the job under its group's guess."""
+    def _place(self, job: Job, q: int) -> int:
+        """Every lane places the job under its group's guess.
+
+        Returns the position of the largest guess none of whose lanes is
+        live any more, or -1 if every guess has a live lane.
+        """
         prefix = self._prefix
-        for group in self.groups:
+        i_star = -1
+        for pos, group in enumerate(self.groups):
             caps = group.caps
             for lane in group.lanes:
                 reason = lane.place(job, q, prefix, caps)
                 if reason is not None:
+                    group.live -= 1
                     self._emit(t=self.t, event="fail", var=group.var_id,
                                gamma=str(group.gamma), lane=lane.physical.label, reason=reason)
+            if not group.live:
+                i_star = pos
+        return i_star
 
     def step(self, job: Job) -> None:
         self.t += 1
@@ -343,13 +354,8 @@ class AStar:
         q = self._feed(job.p)
         if self.t == 1 and not self.groups:
             self._init(job.p)
-        self._place(job, q)
-        dead_positions = [
-            pos for pos, group in enumerate(self.groups)
-            if all(lane.failed for lane in group.lanes)
-        ]
-        if dead_positions:
-            i_star = max(dead_positions)
+        i_star = self._place(job, q)
+        if i_star >= 0:
             mean = Fraction(self._prefix, self._scale * self.m)
             anchor = max(self.groups[-1].gamma, job.p, mean)
             step = 1 + self.params.eps_g

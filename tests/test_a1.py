@@ -1,5 +1,6 @@
 import heapq
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from parsched.a1 import (
     A1Plan,
+    A1Plans,
     A1State,
     LaneCapExceeded,
     a1_count_cap,
@@ -17,6 +19,7 @@ from parsched.a1 import (
 )
 from parsched.core import Job, JobSequence, LaneRunner, select_best
 from parsched.harness import gen_planted
+from parsched.oracle import MultisetInstance, lpt_multiset, opt_multiset
 
 
 def test_partition_examples():
@@ -242,3 +245,96 @@ def test_integer_lane_matches_fraction_reference(eps, m, T, rng):
         with pytest.raises(ValueError):
             lane.record(recorded, 1)
     assert lane.loads == ref.loads
+
+
+def fraction_plan_reference(partition, m, vector, exact=True, certify=None):
+    """Test-local copy of A1Plan.build as it was over Fractions: the virtual
+    schedule of the class ceilings at the partition's T, certified against
+    the absolute bound ``certify``.  Returns (n_star, ell_star)."""
+    sizes = [partition.rounded_size(i + 1) for i in range(partition.levels)]
+    inst = MultisetInstance(tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0), m)
+    if not exact:
+        ms = lpt_multiset(inst)
+    elif certify is not None:
+        ms = lpt_multiset(inst)
+        if ms.makespan() > certify:
+            ms = opt_multiset(inst)
+    else:
+        ms = opt_multiset(inst)
+    by_size = {size: ms.counts[k] for k, size in enumerate(ms.sizes)}
+    n_star = []
+    for i, v in enumerate(vector):
+        row = by_size.get(sizes[i]) if v > 0 else None
+        n_star.append(tuple(row) if row is not None else (0,) * m)
+    ell_star = tuple(
+        sum((size * row[j] for size, row in zip(sizes, n_star) if row[j]), F(0))
+        for j in range(m)
+    )
+    return tuple(n_star), ell_star
+
+
+def _census_vectors(levels, cap):
+    """Count vectors with at most three large classes in use, each count
+    small or at the cap (more would make the exact reference search slow)."""
+    return st.lists(
+        st.tuples(st.integers(0, levels - 1), st.sampled_from([1, 2, 3, cap])),
+        max_size=3,
+    ).map(lambda entries: tuple(dict(entries).get(i, 0) for i in range(levels)))
+
+
+@given(
+    eps=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+    m=st.integers(min_value=1, max_value=4),
+    certify=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_cached_integer_plan_matches_fraction_reference(eps, m, certify, data):
+    """Plans built once at T = 1 over integers and rebound through one
+    A1Plans cache to several guesses T (denominators up to 60) have the
+    n_star and ell_star of the Fraction build at each T, with exact both
+    ways and with and without certify; each (vector, exact) is built once;
+    and an A1State over the cached plan steps like the Fraction lane over
+    the reference plan, a quarter of the jobs recorded off-proposal."""
+    levels = a1_partition(eps, F(1)).levels
+    cap = a1_count_cap(m, eps / 2)
+    guesses = data.draw(st.lists(
+        st.builds(F, st.integers(1, 240), st.integers(1, 60)), min_size=1, max_size=4))
+    vectors = data.draw(st.lists(_census_vectors(levels, cap), min_size=1, max_size=3))
+    plans = A1Plans(m, certify=certify)
+    for T in guesses:
+        partition = a1_partition(eps, T)
+        bound = (1 + partition.eps_prime) * T if certify else None
+        for vector in vectors:
+            for exact in (True, False):
+                plan = plans.get(partition, vector, exact)
+                n_star, ell_star = fraction_plan_reference(partition, m, vector, exact, bound)
+                assert (plan.partition, plan.vector) == (partition, vector)
+                assert plan.n_star == n_star
+                assert plan.ell_star == ell_star
+                assert all(type(x) is int for x in plan.loads)
+    assert len(plans) == len({(v, exact) for v in vectors for exact in (True, False)})
+    # Stepping: the cached plan against the reference plan at the last guess.
+    vector, exact = data.draw(st.sampled_from(vectors)), data.draw(st.booleans())
+    plan = plans.get(partition, vector, exact)
+    n_star, ell_star = fraction_plan_reference(partition, m, vector, exact, bound)
+    lane = A1State(plan)
+    ref = FractionA1Lane(SimpleNamespace(m=m, partition=partition, n_star=n_star,
+                                         ell_star=ell_star))
+    rng = data.draw(st.randoms(use_true_random=False))
+    top = partition.bounds[-1]
+    for t in range(1, 31):
+        if rng.random() < 0.2:
+            p = rng.choice(partition.bounds)
+        else:
+            den = rng.randint(2, 60)
+            p = F(rng.randint(1, den), den) * top * F(rng.choice([1, 1, 1, 9]), 8)
+        job = Job(t, p)
+        proposal = ref.propose(job)
+        assert lane.propose(job) == proposal
+        if proposal is not None:
+            machine = proposal if rng.random() < 0.75 else rng.randint(1, m)
+            lane.record(job, machine)
+            ref.record(job, machine)
+            assert lane.loads == ref.loads
+            assert lane.large_load == ref.large_load

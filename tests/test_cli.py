@@ -200,3 +200,44 @@ def test_bad_input_fails_cleanly_for_every_command(tmp_path, capsys, argv, reaso
     assert captured.err.startswith("error: ")
     assert reason in captured.err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"victims": []}, 'missing "lanes" list'),
+    ([{"kind": "stack"}], 'missing "lanes" list'),
+    ({"lanes": {"kind": "stack"}}, 'missing "lanes" list'),
+    ({"lanes": [{"machine": 1}]}, 'lanes[0]: missing "kind"'),
+    ({"lanes": [{"kind": "stack"}, "random"]}, 'lanes[1]: missing "kind"'),
+    ({"lanes": [{"kind": "list", "perm": 5}]}, "lanes[0].perm: expected a list of machine numbers"),
+    ({"lanes": [{"kind": "list", "perm": [1, "2", 3, 4, 5, 6]}]}, "lanes[0].perm: expected a list"),
+    ({"lanes": [{"kind": "stack", "machine": "1"}]}, "lanes[0].machine: expected an integer"),
+    ({"lanes": [{"kind": "stack", "machine": 1.5}]}, "lanes[0].machine: expected an integer"),
+    ({"lanes": [{"kind": "random", "seed": True}]}, "lanes[0].seed: expected an integer"),
+    ({"lanes": [{"kind": "random", "seed": [3]}]}, "lanes[0].seed: expected an integer"),
+    ({"lanes": [{"kind": "greedy"}]}, "lanes[0]: unknown victim kind 'greedy'"),
+])
+def test_malformed_victim_files_fail_cleanly(tmp_path, capsys, doc, reason):
+    """A `file:` victim strategy of the wrong shape is `error: <path>: ...`
+    with exit 2, not a KeyError or TypeError traceback."""
+    strategy = tmp_path / "strat.json"
+    strategy.write_text(json.dumps(doc))
+    out_path = tmp_path / "x.json"
+    argv = ["adversary", "--theorem", "lb1", "--m", "6", "--victim", f"file:{strategy}",
+            "--out", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {strategy}: ")
+    assert reason in captured.err
+    assert not out_path.exists()
+
+
+def test_victim_file_defaults_and_null_perm(tmp_path, capsys):
+    """Lanes may leave out `perm`, `machine` and `seed`, or give a null `perm`."""
+    strategy = tmp_path / "strat.json"
+    for lane in ({"kind": "list", "perm": None}, {"kind": "list", "perm": [6, 5, 4, 3, 2, 1]},
+                 {"kind": "stack"}, {"kind": "random"}):
+        strategy.write_text(json.dumps({"lanes": [lane]}))
+        code, _ = run_cli(capsys, "adversary", "--theorem", "lb1", "--m", "6",
+                          "--victim", f"file:{strategy}", "--out", str(tmp_path / "x.json"))
+        assert code == 0, lane

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -135,3 +136,60 @@ def test_multiset_budget_guard():
     inst = MultisetInstance(tuple((s, 5) for s in sizes), 7)
     with pytest.raises(SearchBudgetExceeded):
         opt_multiset(inst, node_cap=3)
+
+
+def _scaled(inst, scale):
+    """The instance in integer units of 1/scale (scale a common denominator)."""
+    classes = []
+    for s, c in inst.classes:
+        q = s * scale
+        assert q.denominator == 1
+        classes.append((q.numerator, c))
+    return MultisetInstance(tuple(classes), inst.m)
+
+
+def _assert_scale_invariant(inst, scale):
+    """LPT and the exact search place the same per-class counts on the same
+    machines over Fractions and over integers; loads scale exactly and the
+    integer instance never produces a Fraction."""
+    ints = _scaled(inst, scale)
+    for solve in (lpt_multiset, opt_multiset):
+        ref, got = solve(inst), solve(ints)
+        assert got.counts == ref.counts
+        assert got.sizes == tuple(s * scale for s in ref.sizes)
+        assert got.loads() == tuple(x * scale for x in ref.loads())
+        assert all(type(x) is int for x in got.loads())
+        assert type(got.makespan()) is int and type(ints.total()) is int
+
+
+def test_multiset_scale_invariance_through_the_exact_search(monkeypatch):
+    """An instance where LPT is not optimal and the fit search's machine-by-
+    machine branching runs (FFD alone does not find the optimum)."""
+    from parsched import oracle
+
+    calls = []
+    real = oracle._bin_completions
+    monkeypatch.setattr(oracle, "_bin_completions", lambda *a: calls.append(1) or real(*a))
+    inst = MultisetInstance(((F(7, 10), 3), (F(1, 2), 4)), 3)
+    assert opt_multiset(inst).makespan() == F(3, 2) < lpt_multiset(inst).makespan() == F(17, 10)
+    searched = len(calls)
+    assert searched > 0
+    for scale in (10, 30, 7 * 10**9):
+        _assert_scale_invariant(inst, scale)
+    assert len(calls) > searched
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_multiset_scale_invariance(data):
+    """opt_multiset and lpt_multiset return the same per-class counts on an
+    integer-scaled instance as on the Fraction instance, at the least common
+    denominator and at multiples of it."""
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    sizes = data.draw(st.lists(st.fractions(min_value=F(1, 12), max_value=F(2), max_denominator=60),
+                               min_size=k, max_size=k, unique=True))
+    counts = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    inst = MultisetInstance(tuple(zip(sizes, counts)), m)
+    lcd = math.lcm(*(s.denominator for s in sizes))
+    _assert_scale_invariant(inst, lcd * data.draw(st.sampled_from([1, 1, 2, 61])))

@@ -453,7 +453,8 @@ def test_integer_wrapper_matches_fraction_reference(seed, m, rho, eps_g, h):
     """The integer AStar (run-wide scale, integer caps and loads) fails the
     same lanes for the same reasons, adjusts the same guesses to the same
     values and puts every job on the same physical machine, job by job, as
-    the Fraction wrapper.  Whole census families at small m make single
+    the Fraction wrapper, and each guess's live-lane count stays the number
+    of its lanes that have not failed.  Whole census families at small m make single
     lanes fail while their guess lives on, a stacking lane overloads,
     fresh denominators grow the scale mid-stream, and sizes land exactly on
     the guess, on rho * guess minus a virtual load and on prefix = m * guess."""
@@ -479,6 +480,7 @@ def test_integer_wrapper_matches_fraction_reference(seed, m, rho, eps_g, h):
             g = group.gamma
             assert group.caps == (math.floor(g * scale), math.floor(g * m * scale),
                                   math.floor(rho * g * scale))
+            assert group.live == sum(not lane.failed for lane in group.lanes)
         assert state.adjustments == sum(e[0] == "adjust" for e in ref.events)
         for group, (_, _, ref_lanes) in zip(state.groups, ref.groups):
             for lane, ref_lane in zip(group.lanes, ref_lanes):
