@@ -45,14 +45,14 @@ class ScaledLane:
     _last = 0  # index of the last recorded job
 
     def _classify(self, job) -> tuple[int, int]:
-        p, scale = job.p, self._scale
-        den = p.denominator
+        num, den = job.p.as_integer_ratio()
+        scale = self._scale
         if scale % den:
             k = den // math.gcd(scale, den)
             self._scale = scale = scale * k
             self._bounds = [x * k for x in self._bounds]
             self._rescale(k)
-        q = p.numerator * (scale // den)
+        q = num * (scale // den)
         cls = bisect_left(self._bounds, q)
         self._pending = (job, cls, q)
         return cls, q

@@ -15,7 +15,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from ._scaling import ScaledLane, common_scale, scale_values
@@ -54,18 +54,26 @@ class ClassPartition:
     meaning none.  The top bound is always >= T, so every job of a
     sequence whose true optimum is <= T falls into some class.
 
-    The bounds are T times a fixed ladder: bounds[i] = ladder[i] * T / unit
-    for the integers ``ladder`` and their common denominator ``unit``,
-    which depend on eps alone.
+    Only T depends on the guess.  The bounds are T times a fixed ladder,
+    bounds[i] = ladder[i] * T / unit, for the integers ``ladder`` and
+    their common denominator ``unit``, which depend on eps alone; plans,
+    lanes and the targeted census work on the ladder in integers, and
+    the Fraction ``bounds`` are only derived, on first use, for
+    ``classify`` and ``rounded_size``.
     """
 
     eps: Fraction
     eps_prime: Fraction
     levels: int  # number of large classes
     T: Fraction
-    bounds: tuple[Fraction, ...]  # bounds[0] = eps'*T .. bounds[levels]
     unit: int
     ladder: tuple[int, ...]
+
+    @cached_property
+    def bounds(self) -> tuple[Fraction, ...]:
+        """bounds[0] = eps'*T .. bounds[levels], as Fractions."""
+        num, den = self.T.numerator, self.T.denominator * self.unit
+        return tuple(Fraction(x * num, den) for x in self.ladder)
 
     def classify(self, p: Fraction) -> Optional[int]:
         """Class of size p: 0 = small, 1..levels = large, None = too big."""
@@ -83,7 +91,10 @@ class ClassPartition:
 
 @lru_cache(maxsize=None)
 def _unit_ladder(eps: Fraction) -> tuple[Fraction, int, int, tuple[int, ...]]:
-    """(eps', levels, unit, ladder) of the class bounds at T = 1."""
+    """(eps', levels, unit, ladder) of the class bounds at T = 1; eps is
+    checked here, once per value, rather than once per guess."""
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
     eps_prime = eps / 2
     levels = ceil_log(1 / eps_prime, 1 + eps_prime)
     bounds = [eps_prime]
@@ -96,14 +107,10 @@ def _unit_ladder(eps: Fraction) -> tuple[Fraction, int, int, tuple[int, ...]]:
 def a1_partition(eps: Fraction, T: Fraction) -> ClassPartition:
     eps = Fraction(eps)
     T = Fraction(T)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if T <= 0:
-        raise ValueError("assumed optimum must be positive")
     eps_prime, levels, unit, ladder = _unit_ladder(eps)
-    num, den = T.numerator, T.denominator * unit
-    bounds = tuple(Fraction(x * num, den) for x in ladder)
-    return ClassPartition(eps, eps_prime, levels, T, bounds, unit, ladder)
+    if T.numerator <= 0:
+        raise ValueError("assumed optimum must be positive")
+    return ClassPartition(eps, eps_prime, levels, T, unit, ladder)
 
 
 def a1_count_cap(m: int, eps_prime: Fraction) -> int:

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from ._scaling import ScaledLane, common_scale, scale_values
-from .core import InvariantViolation, Job
+from .core import Job
 from .rational import ceil_log
 
 __all__ = [
@@ -188,7 +188,7 @@ class TargetConfiguration:
     def __post_init__(self) -> None:
         if len(self.c) != self.params.mu:
             raise ValueError("configuration length must equal the core size")
-        if any(not 0 <= x <= self.params.n_classes for x in self.c):
+        if self.c and (min(self.c) < 0 or max(self.c) > self.params.n_classes):
             raise ValueError("configuration entries must lie in 0..2l-1")
 
     def machine_counts(self) -> tuple[int, ...]:
@@ -334,9 +334,19 @@ class A2Rule:
     A small job costs O(log mu + classes): a max-tree over the room
     ``cap - ell_plus - ell_s`` of each core machine holding small jobs
     finds the leftmost one with room, and per-class stacks of the other
-    core machines find the one to open.  A large job takes its class's
-    next core slot in amortised O(1), or scans the m - mu reserve
-    machines for best fit.
+    core machines find the one to open.  Two shortcuts make the usual
+    small job O(1):
+
+    - a hint (j, p) records that every opened machine left of j had room
+      < p when j was chosen for a job of size p.  Rooms of opened machines
+      only shrink, so while no machine left of j opens, a job of size
+      p' >= p that fits on j goes there without a descent;
+    - a small put leaves the ancestors of its leaf stale and repairs them
+      only when another leaf changes or the tree is searched, so a run of
+      puts on one machine climbs the tree once.
+
+    A large job takes its class's next core slot in amortised O(1), or
+    scans the m - mu reserve machines for best fit.
     """
 
     def __init__(
@@ -355,15 +365,14 @@ class A2Rule:
         self.mu = mu
         self.cap = cap
         self.loads = [zero] * params.m
-        self.slots_left = [params.slots_of(cls) if cls else 0 for cls in c]
+        slots = [0] + [params.slots_of(cls) for cls in range(1, params.n_classes + 1)]
+        self.slots_left = [slots[cls] for cls in c]
         # Per-class stacks, pop() yields the lowest index first: core slots
         # of each large class, and core machines not yet holding small jobs.
-        self._admissible: list[list[int]] = [[] for _ in range(params.n_classes)]
         self._unopened: list[list[int]] = [[] for _ in range(params.n_classes + 1)]
         for j in range(mu - 1, -1, -1):
-            if c[j]:
-                self._admissible[c[j] - 1].append(j)
             self._unopened[c[j]].append(j)
+        self._admissible = [stack.copy() for stack in self._unopened[1:]]
         self._opened = bytearray(mu)
         self._ell_minus = ell_minus_cls
         self._full_room = [cap - hi for hi in ell_plus_cls]
@@ -376,6 +385,8 @@ class A2Rule:
         # Max-tree over rooms: leaf size + j holds machine j's room once it
         # holds small jobs and zero before, so no positive size selects it.
         self._room = [zero] * (2 * size)
+        self._stale = -1  # machine whose ancestors in _room await repair, -1 for none
+        self._hint: Optional[tuple[int, object]] = None  # (machine, size) of the last choice
         self.fill_violations = 0
         self._open_below = 0  # core machines holding small jobs below the fill line
 
@@ -387,6 +398,19 @@ class A2Rule:
         self._full_room = [x * k for x in self._full_room]
         self._below_fill = [x * k for x in self._below_fill]
         self._room = [x * k for x in self._room]
+        self._hint = None
+
+    def _repair(self, j: int) -> None:
+        """Reset the ancestors of machine j's leaf to the max of their children."""
+        room = self._room
+        node = (self._size + j) // 2
+        while node:
+            a, b = room[2 * node], room[2 * node + 1]
+            top = a if a >= b else b
+            if room[node] == top:
+                break
+            room[node] = top
+            node //= 2
 
     def choose(self, cls: int, p) -> int:
         """Machine for a job of class cls and size p; nothing is committed.
@@ -399,13 +423,20 @@ class A2Rule:
         """
         cap = self.cap
         if cls == SMALL:
-            room = self._room
+            room, size = self._room, self._size
+            hint = self._hint
+            if hint is not None and p >= hint[1] and room[size + hint[0]] >= p:
+                return hint[0]
+            if self._stale >= 0:
+                self._repair(self._stale)
+                self._stale = -1
             if room[1] >= p:
-                node, size = 1, self._size
+                node = 1
                 while node < size:
                     node *= 2
                     if room[node] < p:
                         node += 1
+                self._hint = (node - size, p)
                 return node - size
             opened, ell_minus = self._opened, self._ell_minus
             best = -1
@@ -416,7 +447,10 @@ class A2Rule:
                     j = stack[-1]
                     if best < 0 or (ell_minus[k], j) < (ell_minus[self.c[best]], best):
                         best = j
-            return max(best, 0)
+            if best < 0:
+                return 0
+            self._hint = (best, p)  # no opened machine has room >= p
+            return best
         slots = self._admissible[cls - 1]
         while slots and self.slots_left[slots[-1]] == 0:
             slots.pop()
@@ -442,6 +476,9 @@ class A2Rule:
             below = self._below_fill[k]
             room = self._room
             node = self._size + j
+            stale = self._stale
+            if stale != j and stale >= 0:
+                self._repair(stale)
             if self._opened[j]:
                 left = room[node]
                 was_open = left > below
@@ -449,17 +486,13 @@ class A2Rule:
                 self._opened[j] = 1
                 left = self._full_room[k]
                 was_open = False
+                hint = self._hint
+                if hint is not None and j < hint[0]:
+                    self._hint = None  # j gains room left of the hinted machine
             left -= p
             self._open_below += (left > below) - was_open
             room[node] = left
-            node //= 2
-            while node:
-                a, b = room[2 * node], room[2 * node + 1]
-                top = a if a >= b else b
-                if room[node] == top:
-                    break
-                room[node] = top
-                node //= 2
+            self._stale = j
         elif j < self.mu and self.c[j] == cls and self.slots_left[j] > 0:
             self.slots_left[j] -= 1
         self.loads[j] += p
@@ -471,11 +504,12 @@ class A2State(ScaledLane):
     """One configuration lane stepping on Jobs: an A2Rule over integers in
     units of a lane-local common denominator (see ScaledLane).
 
-    Machines are 1-based here as everywhere in the public API.
-    strict=True raises on the first fill-line violation.
+    Machines are 1-based here as everywhere in the public API.  The lane
+    counts fill-line violations in ``fill_violations`` and never raises on
+    one; callers that check the fill line assert that count is zero.
     """
 
-    def __init__(self, config: TargetConfiguration, label: int = 0, strict: bool = False):
+    def __init__(self, config: TargetConfiguration, label: int = 0):
         params = config.params
         self._scale, *thresholds = a2_rule_thresholds(params, params.size_bounds)
         self._bounds = scale_values(params.size_bounds, self._scale)
@@ -484,7 +518,6 @@ class A2State(ScaledLane):
         self.params = params
         self.config = config
         self.label = label
-        self.strict = strict
 
     def _rescale(self, k: int) -> None:
         self.rule.rescale(k)
@@ -505,13 +538,7 @@ class A2State(ScaledLane):
 
     def record(self, job: Job, machine: int) -> None:
         cls, q = self._take(job, machine)
-        rule = self.rule
-        violations = rule.fill_violations
-        rule.put(cls, q, machine - 1)
-        if self.strict and rule.fill_violations > violations:
-            raise InvariantViolation(
-                "more than one core machine holds small jobs below the fill line"
-            )
+        self.rule.put(cls, q, machine - 1)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import time
 from bisect import bisect_right
@@ -102,7 +103,10 @@ def gen_planted_with_witness(
     if isinstance(counts, int):
         per_machine = [counts] * m
     elif isinstance(counts, tuple) and len(counts) == 2:
-        per_machine = [rng.randint(counts[0], counts[1]) for _ in range(m)]
+        lo, hi = counts
+        if lo > hi:
+            raise ValueError(f"empty count range {lo}..{hi}: the least count exceeds the largest")
+        per_machine = [rng.randint(lo, hi) for _ in range(m)]
     else:
         per_machine = [int(c) for c in counts]
         if len(per_machine) != m:
@@ -156,38 +160,53 @@ def gen_planted(
 # Targeted lane factories (hindsight shortcuts for wrapper runs).
 
 
-def _suffix_census(seq: JobSequence) -> Callable[[int], tuple[list[Fraction], Fraction]]:
-    """start_t -> the sizes of jobs start_t.. sorted, and their total; every
-    guess of an epoch asks for the same start_t, so one answer is kept."""
+def _suffix_census(seq: JobSequence) -> tuple[int, Callable[[int], tuple[list[int], int]]]:
+    """(S, census) for the lcm S of the job denominators: census maps start_t
+    to the sizes of jobs start_t.. in units of 1/S, sorted, and their total.
+    Every guess of an epoch asks for the same start_t, so one answer is kept.
+
+    A size q/S is at most a bound b exactly when q <= floor(b*S), because
+    q is an integer; so each guess only floors its class edges."""
+    scale = math.lcm(*{job.p.denominator for job in seq.jobs})
+    scaled = [job.p.numerator * (scale // job.p.denominator) for job in seq.jobs]
 
     @lru_cache(maxsize=1)
-    def census(start_t: int) -> tuple[list[Fraction], Fraction]:
-        sizes = sorted(job.p for job in seq.jobs[start_t - 1 :])
-        return sizes, sum(sizes, Fraction(0))
+    def census(start_t: int) -> tuple[list[int], int]:
+        sizes = sorted(scaled[start_t - 1 :])
+        return sizes, sum(sizes)
 
-    return census
+    return scale, census
 
 
-def _ladder_counts(sizes: list[Fraction], bounds: Sequence[Fraction]) -> list[int]:
-    """Counts of sorted sizes in (bounds[i-1], bounds[i]] for i = 1..len(bounds)-1."""
-    edges = [bisect_right(sizes, b) for b in bounds]
-    return [hi - lo for lo, hi in zip(edges, edges[1:])]
+def _ladder_counts(sizes: list[int], edges: Sequence[int]) -> list[int]:
+    """Counts of sorted sizes in (edges[i-1], edges[i]] for i = 1..len(edges)-1."""
+    cuts = [bisect_right(sizes, b) for b in edges]
+    return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _floor_edges(bounds: Sequence[Fraction], scale: int) -> list[int]:
+    """floor(b*scale) for each bound b, the integer edges of ``_ladder_counts``."""
+    return [b.numerator * scale // b.denominator for b in bounds]
 
 
 def _a1_suffix_census(
-    sizes: list[Fraction], total: Fraction, partition: ClassPartition, m: int
+    sizes: list[int], total: int, scale: int, partition: ClassPartition, m: int, cap: int
 ) -> tuple[tuple[int, ...], bool]:
-    """(count vector capped at floor(m/eps'), doomed) of a sorted suffix.
+    """(count vector capped at cap = floor(m/eps'), doomed) of a sorted
+    suffix in units of 1/scale.
 
     Doomed: the suffix certifies OPT > T by a job above T (which covers
     jobs above the top bound, itself >= T) or a total above m*T.  A
     count above its cap, or a rounded volume above m*(1+eps')*T, implies
     such a total: class sizes exceed eps'*T and round up by at most 1+eps'.
+    The class edges floor(bounds[i]*scale) come straight from the ladder.
     """
     T = partition.T
-    cap = a1_count_cap(m, partition.eps_prime)
-    vector = tuple(min(c, cap) for c in _ladder_counts(sizes, partition.bounds))
-    return vector, (bool(sizes) and sizes[-1] > T) or total > m * T
+    num, den = T.numerator * scale, T.denominator
+    edge_den = den * partition.unit
+    edges = [x * num // edge_den for x in partition.ladder]
+    vector = tuple(min(c, cap) for c in _ladder_counts(sizes, edges))
+    return vector, (bool(sizes) and sizes[-1] * den > num) or total * den > m * num
 
 
 def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
@@ -195,7 +214,8 @@ def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
 
     Plans do not depend on the guess, so each (vector, exact) is built
     once per factory and shared by every guess and epoch."""
-    census = _suffix_census(seq)
+    scale, census = _suffix_census(seq)
+    cap = a1_count_cap(seq.m, a1_partition(eps_inner, Fraction(1)).eps_prime)
     # The lane survives guesses at or above the suffix optimum as long
     # as its virtual schedule stays within (1+eps')*T, so a greedy
     # schedule certified against that bound is as good as the exact one.
@@ -203,7 +223,7 @@ def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
 
     def make(T: Fraction, start_t: int):
         partition = a1_partition(eps_inner, T)
-        vector, doomed = _a1_suffix_census(*census(start_t), partition, seq.m)
+        vector, doomed = _a1_suffix_census(*census(start_t), scale, partition, seq.m, cap)
         return [A1State(plans.get(partition, vector, exact=not doomed))]
 
     return make
@@ -215,11 +235,11 @@ def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
     choice = a3_dispatch(eps_inner, seq.m, Fraction(1))
     if choice.kind == "a1":
         return a1_targeted_factory(seq, Fraction(1, 3))
-    census = _suffix_census(seq)
+    scale, census = _suffix_census(seq)
 
     def make(T: Fraction, start_t: int):
         params = a2_params(eps_inner, seq.m, T)
-        counts = _ladder_counts(census(start_t)[0], params.size_bounds)
+        counts = _ladder_counts(census(start_t)[0], _floor_edges(params.size_bounds, scale))
         try:
             u = a2_valid_u(params, counts)
         except ValueError:
@@ -450,6 +470,8 @@ def run_batch(config: ExperimentConfig) -> list[dict]:
     Rows are deterministic given the seed; wall time appears only in the
     CSV convenience file, never in the canonical JSONL report.
     """
+    if config.instances < 0:
+        raise ValueError(f"instance count must be nonnegative, got {config.instances}")
     rows = []
     for k in range(config.instances):
         order = config.orders[k % len(config.orders)]

@@ -95,18 +95,24 @@ def check_failure(
 class GuessLane:
     """One inner scheduler plus its virtual/physical bookkeeping.
 
-    Virtual loads are integers in units of 1/S for the run-wide scale S
-    of the driving ``AStar``; ``rescale`` follows its growth.
+    Virtual and physical loads are integers in units of 1/S for the
+    run-wide scale S of the driving ``AStar``; ``rescale`` follows its
+    growth.  The lane keeps its placements as two lists in arrival order
+    and builds its ``Schedule`` only when asked (``physical``), so a run
+    builds one, for the lane it selects.
     """
 
     __slots__ = (
-        "m", "physical", "inner", "failed", "fail_reason",
+        "m", "label", "jobs", "placed", "physical_loads", "inner", "failed", "fail_reason",
         "virtual_loads", "_virt_heap", "binding", "bound_physical", "_free",
     )
 
     def __init__(self, m: int, label: int):
         self.m = m
-        self.physical = Schedule(m, label)
+        self.label = label
+        self.jobs: list[Job] = []  # every job placed, in arrival order
+        self.placed: list[int] = []  # its 0-based physical machine
+        self.physical_loads = [0] * m
         self.inner: Optional[OnlineScheduler] = None
         self.failed = False
         self.fail_reason: Optional[str] = None
@@ -115,6 +121,14 @@ class GuessLane:
         self.binding: dict[int, int] = {}
         self.bound_physical: set[int] = set()
         self._free: Optional[list[int]] = None
+
+    @property
+    def physical(self) -> Schedule:
+        """The lane's placements as a Schedule (built afresh on each access)."""
+        schedule = Schedule(self.m, self.label)
+        for job, phys in zip(self.jobs, self.placed):
+            schedule.assign(phys + 1, job)
+        return schedule
 
     def least_virtual(self) -> int:
         # Only failed lanes ask: build the heap at an epoch's first failure.
@@ -127,12 +141,14 @@ class GuessLane:
         return heap[0][1]
 
     def rescale(self, k: int) -> None:
-        """Multiply the virtual loads by k (the run-wide scale grew k-fold).
+        """Multiply the virtual and physical loads by k (the run-wide scale
+        grew k-fold).
 
         Scaling keeps the heap's order, and a stale entry stays below its
         machine's load, so the heap stays valid.
         """
         self.virtual_loads = [x * k for x in self.virtual_loads]
+        self.physical_loads = [x * k for x in self.physical_loads]
         if self._virt_heap is not None:
             self._virt_heap = [(load * k, v) for load, v in self._virt_heap]
 
@@ -156,7 +172,7 @@ class GuessLane:
         """
         free = self._free
         if free is None:
-            free = self._free = self.physical.machines_by_load()
+            free = self._free = sorted(range(self.m), key=self.physical_loads.__getitem__)
             free.reverse()  # pop() gives the least (load, index)
         best = free.pop()
         while best in self.bound_physical:
@@ -170,7 +186,9 @@ class GuessLane:
         phys = self.binding.get(v)
         if phys is None:
             phys = self.bind(v)
-        self.physical.assign(phys + 1, job)
+        self.jobs.append(job)
+        self.placed.append(phys)
+        self.physical_loads[phys] += q
         load = self.virtual_loads[v] = self.virtual_loads[v] + q
         if self._virt_heap is not None:
             heapq.heappush(self._virt_heap, (load, v))
@@ -240,6 +258,8 @@ class AStar:
         self.lanes_per_guess = 0
         self._scale = 1
         self._prefix = 0
+        self._step = 1 + params.eps_g  # ratio of neighbouring guesses
+        self._growth = self._step**params.h  # least growth of an adjusted guess
 
     def _emit(self, **event) -> None:
         if self.trace is not None:
@@ -268,13 +288,16 @@ class AStar:
         return q
 
     def _check_guess_order(self) -> None:
-        step = 1 + self.params.eps_g
+        """Each guess is at least step times the one before it, compared
+        over cross-multiplied integers."""
+        sn, sd = self._step.numerator, self._step.denominator
         for lo, hi in zip(self.groups, self.groups[1:]):
-            if lo.gamma * step > hi.gamma:
+            a, b = lo.gamma, hi.gamma
+            if a.numerator * sn * b.denominator > b.numerator * a.denominator * sd:
                 raise InvariantViolation("guess order broken")
 
     def _init(self, p1: Fraction) -> None:
-        step = 1 + self.params.eps_g
+        step = self._step
         gamma = Fraction(p1)
         for var_id in range(self.params.h):
             inners = list(self.factory(gamma, 1))
@@ -297,8 +320,9 @@ class AStar:
 
     def _reset_group(self, group: _Group, new_gamma: Fraction, job: Job, q: int) -> None:
         if self.check:
-            grown = group.gamma * (1 + self.params.eps_g) ** self.params.h
-            if new_gamma < grown:
+            old, growth = group.gamma, self._growth  # new_gamma >= old * growth, in integers
+            if (new_gamma.numerator * old.denominator * growth.denominator
+                    < old.numerator * growth.numerator * new_gamma.denominator):
                 raise InvariantViolation("adjustment grew the guess too little")
         self._emit(t=self.t, event="adjust", var=group.var_id,
                    old=str(group.gamma), new=str(new_gamma))
@@ -310,7 +334,7 @@ class AStar:
         if len(inners) != self.lanes_per_guess:
             raise ValueError("inner factory must return a fixed number of lanes")
         for lane, inner in zip(group.lanes, inners):
-            phys_of_job = lane.physical.assignment[job.index] - 1
+            phys_of_job = lane.placed[-1]  # where the lane just put the job
             lane.reset_epoch(inner)
             proposal = inner.propose(job)
             if proposal is None:
@@ -342,7 +366,7 @@ class AStar:
                 if reason is not None:
                     group.live -= 1
                     self._emit(t=self.t, event="fail", var=group.var_id,
-                               gamma=str(group.gamma), lane=lane.physical.label, reason=reason)
+                               gamma=str(group.gamma), lane=lane.label, reason=reason)
             if not group.live:
                 i_star = pos
         return i_star
@@ -358,12 +382,15 @@ class AStar:
         if i_star >= 0:
             mean = Fraction(self._prefix, self._scale * self.m)
             anchor = max(self.groups[-1].gamma, job.p, mean)
-            step = 1 + self.params.eps_g
             new_gamma = anchor
-            for group in self.groups[: i_star + 1]:
-                new_gamma = new_gamma * step
+            reset = self.groups[: i_star + 1]
+            for group in reset:
+                new_gamma = new_gamma * self._step
                 self._reset_group(group, new_gamma, job, q)
-            self.groups.sort(key=lambda g: g.gamma)
+            # The reset guesses are anchor * step**k for k = 1, 2, ..., all
+            # above the largest guess kept, so moving them to the end keeps
+            # the guesses sorted.
+            self.groups = self.groups[i_star + 1 :] + reset
             if self.check:
                 self._check_guess_order()
 
@@ -375,7 +402,12 @@ class AStar:
     def finish(self) -> Schedule:
         if not self.groups:
             return Schedule(self.m, 0)  # empty sequence: empty schedule
-        return select_best(lane.physical for group in self.groups for lane in group.lanes)
+        # Every lane's physical loads share the run-wide scale, so comparing
+        # them picks the schedule select_best would; only that one is built.
+        lanes = [lane for group in self.groups for lane in group.lanes]
+        if not lanes:
+            return select_best(())  # raises: nothing to select from
+        return min(lanes, key=lambda lane: (max(lane.physical_loads), lane.label)).physical
 
     # Diagnostics used by the acceptance suite.
     def smallest_gamma(self) -> Fraction:

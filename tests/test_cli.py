@@ -181,6 +181,11 @@ def test_malformed_sequence_files_fail_cleanly(tmp_path, capsys, name, text, rea
 @pytest.mark.parametrize("argv, reason", [
     ("gen --m 2 --denom 1 --out {out}", "denominator must be at least 2"),
     ("gen --m 0 --out {out}", "machine count must be positive"),
+    ("gen --m 2 --count-min 3 --count-max 1 --out {out}", "empty count range 3..1"),
+    ("batch --algo list --m 2 --count-min 3 --count-max 1 --jsonl {out}",
+     "empty count range 3..1"),
+    ("batch --algo list --m 2 --instances -1 --jsonl {out}",
+     "instance count must be nonnegative, got -1"),
     ("params --epsilon 2 --m 256", "eps must lie in (0, 1]"),
     ("adversary --theorem lb1 --m 6 --victim list:abc --out {out}", "got 'abc'"),
     ("adversary --theorem lb1 --m 6 --victim list:0 --out {out}", "need at least one victim"),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from parsched.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     _a1_suffix_census,
+    _floor_edges,
     _ladder_counts,
     _suffix_census,
     a1_targeted_factory,
@@ -52,6 +54,8 @@ def test_generator_orders_and_edges():
         gen_planted(2, counts=9, denom=8)  # nine jobs of >= 1/8 cannot sum to 1
     with pytest.raises(ValueError):
         gen_planted(2, counts=2, denom=8, order="sideways")
+    with pytest.raises(ValueError, match="empty count range 3..1"):
+        gen_planted_with_witness(2, counts=(3, 1))
     assert gen_planted(2, counts=2, denom=8, seed=4, verify_cap=10).planted_opt == 1
 
 
@@ -168,34 +172,65 @@ def per_job_a2_counts(jobs, params):
     return counts
 
 
+MIXED_DENOMS = (6, 7, 8, 10, 12, 24, 48)
+
+
 @given(
     m=st.integers(min_value=1, max_value=8) | st.sampled_from([256, 300]),
-    T=st.sampled_from([F(1, 2), F(1), F(5, 4), F(3)]),
+    eps_g=st.sampled_from([F(1, 9), F(1, 15)]),
+    k=st.integers(min_value=0, max_value=40),
     rng=st.randoms(use_true_random=False),
 )
 @settings(max_examples=100, deadline=None)
-def test_suffix_census_matches_per_job_loop(m, T, rng):
-    """Sorting each epoch's suffix once gives the per-job loop's class
-    counts and doomed flag, for both targeted factories, at several epoch
-    starts in any order and with sizes exactly on class bounds and on T."""
+def test_suffix_census_matches_per_job_loop(m, eps_g, k, rng):
+    """Sorting each epoch's suffix once, in integers in units of 1/S, gives
+    the per-job Fraction loop's class counts and doomed flag, for both
+    targeted factories, at several epoch starts in any order.
+
+    T is shaped like the wrapper's guesses, p1 * (1+eps_g)**k.  Most sizes
+    are multiples of 1/d for a mix of denominators d, so S (their lcm) is
+    no single denominator and the integer edges floor(b*S) fall strictly
+    between integers.  Some sit on either side of a class bound b, at
+    floor(b*S0)/S0 or one unit above, for the lcm S0 of the drawn
+    denominators (a multiple of S); the rest lie exactly on a class bound
+    or on T."""
+    den = rng.choice(MIXED_DENOMS)
+    T = F(rng.randint(1, 2 * den), den) * (1 + eps_g) ** k
     partition = a1_partition(F(1, 3), T)  # the a3 factory's census accuracy
     params = a2_params(F(1), m, T)
     edges = [*partition.bounds, *params.size_bounds, T]
+    dens = rng.sample(MIXED_DENOMS, rng.randint(2, 3))
+    S0 = math.lcm(*dens)
+    edge_share = rng.choice([0, 0.3])
     # Mostly at most T, many of them small, so each doomed test can decide alone.
     scale = [F(1, 8), F(1, 8), F(1), F(2)]
-    sizes = [rng.choice(edges) if rng.random() < 0.3
-             else F(rng.randint(1, 40), 40) * T * rng.choice(scale)
-             for _ in range(rng.randint(1, 40))]
-    seq = JobSequence.from_sizes(m, sizes)
-    census = _suffix_census(seq)
+
+    def size():
+        kind = rng.random()
+        if kind < edge_share:
+            return rng.choice(edges)
+        if kind < edge_share + 0.2:
+            b = rng.choice(edges)
+            return F(max(1, math.floor(b * S0) + rng.randint(0, 1)), S0)
+        d = rng.choice(dens)
+        return F(math.ceil(F(rng.randint(1, 40), 40) * T * rng.choice(scale) * d), d)
+
+    seq = JobSequence.from_sizes(m, [size() for _ in range(rng.randint(1, 40))])
+    S, census = _suffix_census(seq)
+    assert S == math.lcm(*(job.p.denominator for job in seq.jobs))
+    cap = a1_count_cap(m, partition.eps_prime)
+    a2_edges = _floor_edges(params.size_bounds, S)
+    assert a2_edges == [math.floor(b * S) for b in params.size_bounds]
     a1_make = a1_targeted_factory(seq, F(1, 3))
     a3_make = a3_targeted_factory(seq, F(1))
     for start_t in [rng.randint(1, len(seq)) for _ in range(3)]:
         suffix = seq.jobs[start_t - 1:]
+        sizes, total = census(start_t)
+        assert sizes == sorted(job.p * S for job in suffix) and total == sum(sizes)
         vector, doomed = per_job_a1_census(suffix, partition, m, T)
-        assert _a1_suffix_census(*census(start_t), partition, m) == (vector, doomed)
+        assert _a1_suffix_census(sizes, total, S, partition, m, cap) == (vector, doomed)
         counts = per_job_a2_counts(suffix, params)
-        assert _ladder_counts(census(start_t)[0], params.size_bounds) == counts
+        assert _ladder_counts(sizes, a2_edges) == counts
         assert a1_make(T, start_t)[0].plan.vector == vector
         if m < 256:  # below the configuration threshold a3 builds census lanes
             assert a3_make(T, start_t)[0].plan.vector == vector

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from parsched.a1 import A1State, a1_family
 from parsched.adversary import StackScheduler
-from parsched.core import Job, JobSequence
+from parsched.core import Job, JobSequence, select_best
 from parsched.harness import (
     a1_full_factory,
     a1_targeted_factory,
@@ -474,7 +474,9 @@ def test_integer_wrapper_matches_fraction_reference(seed, m, rho, eps_g, h):
                else (e["event"], e["t"], e["var"], e["old"], e["new"])
                for e in events if e["event"] != "init"]
         assert got == ref.events
-        assert [g.gamma for g in state.groups] == [g[1] for g in ref.groups]
+        # The same guesses in the same order: the wrapper rotates the reset
+        # guesses to the end where the reference sorts.
+        assert [(g.var_id, g.gamma) for g in state.groups] == [(g[0], g[1]) for g in ref.groups]
         assert state._scale == scale  # the lcm of the job denominators so far
         for group in state.groups:
             g = group.gamma
@@ -490,6 +492,29 @@ def test_integer_wrapper_matches_fraction_reference(seed, m, rho, eps_g, h):
     best = state.finish()
     lanes = [lane for g in ref.groups for lane in g[2]]
     assert (best.makespan(), best.label) == min((max(lane.loads), lane.label) for lane in lanes)
+    # finish compares integer loads and builds one schedule: the one
+    # select_best picks from every lane's schedule.
+    chosen = select_best(lane.physical for group in state.groups for lane in group.lanes)
+    assert (best.label, best.assignment) == (chosen.label, chosen.assignment)
+
+
+@pytest.mark.parametrize("slack, raises", [(F(0), False), (F(1, 10**9), True)])
+def test_guess_growth_check_is_exact(slack, raises):
+    """check=True accepts an adjusted guess exactly (1+eps_g)**h times its
+    old value and rejects one a hair below that."""
+    params = astar_params(F(1), F(1))  # eps_g = 1/3, h = 7
+    growth = (1 + params.eps_g) ** params.h
+    state = AStar(params, 1, lambda T, t: [StackScheduler(1)], check=True)
+    state.step(Job(1, F(1)))  # guesses 1, 4/3, ..., (4/3)**6, all below job 2
+    # Job 2 (size 10, prefix 11) resets every guess, the first to 11 * 4/3.
+    state.groups[0].gamma = F(44, 3) / growth + slack
+    state._set_caps(state.groups[0])
+    if raises:
+        with pytest.raises(InvariantViolation, match="grew the guess too little"):
+            state.step(Job(2, F(10)))
+    else:
+        state.step(Job(2, F(10)))
+        assert state.groups[-1].gamma == F(44, 3) * (1 + params.eps_g) ** 6
 
 
 _BROKEN_GUESSES = """
