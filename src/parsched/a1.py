@@ -10,7 +10,6 @@ plus accumulated small load is lowest.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -19,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from ._scaling import ScaledLane, common_scale, scale_values
-from .core import Job, default_lane_cap
+from .core import Job, LeastLoaded, default_lane_cap
 from .oracle import MultisetInstance, lpt_multiset, opt_multiset
 from .rational import ceil_log
 
@@ -158,12 +157,6 @@ class A1Plan:
     loads: tuple[int, ...]
     slots: tuple[tuple[int, ...], ...]
 
-    @property
-    def ell_star(self) -> tuple[Fraction, ...]:
-        """Virtual loads at the partition's T."""
-        T, unit = self.partition.T, self.partition.unit
-        return tuple(Fraction(x * T.numerator, unit * T.denominator) for x in self.loads)
-
     def at(self, partition: ClassPartition) -> "A1Plan":
         """The same virtual schedule under another guess's partition."""
         if partition is self.partition:
@@ -244,40 +237,25 @@ class A1State(ScaledLane):
         num = partition.T.numerator
         self._scale = partition.unit * partition.T.denominator
         self._bounds = [x * num for x in partition.ladder]
-        self._level = [x * num for x in plan.loads]  # virtual plus small load
-        self._loads = [0] * m
+        self._level = LeastLoaded([x * num for x in plan.loads])  # virtual plus small load
+        self._loads = LeastLoaded([0] * m)
         self._left = [list(row) for row in plan.n_star]  # open virtual slots
         # Per class, the position in plan.slots of the lowest machine that
         # may still have an open slot: open slots only ever close.
         self._next_slot = [0] * len(plan.slots)
-        self._small_heap = [(x, j) for j, x in enumerate(self._level)]
-        heapq.heapify(self._small_heap)
-        self._load_heap: Optional[list] = None  # least loaded, built on first fallback
 
     def _rescale(self, k: int) -> None:
-        self._level = [x * k for x in self._level]
-        self._loads = [x * k for x in self._loads]
-        self._small_heap = [(x * k, j) for x, j in self._small_heap]
-        if self._load_heap is not None:
-            self._load_heap = [(x * k, j) for x, j in self._load_heap]
+        self._level.rescale(k)
+        self._loads.rescale(k)
 
     @property
     def loads(self) -> list[Fraction]:
-        return [Fraction(x, self._scale) for x in self._loads]
-
-    @property
-    def large_load(self) -> list[Fraction]:
-        """Per-machine load of large jobs: load minus small load."""
-        return [Fraction(x - level, self._scale) + star
-                for x, level, star in zip(self._loads, self._level, self.plan.ell_star)]
+        return [Fraction(x, self._scale) for x in self._loads.loads]
 
     def propose(self, job: Job) -> Optional[int]:
         cls, _ = self._classify(job)
         if cls == SMALL:
-            heap, level = self._small_heap, self._level
-            while heap[0][0] != level[heap[0][1]]:
-                heapq.heappop(heap)
-            return heap[0][1] + 1
+            return self._level.least() + 1
         if cls == len(self._bounds):
             return None
         slots, left = self.plan.slots[cls - 1], self._left[cls - 1]
@@ -288,25 +266,16 @@ class A1State(ScaledLane):
         if k < len(slots):
             return slots[k] + 1
         # No machine wants this class any more: fall back to least loaded.
-        heap, loads = self._load_heap, self._loads
-        if heap is None:
-            heap = self._load_heap = [(x, j) for j, x in enumerate(loads)]
-            heapq.heapify(heap)
-        while heap[0][0] != loads[heap[0][1]]:
-            heapq.heappop(heap)
-        return heap[0][1] + 1
+        return self._loads.least() + 1
 
     def record(self, job: Job, machine: int) -> None:
         cls, q = self._take(job, machine)
         j = machine - 1
         if cls == SMALL:
-            self._level[j] += q
-            heapq.heappush(self._small_heap, (self._level[j], j))
+            self._level.add(j, q)
         else:
             self._left[cls - 1][j] -= 1
-        self._loads[j] += q
-        if self._load_heap is not None:
-            heapq.heappush(self._load_heap, (self._loads[j], j))
+        self._loads.add(j, q)
 
 
 class A1Family:

@@ -95,10 +95,6 @@ class A2Params:
         """small_max, then the class bounds: a size's class is bisect_left(size_bounds, size)."""
         return (self.small_max,) + self.class_bounds
 
-    @property
-    def top_bound(self) -> Fraction:
-        return 2 * self.b[self.levels - 2] if self.levels >= 2 else self.b[-1]
-
     def slots_of(self, cls: int) -> int:
         """Core slot count for a class: two medium jobs or one doubled job."""
         if not 1 <= cls <= self.n_classes:
@@ -155,15 +151,18 @@ def a2_classify(params: A2Params, p: Fraction) -> Optional[int]:
     return cls if cls <= params.n_classes else None
 
 
-def a2_rule_thresholds(params: A2Params, extra: Sequence[Fraction] = ()):
-    """(scale, cap, fill, ell_minus, ell_plus) of an A2Rule over integers in
-    units of 1/scale, the least common denominator of them and of ``extra``."""
+def a2_rule_thresholds(params: A2Params):
+    """(scale, size_bounds, cap, fill, ell_minus, ell_plus) over integers in
+    units of 1/scale, the least common denominator of them all: the class
+    ladder (a size's class is bisect_left(size_bounds, size), n_classes + 1
+    meaning none) and the thresholds of an A2Rule."""
     bounds = [params.ell_bounds_of(cls) for cls in range(params.n_classes + 1)]
     ell_minus, ell_plus = [lo for lo, _ in bounds], [hi for _, hi in bounds]
     fixed = [params.load_cap, params.fill_line]
-    scale = common_scale([*extra, *fixed, *ell_minus, *ell_plus])
+    scale = common_scale([*params.size_bounds, *fixed, *ell_minus, *ell_plus])
     cap, fill = scale_values(fixed, scale)
-    return scale, cap, fill, scale_values(ell_minus, scale), scale_values(ell_plus, scale)
+    return (scale, scale_values(params.size_bounds, scale), cap, fill,
+            scale_values(ell_minus, scale), scale_values(ell_plus, scale))
 
 
 def a2_class_counts(params: A2Params, jobs) -> tuple[int, ...]:
@@ -511,8 +510,7 @@ class A2State(ScaledLane):
 
     def __init__(self, config: TargetConfiguration, label: int = 0):
         params = config.params
-        self._scale, *thresholds = a2_rule_thresholds(params, params.size_bounds)
-        self._bounds = scale_values(params.size_bounds, self._scale)
+        self._scale, self._bounds, *thresholds = a2_rule_thresholds(params)
         self.rule = A2Rule(params, config.c, *thresholds)
         self.m = params.m
         self.params = params

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from .rational import format_rational, parse_rational
@@ -24,6 +25,7 @@ __all__ = [
     "InvariantViolation",
     "OnlineScheduler",
     "LaneRunner",
+    "LeastLoaded",
     "select_best",
     "default_lane_cap",
 ]
@@ -230,6 +232,50 @@ class Schedule:
         return tuple(sums) == self.loads()
 
 
+class LeastLoaded:
+    """Machine loads that only grow, and the least loaded machine.
+
+    Graham's least-loaded rule, the one copy every lane that falls back on
+    it uses.  ``loads`` is read freely and changed only through ``add``;
+    loads may be of any one exact ordered number type.  ``least()`` returns
+    the 0-based machine of least (load, index).  Inside is a heap of
+    (load, machine) entries, built on the first ``least()``, to which
+    ``add`` pushes each new load.  An entry whose load is no longer its
+    machine's lies below it, because loads only grow, and is dropped when
+    it reaches the top.
+    """
+
+    __slots__ = ("loads", "_heap")
+
+    def __init__(self, loads: list):
+        self.loads = loads
+        self._heap: Optional[list] = None
+
+    def least(self) -> int:
+        heap, loads = self._heap, self.loads
+        if heap is None:
+            heap = self._heap = [(x, j) for j, x in enumerate(loads)]
+            heapify(heap)
+        load, j = heap[0]
+        while load != loads[j]:
+            heappop(heap)
+            load, j = heap[0]
+        return j
+
+    def add(self, j: int, q) -> None:
+        """Add q >= 0 to machine j's load."""
+        loads = self.loads
+        loads[j] = load = loads[j] + q
+        if self._heap is not None:
+            heappush(self._heap, (load, j))
+
+    def rescale(self, k: int) -> None:
+        """Multiply every load by k > 0; the order, so the heap, is kept."""
+        self.loads = [x * k for x in self.loads]
+        if self._heap is not None:
+            self._heap = [(x * k, j) for x, j in self._heap]
+
+
 class OnlineScheduler(Protocol):
     """Uniform stepping interface every algorithm lane implements.
 
@@ -262,8 +308,7 @@ class LaneRunner:
         machine = self.scheduler.propose(job)
         if machine is None:
             self.had_no_rule = True
-            loads = self.schedule.loads()
-            machine = min(range(1, self.schedule.m + 1), key=lambda j: (loads[j - 1], j))
+            machine = self.schedule.machines_by_load()[0] + 1
         else:
             self.scheduler.record(job, machine)
         self.schedule.assign(machine, job)

@@ -11,6 +11,8 @@ of the family have 4,960 distinct layouts.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,7 +22,6 @@ from .a2 import (
     A2Params,
     A2Rule,
     a2_block_lengths,
-    a2_classify,
     a2_config_from_u,
     a2_family_size,
     a2_params,
@@ -74,17 +75,29 @@ class A2Sweep:
 
 
 def _prepare(params: A2Params, jobs: Sequence[Fraction]):
-    cls = []
-    for p in jobs:
-        c = a2_classify(params, p)
-        if c is None:
+    """(classes, scale, sizes, ell_minus, ell_plus, cap, fill) of a job stream
+    in integers: the rule's thresholds scale once more, to the lcm of their
+    scale and the job denominators, and each size's class is a bisection."""
+    scale, bounds, cap, fill, emc, epc = a2_rule_thresholds(params)
+    ratios = [p.as_integer_ratio() for p in jobs]
+    k = math.lcm(scale, *{den for _, den in ratios}) // scale
+    scale, cap, fill = scale * k, cap * k, fill * k
+    bounds, emc, epc = ([x * k for x in xs] for xs in (bounds, emc, epc))
+    top = len(bounds) - 1
+    cls, sizes = [], []
+    for p, (num, den) in zip(jobs, ratios):
+        if num <= 0:
+            raise ValueError("processing time must be positive")
+        q = num * (scale // den)
+        c = bisect_left(bounds, q)
+        if c > top:
             raise ValueError(
                 f"job of size {p} exceeds the top class bound for T={params.T}; "
                 "the assumed optimum is too small for a standalone run"
             )
         cls.append(c)
-    scale, cap, fill, emc, epc = a2_rule_thresholds(params, jobs)
-    return cls, scale, scale_values(list(jobs), scale), emc, epc, cap, fill
+        sizes.append(q)
+    return cls, scale, sizes, emc, epc, cap, fill
 
 
 def a2_full_sweep(

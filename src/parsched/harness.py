@@ -398,19 +398,11 @@ def run_algorithm(
             raise ValueError(f"{algo} requires an accuracy epsilon")
         if assumed_opt is None:
             raise ValueError(f"{algo} is a known-optimum algorithm: pass the assumed optimum")
-        T = Fraction(assumed_opt)
-        if algo == "a3":
-            choice = a3_dispatch(eps, seq.m, T)
-            if choice.kind == "a1":
-                result = _run_plain_a1(seq, choice.eps, T, mode, check, lane_cap)
-            else:
-                result = _run_plain_a2(seq, eps, T, mode, check, lane_cap)
-            result.algo = "a3"
-            result.epsilon = eps
-            return result
-        if algo == "a1":
-            return _run_plain_a1(seq, eps, T, mode, check, lane_cap)
-        return _run_plain_a2(seq, eps, T, mode, check, lane_cap)
+        comp = compose(algo, eps, seq.m)  # resolves a3 to its family, once
+        run = _run_plain_a1 if comp.inner_algo == "a1" else _run_plain_a2
+        result = run(seq, comp.inner_eps, Fraction(assumed_opt), mode, check, lane_cap)
+        result.algo, result.epsilon = algo, eps
+        return result
     if algo in ("a1star", "a3star"):
         if eps is None:
             raise ValueError(f"{algo} requires an accuracy epsilon")

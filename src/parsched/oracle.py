@@ -9,14 +9,13 @@ seeds for the exact searches.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .core import Job, JobSequence, LaneRunner, Schedule
+from .core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule
 
 __all__ = [
     "MultisetInstance",
@@ -71,14 +70,16 @@ class ListScheduler:
         perm = list(perm)
         if sorted(perm) != list(range(1, m + 1)):
             raise ValueError("perm must be a permutation of 1..m")
+        # Loads by preference rank, so ties go to the most preferred machine.
+        self._perm = perm
         self._rank = {machine: r for r, machine in enumerate(perm)}
-        self._loads = [Fraction(0)] * m
+        self._loads = LeastLoaded([0] * m)
 
     def propose(self, job: Job) -> Optional[int]:
-        return min(range(1, self.m + 1), key=lambda j: (self._loads[j - 1], self._rank[j]))
+        return self._perm[self._loads.least()]
 
     def record(self, job: Job, machine: int) -> None:
-        self._loads[machine - 1] += job.p
+        self._loads.add(self._rank[machine], job.p)
 
 
 def opt_exact(seq: JobSequence, cap: int = 24) -> Fraction:
@@ -157,9 +158,6 @@ class MultisetInstance:
     def total(self) -> Fraction:
         return sum(s * c for s, c in self.classes)
 
-    def n_jobs(self) -> int:
-        return sum(c for _, c in self.classes)
-
 
 @dataclass
 class MultisetSchedule:
@@ -188,14 +186,14 @@ class MultisetSchedule:
 
 def _greedy_counts(sizes, counts, m):
     """Least-loaded placement of the multiset, largest sizes first."""
-    heap = [(0, j) for j in range(m)]
-    heapq.heapify(heap)
+    loads = LeastLoaded([0] * m)
     placed = [[0] * m for _ in sizes]
     for i, size in enumerate(sizes):
+        row = placed[i]
         for _ in range(counts[i]):
-            load, j = heapq.heappop(heap)
-            placed[i][j] += 1
-            heapq.heappush(heap, (load + size, j))
+            j = loads.least()
+            row[j] += 1
+            loads.add(j, size)
     return tuple(tuple(row) for row in placed)
 
 

@@ -16,13 +16,14 @@ selection sees complete schedules including pre-epoch jobs.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import InvariantViolation, Job, JobSequence, OnlineScheduler, Schedule, select_best
+from .core import (
+    InvariantViolation, Job, JobSequence, LeastLoaded, OnlineScheduler, Schedule, select_best,
+)
 from .rational import ceil_log
 
 __all__ = [
@@ -97,14 +98,16 @@ class GuessLane:
 
     Virtual and physical loads are integers in units of 1/S for the
     run-wide scale S of the driving ``AStar``; ``rescale`` follows its
-    growth.  The lane keeps its placements as two lists in arrival order
-    and builds its ``Schedule`` only when asked (``physical``), so a run
-    builds one, for the lane it selects.
+    growth.  The epoch's virtual loads are a ``LeastLoaded``, which a
+    failed lane asks for its least loaded virtual machine.  The lane
+    keeps its placements as two lists in arrival order and builds its
+    ``Schedule`` only when asked (``physical``), so a run builds one, for
+    the lane it selects.
     """
 
     __slots__ = (
         "m", "label", "jobs", "placed", "physical_loads", "inner", "failed", "fail_reason",
-        "virtual_loads", "_virt_heap", "binding", "bound_physical", "_free",
+        "virtual", "binding", "bound_physical", "_free",
     )
 
     def __init__(self, m: int, label: int):
@@ -116,8 +119,7 @@ class GuessLane:
         self.inner: Optional[OnlineScheduler] = None
         self.failed = False
         self.fail_reason: Optional[str] = None
-        self.virtual_loads = [0] * m
-        self._virt_heap: Optional[list] = None
+        self.virtual = LeastLoaded([0] * m)
         self.binding: dict[int, int] = {}
         self.bound_physical: set[int] = set()
         self._free: Optional[list[int]] = None
@@ -130,34 +132,17 @@ class GuessLane:
             schedule.assign(phys + 1, job)
         return schedule
 
-    def least_virtual(self) -> int:
-        # Only failed lanes ask: build the heap at an epoch's first failure.
-        heap = self._virt_heap
-        if heap is None:
-            heap = self._virt_heap = [(load, v) for v, load in enumerate(self.virtual_loads)]
-            heapq.heapify(heap)
-        while heap[0][0] != self.virtual_loads[heap[0][1]]:
-            heapq.heappop(heap)
-        return heap[0][1]
-
     def rescale(self, k: int) -> None:
         """Multiply the virtual and physical loads by k (the run-wide scale
-        grew k-fold).
-
-        Scaling keeps the heap's order, and a stale entry stays below its
-        machine's load, so the heap stays valid.
-        """
-        self.virtual_loads = [x * k for x in self.virtual_loads]
+        grew k-fold)."""
+        self.virtual.rescale(k)
         self.physical_loads = [x * k for x in self.physical_loads]
-        if self._virt_heap is not None:
-            self._virt_heap = [(load * k, v) for load, v in self._virt_heap]
 
     def reset_epoch(self, inner: OnlineScheduler) -> None:
         self.inner = inner
         self.failed = False
         self.fail_reason = None
-        self.virtual_loads = [0] * self.m
-        self._virt_heap = None
+        self.virtual = LeastLoaded([0] * self.m)
         self.binding = {}
         self.bound_physical = set()
         self._free = None
@@ -189,9 +174,7 @@ class GuessLane:
         self.jobs.append(job)
         self.placed.append(phys)
         self.physical_loads[phys] += q
-        load = self.virtual_loads[v] = self.virtual_loads[v] + q
-        if self._virt_heap is not None:
-            heapq.heappush(self._virt_heap, (load, v))
+        self.virtual.add(v, q)
         return phys
 
     def place(self, job: Job, q: int, prefix: int, caps: tuple[int, int, int]) -> Optional[str]:
@@ -203,10 +186,10 @@ class GuessLane:
         this job, else None.
         """
         if self.failed:
-            self.commit(job, self.least_virtual(), q)
+            self.commit(job, self.virtual.least(), q)
             return None
         proposal = self.inner.propose(job)
-        virtual_load = 0 if proposal is None else self.virtual_loads[proposal - 1]
+        virtual_load = 0 if proposal is None else self.virtual.loads[proposal - 1]
         reason = check_failure(proposal, virtual_load, q, prefix, caps)
         if reason is None:
             self.inner.record(job, proposal)
@@ -214,19 +197,18 @@ class GuessLane:
         else:
             self.failed = True
             self.fail_reason = reason
-            self.commit(job, self.least_virtual(), q)
+            self.commit(job, self.virtual.least(), q)
         return reason
 
 
 class _Group:
-    __slots__ = ("var_id", "gamma", "lanes", "live", "last_adjust_t", "caps")
+    __slots__ = ("var_id", "gamma", "lanes", "live", "caps")
 
     def __init__(self, var_id: int, gamma: Fraction, lanes: list[GuessLane]):
         self.var_id = var_id
         self.gamma = gamma
         self.lanes = lanes
         self.live = len(lanes)  # lanes that have not failed
-        self.last_adjust_t = 1
         self.caps = (0, 0, 0)  # check_failure's caps, set by AStar._set_caps
 
 
@@ -328,7 +310,6 @@ class AStar:
                    old=str(group.gamma), new=str(new_gamma))
         group.gamma = new_gamma
         self._set_caps(group)
-        group.last_adjust_t = self.t
         self.adjustments += 1
         inners = list(self.factory(new_gamma, self.t))
         if len(inners) != self.lanes_per_guess:
@@ -348,7 +329,7 @@ class AStar:
             # first job on the machine the fresh inner would open.
             lane.binding[v] = phys_of_job
             lane.bound_physical.add(phys_of_job)
-            lane.virtual_loads[v] = q
+            lane.virtual.add(v, q)
         group.live = sum(not lane.failed for lane in group.lanes)
 
     def _place(self, job: Job, q: int) -> int:

@@ -92,21 +92,26 @@ def test_small_rule_tracks_virtual_plus_small():
     p = a1_partition(F(1), F(1))
     plan = A1Plan.build(p, 2, (1, 0))  # one large slot on machine 1
     lane = A1State(plan)
-    assert plan.ell_star == (F(3, 4), F(0))
+    assert [F(x, p.unit) for x in plan.loads] == [F(3, 4), F(0)]
     assert lane.step(Job(1, F(1, 2))) == 2  # ell*(1)=3/4 beats 0
     assert lane.step(Job(2, F(1, 2))) == 2  # 3/4 still beats 1/2
     assert lane.step(Job(3, F(1, 2))) == 1  # now 3/4 < 1
 
 
 def _simulate_true_lane(seq, eps, T):
+    """The true census lane after the whole sequence, and each machine's
+    load of large jobs."""
     partition = a1_partition(eps, T)
     vector = a1_true_vector(seq.jobs, partition, seq.m)
     plan = A1Plan.build(partition, seq.m, vector)
     lane = A1State(plan)
+    large = [F(0)] * seq.m
     for job in seq:
         machine = lane.step(job)
         assert machine is not None
-    return lane
+        if partition.classify(job.p) != 0:
+            large[machine - 1] += job.p
+    return lane, large
 
 
 @pytest.mark.parametrize("m,seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
@@ -114,11 +119,12 @@ def test_true_lane_guarantee_on_planted(m, seed):
     eps = F(1)
     for k in range(10):
         seq = gen_planted(m, counts=(1, 4), denom=24, seed=seed * 100 + k)
-        lane = _simulate_true_lane(seq, eps, F(1))
+        lane, large = _simulate_true_lane(seq, eps, F(1))
         assert max(lane.loads) <= (1 + eps) * 1
         # Large jobs never push a machine past its virtual allocation.
+        unit = lane.plan.partition.unit
         for j in range(m):
-            assert lane.large_load[j] <= lane.plan.ell_star[j]
+            assert large[j] <= F(lane.plan.loads[j], unit)
 
 
 def test_full_family_best_lane_within_guarantee():
@@ -132,6 +138,16 @@ def test_full_family_best_lane_within_guarantee():
             runner.run(seq.jobs)
             schedules.append(runner.schedule)
         assert select_best(schedules).makespan() <= 2
+
+
+def small_levels(lane):
+    """An A1State's virtual plus small load per machine, as Fractions: with
+    equal loads, equal levels mean equal loads of large jobs."""
+    return [F(x, lane._scale) for x in lane._level.loads]
+
+
+def ref_levels(ref):
+    return [star + small for star, small in zip(ref.plan.ell_star, ref.ell_s)]
 
 
 class FractionA1Lane:
@@ -205,15 +221,20 @@ class FractionA1Lane:
 @settings(max_examples=200, deadline=None)
 def test_integer_lane_matches_fraction_reference(eps, m, T, rng):
     """A1State over lane-local integers proposes, loads and splits loads
-    exactly like the Fraction lane, including when sizes with fresh
-    denominators (2..60) grow the scale mid-stream, on bounds, above the
-    top bound, with a quarter of the jobs recorded off-proposal and some
-    recorded after proposing another job."""
+    into large and small exactly like the Fraction lane over the Fraction
+    plan, including when sizes with fresh denominators (2..60) grow the
+    scale mid-stream, on bounds, above the top bound, with a quarter of
+    the jobs recorded off-proposal and some recorded after proposing
+    another job."""
     partition = a1_partition(eps, T)
     cap = a1_count_cap(m, partition.eps_prime)
     vector = tuple(rng.randint(0, min(cap, 3)) for _ in range(partition.levels))
     plan = A1Plan.build(partition, m, vector, exact=False)
-    lane, ref = A1State(plan), FractionA1Lane(plan)
+    n_star, ell_star = fraction_plan_reference(partition, m, vector, exact=False)
+    assert plan.n_star == n_star
+    lane = A1State(plan)
+    ref = FractionA1Lane(SimpleNamespace(m=m, partition=partition, n_star=n_star,
+                                         ell_star=ell_star))
     top = partition.bounds[-1]
     recorded = None
     for t in range(1, rng.randint(1, 60) + 1):
@@ -236,7 +257,7 @@ def test_integer_lane_matches_fraction_reference(eps, m, T, rng):
         ref.record(job, machine)
         recorded = job
         assert lane.loads == ref.loads
-        assert lane.large_load == ref.large_load
+        assert small_levels(lane) == ref_levels(ref)
     fresh = Job(100, partition.bounds[0])
     for machine in (0, m + 1):
         with pytest.raises(ValueError):
@@ -311,7 +332,8 @@ def test_cached_integer_plan_matches_fraction_reference(eps, m, certify, data):
                 n_star, ell_star = fraction_plan_reference(partition, m, vector, exact, bound)
                 assert (plan.partition, plan.vector) == (partition, vector)
                 assert plan.n_star == n_star
-                assert plan.ell_star == ell_star
+                unit = partition.unit
+                assert tuple(F(x * T.numerator, unit * T.denominator) for x in plan.loads) == ell_star
                 assert all(type(x) is int for x in plan.loads)
     assert len(plans) == len({(v, exact) for v in vectors for exact in (True, False)})
     # Stepping: the cached plan against the reference plan at the last guess.
@@ -337,4 +359,4 @@ def test_cached_integer_plan_matches_fraction_reference(eps, m, certify, data):
             lane.record(job, machine)
             ref.record(job, machine)
             assert lane.loads == ref.loads
-            assert lane.large_load == ref.large_load
+            assert small_levels(lane) == ref_levels(ref)

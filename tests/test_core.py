@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsched.core import Job, JobSequence, LaneRunner, Schedule, select_best
+from parsched.core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule, select_best
 
 
 def test_job_validation():
@@ -126,6 +126,41 @@ def test_integer_loads_match_fraction_sums_as_scale_grows(m, dens, data):
     heavier = jobs[:-1] + [Job(jobs[-1].index, jobs[-1].p + F(1, 61))]
     assert not s.check_loads(heavier)
     assert s.machines_by_load() == sorted(range(m), key=lambda i: (sums[i], i))
+
+
+# (machine or -1 for a rescale, numerator, denominator): few values, many ties.
+_amount = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=3))
+_op = st.tuples(st.integers(min_value=-1, max_value=4), _amount)
+
+
+@given(
+    m=st.integers(min_value=1, max_value=5),
+    fractions=st.booleans(),
+    start=st.lists(_amount, min_size=5, max_size=5),
+    ops=st.lists(_op, max_size=30),
+    first_ask=st.integers(min_value=0, max_value=31),
+)
+@settings(max_examples=300)
+def test_least_loaded_matches_scan(m, fractions, start, ops, first_ask):
+    """LeastLoaded returns the least (load, index) of a plain scan after
+    every step: adds (zero ones included), rescales, equal loads, with
+    least() first asked early, late or never, over ints and Fractions."""
+
+    def value(num, den):
+        return F(num, den) if fractions else num
+
+    ref = [value(*a) for a in start[:m]]
+    loads = LeastLoaded(list(ref))
+    for step, (j, (num, den)) in enumerate(ops):
+        if j < 0:
+            loads.rescale(num + 1)
+            ref = [x * (num + 1) for x in ref]
+        else:
+            loads.add(j % m, value(num, den))
+            ref[j % m] += value(num, den)
+        if step >= first_ask:
+            assert loads.least() == min(range(m), key=lambda i: (ref[i], i))
+        assert loads.loads == ref
 
 
 _BROKEN_CHECK = """

@@ -90,8 +90,15 @@ def test_dedup_sweep_matches_per_lane_fraction_loop(eps, m, T, rng):
 
 
 def test_sweep_rejects_oversized_jobs():
-    with pytest.raises(ValueError):
-        fullsim.a2_full_sweep(F(1), 16, F(1), [F(2)], lanes=(0, 1))
+    with pytest.raises(ValueError, match="exceeds the top class bound for T=1"):
+        fullsim.a2_full_sweep(F(1), 16, F(1), [F(1, 3), F(2)], lanes=(0, 1))
+
+
+@pytest.mark.parametrize("bad", [F(0), F(-1, 7)])
+def test_sweep_rejects_nonpositive_jobs(bad):
+    """A size of zero or less is an error, not a small job."""
+    with pytest.raises(ValueError, match="must be positive"):
+        fullsim.a2_full_sweep(F(1), 16, F(1), [F(1, 3), bad, F(1, 2)], lanes=(0, 1))
 
 
 def test_brute_force_backends_agree():

@@ -289,8 +289,8 @@ def test_least_virtual_matches_scan(seed):
         for group in state.groups:
             for lane in group.lanes:
                 if lane.failed or rng.random() < 0.2:
-                    scan = min(range(m), key=lambda v: (lane.virtual_loads[v], v))
-                    assert lane.least_virtual() == scan
+                    scan = min(range(m), key=lambda v: (lane.virtual.loads[v], v))
+                    assert lane.virtual.least() == scan
 
 
 # A test-local copy of the wrapper over Fractions, before its loads, caps
