@@ -9,7 +9,7 @@ force the known lower bounds.
 """
 
 from .core import Job, JobSequence, LaneRunner, Schedule, select_best
-from .rational import Rational, ceil_log, format_rational, parse_rational
+from .rational import ceil_log, format_rational, parse_rational
 
 __version__ = "0.1.0"
 
@@ -19,7 +19,6 @@ __all__ = [
     "LaneRunner",
     "Schedule",
     "select_best",
-    "Rational",
     "ceil_log",
     "format_rational",
     "parse_rational",

@@ -8,28 +8,51 @@ on integers only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-__all__ = ["common_scale", "scale_values", "ScaledLane"]
+__all__ = ["common_scale", "scale_values", "class_counts", "stream_counts", "ScaledLane"]
 
 
 def common_scale(values: Iterable[Fraction]) -> int:
-    scale = 1
-    for v in values:
-        scale = math.lcm(scale, Fraction(v).denominator)
-    return scale
+    """The lcm of the values' denominators."""
+    return math.lcm(*{v.denominator for v in values})
 
 
 def scale_values(values: Sequence[Fraction], scale: int) -> list[int]:
+    """Each value times ``scale``, which must be a common denominator of them all."""
     out = []
     for v in values:
-        f = Fraction(v) * scale
-        if f.denominator != 1:
+        k, rem = divmod(scale, v.denominator)
+        if rem:
             raise ValueError("scale is not a common denominator of the values")
-        out.append(f.numerator)
+        out.append(v.numerator * k)
     return out
+
+
+def class_counts(sizes: Sequence[int], edges: Sequence[int]) -> list[int]:
+    """Counts of the sorted integers ``sizes`` in (edges[i-1], edges[i]] for
+    i = 1..len(edges)-1.
+
+    A size q/S is at most a bound b exactly when q <= floor(b*S), because
+    q is an integer; so the edges floor(b*S) count sizes in units of 1/S
+    against the bounds b exactly."""
+    cuts = [bisect_right(sizes, e) for e in edges]
+    return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+
+
+def stream_counts(jobs, census: Callable[[list[int], int], list[int]], top: Fraction) -> list[int]:
+    """``census(sizes, S)`` of a job stream: its sizes in units of 1/S, for
+    the lcm S of their denominators, sorted.  A job above ``top``, the top
+    class bound, raises ValueError naming the first such job to arrive."""
+    ps = [job.p for job in jobs]
+    scale = common_scale(ps)
+    sizes = sorted(scale_values(ps, scale))
+    if sizes and sizes[-1] * top.denominator > top.numerator * scale:
+        p = next(p for p in ps if p > top)
+        raise ValueError(f"job of size {p} exceeds the top class bound")
+    return census(sizes, scale)
 
 
 class ScaledLane:

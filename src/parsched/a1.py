@@ -11,14 +11,13 @@ plus accumulated small load is lowest.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from ._scaling import ScaledLane, common_scale, scale_values
-from .core import Job, LeastLoaded, default_lane_cap
+from ._scaling import ScaledLane, class_counts, common_scale, scale_values, stream_counts
+from .core import Job, LaneCapExceeded, LeastLoaded, check_lane_cap
 from .oracle import MultisetInstance, lpt_multiset, opt_multiset
 from .rational import ceil_log
 
@@ -39,26 +38,20 @@ __all__ = [
 SMALL = 0
 
 
-class LaneCapExceeded(RuntimeError):
-    """A full lane family would exceed the configured lane cap."""
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     """Size classes under assumed optimum T.
 
     Class 0 holds small jobs, sizes in (0, eps'*T].  Class i >= 1 holds
     sizes in (bounds[i-1], bounds[i]] where bounds[i] = (1+eps')^i *
-    eps' * T, so a size's class is bisect_left(bounds, size), levels + 1
-    meaning none.  The top bound is always >= T, so every job of a
-    sequence whose true optimum is <= T falls into some class.
+    eps' * T; a size above bounds[levels] has no class.  The top bound is
+    always >= T, so every job of a sequence whose true optimum is <= T
+    falls into some class.
 
     Only T depends on the guess.  The bounds are T times a fixed ladder,
     bounds[i] = ladder[i] * T / unit, for the integers ``ladder`` and
     their common denominator ``unit``, which depend on eps alone; plans,
-    lanes and the targeted census work on the ladder in integers, and
-    the Fraction ``bounds`` are only derived, on first use, for
-    ``classify`` and ``rounded_size``.
+    lanes and ``census`` work on the ladder in integers.
     """
 
     eps: Fraction
@@ -70,22 +63,15 @@ class ClassPartition:
 
     @cached_property
     def bounds(self) -> tuple[Fraction, ...]:
-        """bounds[0] = eps'*T .. bounds[levels], as Fractions."""
+        """bounds[0] = eps'*T .. bounds[levels], as Fractions, derived on first use."""
         num, den = self.T.numerator, self.T.denominator * self.unit
         return tuple(Fraction(x * num, den) for x in self.ladder)
 
-    def classify(self, p: Fraction) -> Optional[int]:
-        """Class of size p: 0 = small, 1..levels = large, None = too big."""
-        if p <= 0:
-            raise ValueError("processing time must be positive")
-        cls = bisect_left(self.bounds, p)
-        return cls if cls <= self.levels else None
-
-    def rounded_size(self, cls: int) -> Fraction:
-        """Ceiling used as the pessimistic stand-in for a class-cls job."""
-        if not 1 <= cls <= self.levels:
-            raise ValueError("rounded_size applies to large classes only")
-        return self.bounds[cls]
+    def census(self, sizes: Sequence[int], scale: int) -> list[int]:
+        """Per-class counts, classes 1..levels, of sorted sizes in units of
+        1/scale, against the edges floor(bounds[i]*scale) read off the ladder."""
+        num, den = self.T.numerator * scale, self.T.denominator * self.unit
+        return class_counts(sizes, [x * num // den for x in self.ladder])
 
 
 @lru_cache(maxsize=None)
@@ -123,13 +109,7 @@ def a1_true_vector(jobs: Iterable[Job], partition: ClassPartition, m: int) -> tu
     Raises if a count exceeds floor(m/eps') or a job exceeds the top
     class bound, both of which certify that the true optimum is above T.
     """
-    counts = [0] * partition.levels
-    for job in jobs:
-        cls = partition.classify(job.p)
-        if cls is None:
-            raise ValueError(f"job of size {job.p} exceeds the top class bound")
-        if cls != SMALL:
-            counts[cls - 1] += 1
+    counts = stream_counts(jobs, partition.census, partition.bounds[-1])
     cap = a1_count_cap(m, partition.eps_prime)
     for i, c in enumerate(counts):
         if c > cap:
@@ -331,12 +311,6 @@ def a1_family(
         if any(v < 0 or v > cap for v in vector):
             raise ValueError("vector entries must lie in 0..floor(m/eps')")
         return A1Family(partition, m, [vector], plans)
-    lane_cap = default_lane_cap(lane_cap)
-    total = (cap + 1) ** partition.levels
-    if total > lane_cap:
-        raise LaneCapExceeded(
-            f"full family has {total} lanes, above the cap {lane_cap}; "
-            "use a targeted vector or raise the cap"
-        )
+    check_lane_cap((cap + 1) ** partition.levels, lane_cap)
     vectors = list(itertools.product(range(cap + 1), repeat=partition.levels))
     return A1Family(partition, m, vectors, plans)

@@ -11,13 +11,12 @@ sparsification.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from ._scaling import ScaledLane, common_scale, scale_values
+from ._scaling import ScaledLane, class_counts, common_scale, scale_values, stream_counts
 from .core import Job
 from .rational import ceil_log
 
@@ -28,7 +27,6 @@ __all__ = [
     "A2State",
     "AlgoChoice",
     "a2_params",
-    "a2_classify",
     "a2_rule_thresholds",
     "a2_block_lengths",
     "a2_config_from_u",
@@ -95,6 +93,11 @@ class A2Params:
         """small_max, then the class bounds: a size's class is bisect_left(size_bounds, size)."""
         return (self.small_max,) + self.class_bounds
 
+    def census(self, sizes: Sequence[int], scale: int) -> list[int]:
+        """Per-class counts, classes 1..2l-1, of sorted sizes in units of
+        1/scale, against the edges floor(b*scale) of the size bounds b."""
+        return class_counts(sizes, [b.numerator * scale // b.denominator for b in self.size_bounds])
+
     def slots_of(self, cls: int) -> int:
         """Core slot count for a class: two medium jobs or one doubled job."""
         if not 1 <= cls <= self.n_classes:
@@ -142,15 +145,6 @@ def a2_params(eps: Fraction, m: int, T: Fraction) -> A2Params:
                     int(mu), int(kappa), int(m0), m, T)
 
 
-def a2_classify(params: A2Params, p: Fraction) -> Optional[int]:
-    """0 = small, 1..2*levels-1 = class index, None = above the top bound."""
-    p = Fraction(p)
-    if p <= 0:
-        raise ValueError("processing time must be positive")
-    cls = bisect_left(params.size_bounds, p)
-    return cls if cls <= params.n_classes else None
-
-
 def a2_rule_thresholds(params: A2Params):
     """(scale, size_bounds, cap, fill, ell_minus, ell_plus) over integers in
     units of 1/scale, the least common denominator of them all: the class
@@ -166,15 +160,10 @@ def a2_rule_thresholds(params: A2Params):
 
 
 def a2_class_counts(params: A2Params, jobs) -> tuple[int, ...]:
-    """Per-class counts of the large jobs in a stream (class 1..2l-1)."""
-    counts = [0] * params.n_classes
-    for job in jobs:
-        cls = a2_classify(params, job.p)
-        if cls is None:
-            raise ValueError(f"job of size {job.p} exceeds the top class bound")
-        if cls != SMALL:
-            counts[cls - 1] += 1
-    return tuple(counts)
+    """Per-class counts of the large jobs in a stream (class 1..2l-1).
+
+    Raises if a job exceeds the top class bound."""
+    return tuple(stream_counts(jobs, params.census, params.size_bounds[-1]))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .a2 import a2_params
+from .a2 import a2_family_size, a2_params
 from .adversary import RandomScheduler, StackScheduler, lb1_run, lb2_run
 from .core import JobSequence
 from .harness import ExperimentConfig, gen_planted, run_algorithm, run_batch
@@ -94,6 +94,14 @@ def _add_batch(sub):
 
 def _rot(text):
     return parse_rational(text) if text is not None else None
+
+
+def _counts(args):
+    """Per-machine job counts for the generator: one count, or the range
+    --count-min..--count-max."""
+    if args.count_min == args.count_max:
+        return args.count_min
+    return args.count_min, args.count_max
 
 
 def _load(path: str) -> JobSequence:
@@ -178,10 +186,7 @@ def main(argv=None) -> int:
 
 def _command(args) -> int:
     if args.command == "gen":
-        counts = (args.count_min, args.count_max)
-        if args.count_min == args.count_max:
-            counts = args.count_min
-        seq = gen_planted(args.m, counts, args.denom, seed=args.seed,
+        seq = gen_planted(args.m, _counts(args), args.denom, seed=args.seed,
                           order=args.order, min_num=args.min_num,
                           verify_cap=args.verify_cap)
         seq.save(args.out)
@@ -217,6 +222,8 @@ def _command(args) -> int:
             "makespan": format_rational(result.makespan),
             "best_label": result.best_label,
             "adjustments": result.adjustments,
+            "live_lane": result.live_lane,
+            "fill_violations": result.fill_violations,
         }
         if result.opt is not None:
             doc["opt"] = format_rational(result.opt)
@@ -261,7 +268,7 @@ def _command(args) -> int:
             "mu": params.mu,
             "kappa": params.kappa,
             "m0": params.m0,
-            "family_size": (params.kappa + 1) ** params.n_classes,
+            "family_size": a2_family_size(params),
             "small_max": format_rational(params.small_max),
             "load_cap": format_rational(params.load_cap),
             "machine_threshold": format_rational(params.threshold()),
@@ -270,13 +277,10 @@ def _command(args) -> int:
         return 0
 
     if args.command == "batch":
-        counts = (args.count_min, args.count_max)
-        if args.count_min == args.count_max:
-            counts = args.count_min
         rows = run_batch(ExperimentConfig(
             algo=args.algo, epsilon=_rot(args.epsilon), m=args.m,
             instances=args.instances, mode=args.mode, seed=args.seed,
-            counts=counts, denom=args.denom, check=args.check_lemmas,
+            counts=_counts(args), denom=args.denom, check=args.check_lemmas,
             jsonl_path=args.jsonl, csv_path=args.csv,
         ))
         print(json.dumps({"instances": len(rows)}))

@@ -28,6 +28,8 @@ __all__ = [
     "LeastLoaded",
     "select_best",
     "default_lane_cap",
+    "LaneCapExceeded",
+    "check_lane_cap",
 ]
 
 _LANE_CAP_ENV = "PARSCHED_LANE_CAP"
@@ -49,6 +51,21 @@ def default_lane_cap(lane_cap: Optional[int] = None) -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{_LANE_CAP_ENV} must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+class LaneCapExceeded(RuntimeError):
+    """A full lane family would exceed the lane cap."""
+
+
+def check_lane_cap(total: int, lane_cap: Optional[int] = None) -> None:
+    """Raise LaneCapExceeded if a full family of ``total`` lanes exceeds the
+    cap from ``default_lane_cap(lane_cap)``."""
+    cap = default_lane_cap(lane_cap)
+    if total > cap:
+        raise LaneCapExceeded(
+            f"full family has {total} lanes, above the cap {cap}; "
+            "run it targeted or raise the cap"
+        )
 
 
 class InvariantViolation(AssertionError):

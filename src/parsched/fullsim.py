@@ -28,7 +28,7 @@ from .a2 import (
     a2_rule_thresholds,
     lane_index_to_u,
 )
-from .core import JobSequence, default_lane_cap
+from .core import JobSequence, check_lane_cap
 
 __all__ = [
     "A2Sweep",
@@ -116,11 +116,7 @@ def a2_full_sweep(
     params = a2_params(Fraction(eps), m, Fraction(T))
     total_lanes = a2_family_size(params)
     if lanes is None:
-        lane_cap = default_lane_cap(lane_cap)
-        if total_lanes > lane_cap:
-            raise RuntimeError(
-                f"full family has {total_lanes} lanes, above the cap {lane_cap}"
-            )
+        check_lane_cap(total_lanes, lane_cap)
         lanes = (0, total_lanes)
     lane_lo, lane_hi = lanes
     if not 0 <= lane_lo <= lane_hi <= total_lanes:

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import random
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
+from ._scaling import common_scale, scale_values
 from .a1 import (
     A1Plans,
     A1State,
@@ -70,6 +69,7 @@ __all__ = [
 ]
 
 ORDERS = ("shuffle", "largest_first", "smallest_first", "interleave", "as_planted")
+BATCH_ORDERS = ORDERS[:4]  # a batch's instances cycle through these arrival orders
 
 
 def _composition_parts(rng: random.Random, total: int, parts: int, floor: int) -> list[int]:
@@ -163,12 +163,10 @@ def gen_planted(
 def _suffix_census(seq: JobSequence) -> tuple[int, Callable[[int], tuple[list[int], int]]]:
     """(S, census) for the lcm S of the job denominators: census maps start_t
     to the sizes of jobs start_t.. in units of 1/S, sorted, and their total.
-    Every guess of an epoch asks for the same start_t, so one answer is kept.
-
-    A size q/S is at most a bound b exactly when q <= floor(b*S), because
-    q is an integer; so each guess only floors its class edges."""
-    scale = math.lcm(*{job.p.denominator for job in seq.jobs})
-    scaled = [job.p.numerator * (scale // job.p.denominator) for job in seq.jobs]
+    Every guess of an epoch asks for the same start_t, so one answer is kept."""
+    ps = [job.p for job in seq.jobs]
+    scale = common_scale(ps)
+    scaled = scale_values(ps, scale)
 
     @lru_cache(maxsize=1)
     def census(start_t: int) -> tuple[list[int], int]:
@@ -176,17 +174,6 @@ def _suffix_census(seq: JobSequence) -> tuple[int, Callable[[int], tuple[list[in
         return sizes, sum(sizes)
 
     return scale, census
-
-
-def _ladder_counts(sizes: list[int], edges: Sequence[int]) -> list[int]:
-    """Counts of sorted sizes in (edges[i-1], edges[i]] for i = 1..len(edges)-1."""
-    cuts = [bisect_right(sizes, b) for b in edges]
-    return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _floor_edges(bounds: Sequence[Fraction], scale: int) -> list[int]:
-    """floor(b*scale) for each bound b, the integer edges of ``_ladder_counts``."""
-    return [b.numerator * scale // b.denominator for b in bounds]
 
 
 def _a1_suffix_census(
@@ -199,13 +186,10 @@ def _a1_suffix_census(
     jobs above the top bound, itself >= T) or a total above m*T.  A
     count above its cap, or a rounded volume above m*(1+eps')*T, implies
     such a total: class sizes exceed eps'*T and round up by at most 1+eps'.
-    The class edges floor(bounds[i]*scale) come straight from the ladder.
     """
     T = partition.T
     num, den = T.numerator * scale, T.denominator
-    edge_den = den * partition.unit
-    edges = [x * num // edge_den for x in partition.ladder]
-    vector = tuple(min(c, cap) for c in _ladder_counts(sizes, edges))
+    vector = tuple(min(c, cap) for c in partition.census(sizes, scale))
     return vector, (bool(sizes) and sizes[-1] * den > num) or total * den > m * num
 
 
@@ -239,7 +223,7 @@ def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
 
     def make(T: Fraction, start_t: int):
         params = a2_params(eps_inner, seq.m, T)
-        counts = _ladder_counts(census(start_t)[0], _floor_edges(params.size_bounds, scale))
+        counts = params.census(census(start_t)[0], scale)
         try:
             u = a2_valid_u(params, counts)
         except ValueError:
@@ -419,12 +403,18 @@ def run_algorithm(
             factory = a1_full_factory(comp.inner_eps, seq.m, lane_cap)
         state = AStar(comp.wrapper, seq.m, factory, check=check, trace=trace)
         best = state.run(seq)
+        live = state.smallest_guess_has_live_lane() if state.groups else None
+        violations = state.fill_violations()
+        if check and violations:
+            raise InvariantViolation("a configuration lane violated the fill-line property")
+        if check and live is False:
+            raise InvariantViolation("the smallest guess has no live lane")
         return RunResult(
             algo, eps, seq.m, len(seq), state.lane_count(),
             best.makespan(), best.label, adjustments=state.adjustments,
             opt=seq.planted_opt,
             gamma1=state.smallest_gamma() if state.groups else None,
-            live_lane=state.smallest_guess_has_live_lane() if state.groups else None,
+            live_lane=live, fill_violations=violations,
         )
     raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -448,12 +438,9 @@ class ExperimentConfig:
     seed: int = 0
     counts: int | tuple[int, int] | Sequence[int] = (1, 3)
     denom: int = 48
-    assumed_opt: Optional[Fraction] = None
     check: bool = False
-    lane_cap: Optional[int] = None
     jsonl_path: Optional[str] = None
     csv_path: Optional[str] = None
-    orders: Sequence[str] = ("shuffle", "largest_first", "smallest_first", "interleave")
 
 
 def run_batch(config: ExperimentConfig) -> list[dict]:
@@ -466,17 +453,13 @@ def run_batch(config: ExperimentConfig) -> list[dict]:
         raise ValueError(f"instance count must be nonnegative, got {config.instances}")
     rows = []
     for k in range(config.instances):
-        order = config.orders[k % len(config.orders)]
+        order = BATCH_ORDERS[k % len(BATCH_ORDERS)]
         seq = gen_planted(config.m, config.counts, config.denom,
                           seed=config.seed + k, order=order)
-        assumed = config.assumed_opt
-        if config.algo in ("a1", "a2", "a3") and assumed is None:
-            assumed = seq.planted_opt
+        assumed = seq.planted_opt if config.algo in ("a1", "a2", "a3") else None
         t0 = time.perf_counter()
-        result = run_algorithm(
-            config.algo, seq, config.epsilon, assumed_opt=assumed,
-            mode=config.mode, check=config.check, lane_cap=config.lane_cap,
-        )
+        result = run_algorithm(config.algo, seq, config.epsilon, assumed_opt=assumed,
+                               mode=config.mode, check=config.check)
         ms = int((time.perf_counter() - t0) * 1000)
         ratio = result.ratio
         row = {

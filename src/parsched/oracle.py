@@ -88,7 +88,8 @@ def opt_exact(seq: JobSequence, cap: int = 24) -> Fraction:
     Jobs are placed in non-increasing size order; machines with equal
     current load are interchangeable, so only one of them is branched on
     (this also means a job may open at most one currently-empty
-    machine).  The incumbent is seeded by LPT.
+    machine).  Once only jobs of one size remain, they go to least loaded
+    machines without branching.  The incumbent is seeded by LPT.
     """
     n = len(seq)
     if n > cap:
@@ -107,11 +108,15 @@ def opt_exact(seq: JobSequence, cap: int = 24) -> Fraction:
         nonlocal best
         if best == floor_bound:
             return
-        if idx == n:
-            if cur_max < best:
-                best = cur_max
-            return
         p = sizes[idx]
+        if p == sizes[-1]:
+            # Only jobs of size p remain, and for equal jobs Graham's rule
+            # is optimal: each one on a least loaded machine.
+            tail = LeastLoaded(list(loads))
+            for _ in range(idx, n):
+                tail.add(tail.least(), p)
+            best = min(best, max(cur_max, *tail.loads))
+            return
         seen: set[Fraction] = set()
         for j in range(m):
             lj = loads[j]

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Rational", "parse_rational", "format_rational", "ceil_log"]
-
-# All public APIs accept and return plain Fractions.
-Rational = Fraction
+__all__ = ["parse_rational", "format_rational", "ceil_log"]
 
 
 def parse_rational(text: str) -> Fraction:

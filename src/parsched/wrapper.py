@@ -238,6 +238,7 @@ class AStar:
         self.t = 0
         self.adjustments = 0
         self.lanes_per_guess = 0
+        self._past_violations = 0  # fill-line violations of inners replaced at adjustments
         self._scale = 1
         self._prefix = 0
         self._step = 1 + params.eps_g  # ratio of neighbouring guesses
@@ -315,6 +316,7 @@ class AStar:
         if len(inners) != self.lanes_per_guess:
             raise ValueError("inner factory must return a fixed number of lanes")
         for lane, inner in zip(group.lanes, inners):
+            self._past_violations += getattr(lane.inner, "fill_violations", 0)
             phys_of_job = lane.placed[-1]  # where the lane just put the job
             lane.reset_epoch(inner)
             proposal = inner.propose(job)
@@ -399,6 +401,16 @@ class AStar:
 
     def lane_count(self) -> int:
         return sum(len(group.lanes) for group in self.groups)
+
+    def fill_violations(self) -> int:
+        """Fill-line violations counted by the inner lanes over all epochs.
+
+        Only configuration lanes count them; an inner without a
+        ``fill_violations`` count (a census lane, or a proxy that forwards
+        only ``propose`` and ``record``) adds zero."""
+        return self._past_violations + sum(
+            getattr(lane.inner, "fill_violations", 0)
+            for group in self.groups for lane in group.lanes)
 
 
 def astar_init(

@@ -33,12 +33,19 @@ def test_partition_examples():
 
 def test_classify_examples():
     p = a1_partition(F(1), F(1))
-    assert p.classify(F(1, 2)) == 0  # boundary stays small
-    assert p.classify(F(3, 5)) == 1
-    assert p.classify(F(1)) == 2
-    assert p.classify(F(2)) is None
+
+    def census(size):
+        return a1_true_vector([Job(1, F(size))], p, 2)
+
+    assert census(F(1, 2)) == (0, 0)  # boundary stays small
+    assert census(F(3, 5)) == (1, 0)
+    assert census(F(3, 4)) == (1, 0)  # a class bound is in its class
+    assert census(F(1)) == (0, 1)
+    assert census(F(9, 8)) == (0, 1)  # the top bound
+    with pytest.raises(ValueError, match="job of size 2 exceeds the top class bound"):
+        census(F(2))
     with pytest.raises(ValueError):
-        p.classify(F(0))
+        census(F(0))
 
 
 @given(eps=st.fractions(min_value=F(1, 20), max_value=F(1)),
@@ -109,7 +116,7 @@ def _simulate_true_lane(seq, eps, T):
     for job in seq:
         machine = lane.step(job)
         assert machine is not None
-        if partition.classify(job.p) != 0:
+        if job.p > partition.bounds[0]:  # a large job
             large[machine - 1] += job.p
     return lane, large
 
@@ -272,7 +279,7 @@ def fraction_plan_reference(partition, m, vector, exact=True, certify=None):
     """Test-local copy of A1Plan.build as it was over Fractions: the virtual
     schedule of the class ceilings at the partition's T, certified against
     the absolute bound ``certify``.  Returns (n_star, ell_star)."""
-    sizes = [partition.rounded_size(i + 1) for i in range(partition.levels)]
+    sizes = partition.bounds[1:]  # each class's ceiling
     inst = MultisetInstance(tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0), m)
     if not exact:
         ms = lpt_multiset(inst)

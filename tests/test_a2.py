@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,6 @@ from parsched.a2 import (
     A2State,
     TargetConfiguration,
     a2_class_counts,
-    a2_classify,
     a2_config_from_u,
     a2_family_size,
     a2_is_valid,
@@ -71,11 +71,18 @@ def test_parameter_identities(eps, T):
 
 def test_classify_examples():
     p = EPS_ONE
-    assert a2_classify(p, F(7, 12)) == 0
-    assert a2_classify(p, F(3, 5)) == 1
-    assert a2_classify(p, F(1)) == 2
-    assert a2_classify(p, F(6, 5)) == 3
-    assert a2_classify(p, F(13, 10)) is None
+
+    def census(size):
+        return a2_class_counts(p, [Job(1, F(size))])
+
+    assert census(F(7, 12)) == (0, 0, 0)  # the small bound stays small
+    assert census(F(3, 5)) == (1, 0, 0)
+    assert census(F(5, 8)) == (1, 0, 0)  # a class bound is in its class
+    assert census(F(1)) == (0, 1, 0)
+    assert census(F(6, 5)) == (0, 0, 1)
+    assert census(F(5, 4)) == (0, 0, 1)  # the top bound
+    with pytest.raises(ValueError, match="job of size 13/10 exceeds the top class bound"):
+        census(F(13, 10))
 
 
 def test_config_from_u():
@@ -370,10 +377,10 @@ def test_rule_small_runs_match_reference_across_rescale(eps, m, rng):
 @settings(max_examples=200, deadline=None)
 def test_integer_lane_matches_fraction_rule(eps, m, T, rng):
     """A2State over lane-local integers proposes, loads and counts fill-line
-    violations exactly like A2Rule driven over Fractions with a2_classify,
-    including when sizes with fresh denominators (2..60) grow the scale
-    mid-stream, on bounds, above the top bound, off-proposal and after
-    proposing another job."""
+    violations exactly like A2Rule driven over Fractions and classified by
+    bisecting the Fraction size bounds, including when sizes with fresh
+    denominators (2..60) grow the scale mid-stream, on bounds, above the
+    top bound, off-proposal and after proposing another job."""
     params = a2_params(eps, m, T)
     if rng.random() < 0.5:
         u = [rng.randint(0, min(3, params.kappa)) for _ in range(params.n_classes)]
@@ -394,8 +401,8 @@ def test_integer_lane_matches_fraction_rule(eps, m, T, rng):
             den = rng.randint(2, 60)
             p = F(rng.randint(1, den), den) * top * F(rng.choice([1, 1, 1, 9]), 8)
         job = Job(t, p)
-        cls = a2_classify(params, p)
-        proposal = None if cls is None else ref.choose(cls, p) + 1
+        cls = bisect_left(params.size_bounds, p)
+        proposal = None if cls > params.n_classes else ref.choose(cls, p) + 1
         assert lane.propose(job) == proposal
         if proposal is None:
             with pytest.raises(ValueError):

@@ -40,6 +40,7 @@ def test_run_subcommand(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["lanes"] == 25
     assert F(*map(int, doc["ratio"].split("/"))) <= 2
+    assert (doc["live_lane"], doc["fill_violations"]) == (None, 0)  # no wrapper
 
     trace_path = tmp_path / "trace.jsonl"
     code, out = run_cli(capsys, "run", "--algo", "a1star", "--epsilon", "1",
@@ -48,6 +49,7 @@ def test_run_subcommand(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["lanes"] == 28
+    assert (doc["live_lane"], doc["fill_violations"]) == (True, 0)
     events = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert {e["event"] for e in events} >= {"init"}
 

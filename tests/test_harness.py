@@ -1,19 +1,18 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsched.a1 import a1_count_cap, a1_family_size, a1_partition
-from parsched.a2 import a2_config_from_u, a2_family_size, a2_params, a2_valid_u
+from parsched.a1 import a1_count_cap, a1_family_size, a1_partition, a1_true_vector
+from parsched.a2 import a2_class_counts, a2_config_from_u, a2_family_size, a2_params, a2_valid_u
 from parsched.core import JobSequence
 from parsched.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     _a1_suffix_census,
-    _floor_edges,
-    _ladder_counts,
     _suffix_census,
     a1_targeted_factory,
     a3_targeted_factory,
@@ -142,34 +141,46 @@ def test_run_batch_empty(tmp_path):
     assert csv_path.read_text().splitlines() == [",".join(CSV_COLUMNS)]
 
 
-def per_job_a1_census(jobs, partition, m, T):
-    """The census lane's count vector and doomed flag, one job at a time."""
-    counts = [0] * partition.levels
-    doomed = False
-    total = F(0)
+def per_job_counts(jobs, bounds):
+    """Counts of classes 1..len(bounds)-1 under Fraction bounds, one job at
+    a time, and the first size above the top bound (None if there is none);
+    such sizes are not counted."""
+    counts = [0] * (len(bounds) - 1)
+    over = None
     for job in jobs:
-        total += job.p
-        doomed |= job.p > T
-        cls = next((i for i, b in enumerate(partition.bounds) if job.p <= b), None)
+        cls = next((i for i, b in enumerate(bounds) if job.p <= b), None)
         if cls is None:
-            doomed = True
+            over = job.p if over is None else over
         elif cls:
             counts[cls - 1] += 1
+    return counts, over
+
+
+def per_job_a1_census(jobs, partition, m, T):
+    """The census lane's count vector and doomed flag, one job at a time."""
+    counts, over = per_job_counts(jobs, partition.bounds)
+    total = sum((job.p for job in jobs), F(0))
     cap = a1_count_cap(m, partition.eps_prime)
     vector = tuple(min(c, cap) for c in counts)
     volume = sum((partition.bounds[i + 1] * c for i, c in enumerate(vector)), F(0))
-    doomed |= total > m * T or max(counts) > cap or volume > m * (1 + partition.eps_prime) * T
+    doomed = (over is not None or any(job.p > T for job in jobs) or total > m * T
+              or max(counts) > cap or volume > m * (1 + partition.eps_prime) * T)
     return vector, doomed
 
 
-def per_job_a2_counts(jobs, params):
-    """Per-class counts of the configuration family, jobs above the top skipped."""
-    counts = [0] * params.n_classes
-    for job in jobs:
-        cls = next((i for i, b in enumerate(params.size_bounds) if job.p <= b), None)
-        if cls:
-            counts[cls - 1] += 1
-    return counts
+def assert_true_counts(count, jobs, bounds, cap=None):
+    """``count(jobs)`` against the per-job loop: the first job above the top
+    bound raises, naming it; then the first count above ``cap``, if given."""
+    counts, over = per_job_counts(jobs, bounds)
+    if over is not None:
+        with pytest.raises(ValueError, match=re.escape(f"job of size {over} exceeds the top class bound")):
+            count(jobs)
+    elif cap is not None and max(counts) > cap:
+        i = next(i for i, c in enumerate(counts) if c > cap)
+        with pytest.raises(ValueError, match=f"class {i + 1} count {counts[i]} exceeds cap {cap}"):
+            count(jobs)
+    else:
+        assert count(jobs) == tuple(counts)
 
 
 MIXED_DENOMS = (6, 7, 8, 10, 12, 24, 48)
@@ -185,7 +196,9 @@ MIXED_DENOMS = (6, 7, 8, 10, 12, 24, 48)
 def test_suffix_census_matches_per_job_loop(m, eps_g, k, rng):
     """Sorting each epoch's suffix once, in integers in units of 1/S, gives
     the per-job Fraction loop's class counts and doomed flag, for both
-    targeted factories, at several epoch starts in any order.
+    targeted factories, at several epoch starts in any order; and so do the
+    plain runs' a1_true_vector and a2_class_counts, or they raise as the
+    loop says.
 
     T is shaped like the wrapper's guesses, p1 * (1+eps_g)**k.  Most sizes
     are multiples of 1/d for a mix of denominators d, so S (their lcm) is
@@ -219,8 +232,6 @@ def test_suffix_census_matches_per_job_loop(m, eps_g, k, rng):
     S, census = _suffix_census(seq)
     assert S == math.lcm(*(job.p.denominator for job in seq.jobs))
     cap = a1_count_cap(m, partition.eps_prime)
-    a2_edges = _floor_edges(params.size_bounds, S)
-    assert a2_edges == [math.floor(b * S) for b in params.size_bounds]
     a1_make = a1_targeted_factory(seq, F(1, 3))
     a3_make = a3_targeted_factory(seq, F(1))
     for start_t in [rng.randint(1, len(seq)) for _ in range(3)]:
@@ -229,8 +240,11 @@ def test_suffix_census_matches_per_job_loop(m, eps_g, k, rng):
         assert sizes == sorted(job.p * S for job in suffix) and total == sum(sizes)
         vector, doomed = per_job_a1_census(suffix, partition, m, T)
         assert _a1_suffix_census(sizes, total, S, partition, m, cap) == (vector, doomed)
-        counts = per_job_a2_counts(suffix, params)
-        assert _ladder_counts(sizes, a2_edges) == counts
+        counts, _ = per_job_counts(suffix, params.size_bounds)
+        assert params.census(sizes, S) == counts
+        assert_true_counts(lambda jobs: a1_true_vector(jobs, partition, m),
+                           suffix, partition.bounds, cap)
+        assert_true_counts(lambda jobs: a2_class_counts(params, jobs), suffix, params.size_bounds)
         assert a1_make(T, start_t)[0].plan.vector == vector
         if m < 256:  # below the configuration threshold a3 builds census lanes
             assert a3_make(T, start_t)[0].plan.vector == vector
@@ -240,3 +254,21 @@ def test_suffix_census_matches_per_job_loop(m, eps_g, k, rng):
         except ValueError:
             continue  # the lane is allowed to fail; its fallback guess is not checked
         assert a3_make(T, start_t)[0].config == a2_config_from_u(params, u)
+
+
+def test_true_counts_raise_like_per_job_loop():
+    """The plain runs' counts name the first job above the top bound to
+    arrive, not the largest, and check the census cap only after it."""
+    partition = a1_partition(F(1), F(1))  # bounds 1/2, 3/4, 9/8
+    cap = a1_count_cap(2, partition.eps_prime)
+    assert cap == 4
+    params = a2_params(F(1), 256, F(1))  # top bound 5/4
+    for sizes in (
+        ["3/5"] * 5,  # class 1 above its cap
+        ["3/5"] * 5 + ["2", "3"],
+        ["1/4", "13/10", "3", "1"],
+        ["1", "5/4", "9/8", "7/5"],
+    ):
+        jobs = JobSequence.from_sizes(2, sizes).jobs
+        assert_true_counts(lambda js: a1_true_vector(js, partition, 2), jobs, partition.bounds, cap)
+        assert_true_counts(lambda js: a2_class_counts(params, js), jobs, params.size_bounds)

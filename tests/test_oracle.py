@@ -37,6 +37,22 @@ def test_opt_exact_examples():
     assert opt_exact(JobSequence.from_sizes(2, [])) == 0
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 7, 24, 30])
+@pytest.mark.parametrize("p", [F(1), F(3, 7)])
+def test_opt_exact_closed_forms_at_search_cap(m, p):
+    """At n = 24, the default search cap: equal sizes need ceil(n/m)
+    jobs on some machine, and a job at least the sum of the rest is the
+    optimum by itself (with a second machine for the rest)."""
+    n = 24
+    assert opt_exact(JobSequence.from_sizes(m, [p] * n)) == math.ceil(n / m) * p
+    if m > 1:
+        rest = [p * (k % 5 + 1) for k in range(n - 1)]
+        giant = sum(rest) + p
+        for at in (0, n // 2, n - 1):
+            sizes = rest[:at] + [giant] + rest[at:]
+            assert opt_exact(JobSequence.from_sizes(m, sizes)) == giant
+
+
 def test_opt_exact_cap():
     with pytest.raises(ValueError):
         opt_exact(JobSequence.from_sizes(2, [1] * 30), cap=24)
@@ -81,9 +97,31 @@ def test_multiset_validation():
         MultisetInstance(((F(0), 1),), 2)
 
 
-small_instance = st.tuples(
-    st.integers(min_value=1, max_value=3),
-    st.lists(st.fractions(min_value=F(1, 8), max_value=F(4)), min_size=1, max_size=7),
+_size = st.fractions(min_value=F(1, 8), max_value=F(4))
+_machines = st.integers(min_value=1, max_value=3)
+
+
+@st.composite
+def _equal_sizes(draw):
+    return draw(_machines), [draw(_size)] * draw(st.integers(min_value=1, max_value=7))
+
+
+@st.composite
+def _giant_job(draw):
+    """One job at least the sum of all the others, arriving anywhere."""
+    rest = draw(st.lists(_size, max_size=6))
+    at = draw(st.integers(min_value=0, max_value=len(rest)))
+    giant = sum(rest, F(0)) + draw(st.sampled_from([F(0), F(1, 8), F(1)]))
+    if giant == 0:
+        giant = draw(_size)
+    return draw(_machines), rest[:at] + [giant] + rest[at:]
+
+
+small_instance = st.one_of(
+    st.tuples(_machines, st.lists(_size, min_size=1, max_size=7)),
+    st.tuples(st.just(1), st.lists(_size, min_size=1, max_size=7)),
+    _equal_sizes(),
+    _giant_job(),
 )
 
 

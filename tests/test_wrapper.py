@@ -15,6 +15,7 @@ from parsched.a1 import A1State, a1_family
 from parsched.adversary import StackScheduler
 from parsched.core import Job, JobSequence, select_best
 from parsched.harness import (
+    BATCH_ORDERS,
     a1_full_factory,
     a1_targeted_factory,
     gen_planted,
@@ -267,6 +268,65 @@ def test_a3star_with_configuration_lanes_end_to_end(monkeypatch):
     assert result.makespan <= F(7, 3)
     assert result.live_lane
     assert result.lanes == 37
+
+
+@pytest.mark.parametrize("denom", [24, 48])
+@pytest.mark.parametrize("k, order", list(enumerate(BATCH_ORDERS)))
+def test_a3star_configuration_lanes_within_guarantee(denom, k, order):
+    """Wrapped configuration lanes keep a3star's ratio 4/3 + eps/2 at eps=1,
+    with the smallest guess within one step (eps_g = 1/11) of the optimum,
+    a live lane there and no fill-line violation on any lane."""
+    seq = gen_planted(1024, (1, 3), denom, seed=k, order=order)
+    result = run_algorithm("a3star", seq, epsilon=F(1), check=True)
+    assert result.ratio <= F(7, 3)
+    assert result.gamma1 <= (1 + F(1, 11)) * 1
+    assert result.live_lane is True
+    assert result.fill_violations == 0
+
+
+class CountingStack(StackScheduler):
+    """Stacks every job on machine 1 and counts each recorded job as a
+    fill-line violation."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.fill_violations = 0
+
+    def record(self, job, machine):
+        self.fill_violations += 1
+
+
+def test_fill_violations_sum_over_lanes_and_epochs():
+    params = astar_params(F(1), F(1))  # h = 7
+    state = AStar(params, 1, lambda T, t: [CountingStack(1)])
+    state.step(Job(1, F(1)))  # every guess follows its inner
+    assert state.fill_violations() == params.h
+    # Job 2 fails every lane and resets every guess: the retired inners'
+    # counts stay, and each fresh inner records job 2.
+    state.step(Job(2, F(10)))
+    assert state.adjustments == params.h
+    assert state.fill_violations() == 2 * params.h
+    # An inner without a count, such as a proxy, adds nothing.
+    proxied = AStar(params, 1, lambda T, t: [StackScheduler(1)])
+    proxied.step(Job(1, F(1)))
+    assert proxied.fill_violations() == 0
+
+
+@pytest.mark.parametrize("method, value, message", [
+    ("fill_violations", lambda self: 2, "fill-line property"),
+    ("smallest_guess_has_live_lane", lambda self: False, "no live lane"),
+])
+def test_run_algorithm_checks_wrapped_lanes(monkeypatch, method, value, message):
+    """run_algorithm reports the wrapped run's fill-line violations and live
+    lane, and check=True raises on either going wrong."""
+    seq = gen_planted(3, counts=2, denom=8, seed=2)
+    result = run_algorithm("a1star", seq, epsilon=F(1), check=True)
+    assert (result.fill_violations, result.live_lane) == (0, True)
+    monkeypatch.setattr(AStar, method, value)
+    result = run_algorithm("a1star", seq, epsilon=F(1))
+    assert (result.fill_violations, result.live_lane) != (0, True)
+    with pytest.raises(InvariantViolation, match=message):
+        run_algorithm("a1star", seq, epsilon=F(1), check=True)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
