@@ -207,6 +207,10 @@ class A1State(ScaledLane):
     Sizes and loads are integers in units of a lane-local common
     denominator that starts as unit * T.denominator, which makes the
     class bounds and the plan's virtual loads integers (see ScaledLane).
+    A machine's load is derived: its level (virtual plus small load)
+    minus its virtual load plus its large load.  The class-overflow
+    fallback, which places by load, keeps the loads in a LeastLoaded from
+    its first use on.
     """
 
     def __init__(self, plan: A1Plan, label: int = 0):
@@ -218,7 +222,8 @@ class A1State(ScaledLane):
         self._scale = partition.unit * partition.T.denominator
         self._bounds = [x * num for x in partition.ladder]
         self._level = LeastLoaded([x * num for x in plan.loads])  # virtual plus small load
-        self._loads = LeastLoaded([0] * m)
+        self._large = [0] * m  # load of large jobs
+        self._loads: Optional[LeastLoaded] = None  # built by _fallback
         self._left = [list(row) for row in plan.n_star]  # open virtual slots
         # Per class, the position in plan.slots of the lowest machine that
         # may still have an open slot: open slots only ever close.
@@ -226,11 +231,24 @@ class A1State(ScaledLane):
 
     def _rescale(self, k: int) -> None:
         self._level.rescale(k)
-        self._loads.rescale(k)
+        self._large = [x * k for x in self._large]
+        if self._loads is not None:
+            self._loads.rescale(k)
+
+    def _current_loads(self) -> list[int]:
+        partition = self.plan.partition
+        k = self._scale // (partition.unit * partition.T.denominator) * partition.T.numerator
+        return [level - base * k + large
+                for level, base, large in zip(self._level.loads, self.plan.loads, self._large)]
+
+    def _fallback(self) -> LeastLoaded:
+        if self._loads is None:
+            self._loads = LeastLoaded(self._current_loads())
+        return self._loads
 
     @property
     def loads(self) -> list[Fraction]:
-        return [Fraction(x, self._scale) for x in self._loads.loads]
+        return [Fraction(x, self._scale) for x in self._current_loads()]
 
     def propose(self, job: Job) -> Optional[int]:
         cls, _ = self._classify(job)
@@ -246,7 +264,7 @@ class A1State(ScaledLane):
         if k < len(slots):
             return slots[k] + 1
         # No machine wants this class any more: fall back to least loaded.
-        return self._loads.least() + 1
+        return self._fallback().least() + 1
 
     def record(self, job: Job, machine: int) -> None:
         cls, q = self._take(job, machine)
@@ -255,7 +273,9 @@ class A1State(ScaledLane):
             self._level.add(j, q)
         else:
             self._left[cls - 1][j] -= 1
-        self._loads.add(j, q)
+            self._large[j] += q
+        if self._loads is not None:
+            self._loads.add(j, q)
 
 
 class A1Family:

@@ -10,8 +10,8 @@ until every lane of some guess has failed, at which point that guess
 restart, ignoring everything placed before the restart.
 
 Lanes reason in *virtual* machine numbers that restart with each epoch;
-a lazy binding maps them onto physical machines so that the final
-selection sees complete schedules including pre-epoch jobs.
+when an epoch closes, a binding maps them onto physical machines so that
+the final selection sees complete schedules including pre-epoch jobs.
 """
 
 from __future__ import annotations
@@ -81,7 +81,9 @@ def check_failure(
     ``caps`` the guess's ``(floor(gamma*S), floor(gamma*m*S),
     floor(rho*gamma*S))``.  Since q, prefix and the load are integers,
     ``q > floor(gamma*S)`` is exactly ``gamma < p``, and likewise for the
-    average-load and overload tests.
+    average-load and overload tests.  ``GuessLane.place`` applies these
+    tests in this order, with the bounds test, which is the same for
+    every lane of a guess, made once per guess and job.
     """
     if proposal is None:
         return FAIL_NO_RULE
@@ -93,111 +95,169 @@ def check_failure(
     return None
 
 
+def _out_of_range(proposal: int, m: int) -> ValueError:
+    return ValueError(f"machine {proposal} out of range 1..{m}")
+
+
 class GuessLane:
     """One inner scheduler plus its virtual/physical bookkeeping.
 
-    Virtual and physical loads are integers in units of 1/S for the
-    run-wide scale S of the driving ``AStar``; ``rescale`` follows its
-    growth.  The epoch's virtual loads are a ``LeastLoaded``, which a
-    failed lane asks for its least loaded virtual machine.  The lane
-    keeps its placements as two lists in arrival order and builds its
-    ``Schedule`` only when asked (``physical``), so a run builds one, for
-    the lane it selects.
+    Loads are integers in units of 1/S for the run-wide scale S of the
+    driving ``AStar``; ``rescale`` follows its growth.  Within an epoch
+    the lane keeps only its virtual loads (a plain list, wrapped in a
+    ``LeastLoaded`` once the lane fails and places on its least loaded
+    virtual machine), the virtual machine of each job, and the virtual
+    machines in the order of their first use.
+
+    Physical machines are bound only when the epoch closes or a caller
+    asks (``physical``, ``physical_loads``).  The rule is: the k-th
+    virtual machine first used gets the k-th unbound physical machine by
+    (load, index), where the restart job pre-binds its virtual machine.
+    Unbound physical machines receive no jobs within an epoch, so their
+    loads are frozen at the epoch start, and binding at the close gives
+    what binding at each first use would.  ``jobs`` is the driver's list
+    of every job in arrival order, shared by all its lanes.
     """
 
     __slots__ = (
-        "m", "label", "jobs", "placed", "physical_loads", "inner", "failed", "fail_reason",
-        "virtual", "binding", "bound_physical", "_free",
+        "m", "label", "jobs", "inner", "failed", "fail_reason", "virtual", "least",
+        "vms", "opened", "prebound", "placed", "loads",
     )
 
-    def __init__(self, m: int, label: int):
+    def __init__(self, m: int, label: int, jobs: list[Job]):
         self.m = m
         self.label = label
-        self.jobs: list[Job] = []  # every job placed, in arrival order
-        self.placed: list[int] = []  # its 0-based physical machine
-        self.physical_loads = [0] * m
-        self.inner: Optional[OnlineScheduler] = None
+        self.jobs = jobs
+        self.placed: list[int] = []  # 0-based physical machine of each job of closed epochs
+        self.loads = [0] * m  # physical loads of the closed epochs
+        self.reset_epoch(None)
+
+    def reset_epoch(self, inner: Optional[OnlineScheduler]) -> None:
+        self.inner = inner
         self.failed = False
         self.fail_reason: Optional[str] = None
-        self.virtual = LeastLoaded([0] * m)
-        self.binding: dict[int, int] = {}
-        self.bound_physical: set[int] = set()
-        self._free: Optional[list[int]] = None
-
-    @property
-    def physical(self) -> Schedule:
-        """The lane's placements as a Schedule (built afresh on each access)."""
-        schedule = Schedule(self.m, self.label)
-        for job, phys in zip(self.jobs, self.placed):
-            schedule.assign(phys + 1, job)
-        return schedule
+        self.virtual = [0] * self.m
+        self.least: Optional[LeastLoaded] = None  # the virtual loads, once failed
+        self.vms: list[int] = []  # the virtual machine of each job of the epoch
+        self.opened: list[int] = []  # virtual machines by first use, bar the pre-bound one
+        self.prebound: Optional[tuple[int, int]] = None  # (virtual, physical) of the restart job
 
     def rescale(self, k: int) -> None:
         """Multiply the virtual and physical loads by k (the run-wide scale
         grew k-fold)."""
-        self.virtual.rescale(k)
-        self.physical_loads = [x * k for x in self.physical_loads]
+        if self.least is not None:
+            self.least.rescale(k)
+            self.virtual = self.least.loads
+        else:
+            self.virtual = [x * k for x in self.virtual]
+        self.loads = [x * k for x in self.loads]
 
-    def reset_epoch(self, inner: OnlineScheduler) -> None:
-        self.inner = inner
-        self.failed = False
-        self.fail_reason = None
-        self.virtual = LeastLoaded([0] * self.m)
-        self.binding = {}
-        self.bound_physical = set()
-        self._free = None
+    def _binding(self) -> dict[int, int]:
+        """The physical machine of each virtual machine the epoch used."""
+        free = sorted(range(self.m), key=self.loads.__getitem__)  # by (load, index)
+        if self.prebound is None:
+            return dict(zip(self.opened, free))
+        v, j = self.prebound
+        free.remove(j)
+        binding = dict(zip(self.opened, free))
+        binding[v] = j
+        return binding
 
-    def bind(self, v: int) -> int:
-        """Bind virtual machine v to the least-loaded unbound physical one.
+    def _bound_loads(self, binding: dict[int, int]) -> list[int]:
+        """The physical loads once the epoch's virtual loads sit on their bound machines."""
+        loads = self.loads[:]
+        virtual = self.virtual
+        for v, j in binding.items():
+            loads[j] += virtual[v]
+        return loads
 
-        Unbound physical machines receive no jobs within an epoch, so
-        their loads stay frozen: the epoch's first bind orders all
-        machines once by (load, index), and each bind pops the least one
-        not bound yet.
+    def close_epoch(self) -> None:
+        """Bind the epoch's virtual machines and fold it into the placements."""
+        binding = self._binding()
+        self.loads = self._bound_loads(binding)
+        self.placed += [binding[v] for v in self.vms]
+
+    @property
+    def physical_loads(self) -> list[int]:
+        return self._bound_loads(self._binding())
+
+    @property
+    def physical(self) -> Schedule:
+        """The lane's placements as a Schedule (built afresh on each access)."""
+        binding = self._binding()
+        schedule = Schedule(self.m, self.label)
+        for job, j in zip(self.jobs, self.placed + [binding[v] for v in self.vms]):
+            schedule.assign(j + 1, job)
+        return schedule
+
+    def restart(self, inner: OnlineScheduler, job: Job, q: int) -> None:
+        """Close the epoch and open one under a fresh inner whose first job
+        is ``job``, of scaled size q, the last one placed.
+
+        The job keeps its physical machine and becomes the epoch's first
+        job on the virtual machine the fresh inner proposes; that virtual
+        machine is bound to it from the start.
         """
-        free = self._free
-        if free is None:
-            free = self._free = sorted(range(self.m), key=self.physical_loads.__getitem__)
-            free.reverse()  # pop() gives the least (load, index)
-        best = free.pop()
-        while best in self.bound_physical:
-            best = free.pop()
-        self.binding[v] = best
-        self.bound_physical.add(best)
-        return best
+        self.close_epoch()
+        j = self.placed.pop()
+        self.loads[j] -= q
+        self.reset_epoch(inner)
+        proposal = inner.propose(job)
+        if proposal is None:
+            self._fail(FAIL_NO_RULE)
+            v = 0
+        elif not 0 < proposal <= self.m:
+            raise _out_of_range(proposal, self.m)
+        else:
+            inner.record(job, proposal)
+            v = proposal - 1
+        self.prebound = (v, j)
+        self.virtual[v] = q
+        self.vms.append(v)
 
-    def commit(self, job: Job, v: int, q: int) -> int:
-        """Place the job, of scaled size q, on virtual machine v; returns the physical machine."""
-        phys = self.binding.get(v)
-        if phys is None:
-            phys = self.bind(v)
-        self.jobs.append(job)
-        self.placed.append(phys)
-        self.physical_loads[phys] += q
-        self.virtual.add(v, q)
-        return phys
+    def _fail(self, reason: str) -> None:
+        self.failed = True
+        self.fail_reason = reason
+        self.least = LeastLoaded(self.virtual)  # shares the list: least.add updates it
 
-    def place(self, job: Job, q: int, prefix: int, caps: tuple[int, int, int]) -> Optional[str]:
+    def place(self, job: Job, q: int, bounds: bool, load_cap: int) -> Optional[str]:
         """Place one job: follow the inner rule unless a failure condition applies.
 
-        ``q``, ``prefix`` and ``caps`` are as in ``check_failure``.  A lane
-        that fails here, or failed before, puts the job on its least
-        loaded virtual machine.  Returns the reason when the lane fails on
-        this job, else None.
+        This is ``check_failure`` with its guess-wide part precomputed:
+        ``bounds`` is whether the job breaks the guess's bounds (size or
+        average load) and ``load_cap`` is floor(rho*gamma*S).  A lane that
+        fails here, or failed before, puts the job on its least loaded
+        virtual machine.  Returns the reason when the lane fails on this
+        job, else None.
         """
-        if self.failed:
-            self.commit(job, self.virtual.least(), q)
-            return None
-        proposal = self.inner.propose(job)
-        virtual_load = 0 if proposal is None else self.virtual.loads[proposal - 1]
-        reason = check_failure(proposal, virtual_load, q, prefix, caps)
-        if reason is None:
-            self.inner.record(job, proposal)
-            self.commit(job, proposal - 1, q)
-        else:
-            self.failed = True
-            self.fail_reason = reason
-            self.commit(job, self.virtual.least(), q)
+        reason = None
+        if not self.failed:
+            proposal = self.inner.propose(job)
+            if proposal is None:
+                reason = FAIL_NO_RULE
+            elif not 0 < proposal <= self.m:
+                raise _out_of_range(proposal, self.m)
+            elif bounds:
+                reason = FAIL_BOUNDS
+            else:
+                v = proposal - 1
+                virtual = self.virtual
+                load = virtual[v]
+                if load + q <= load_cap:
+                    self.inner.record(job, proposal)
+                    if not load:
+                        self.opened.append(v)
+                    virtual[v] = load + q
+                    self.vms.append(v)
+                    return None
+                reason = FAIL_OVERLOAD
+            self._fail(reason)
+        least = self.least
+        v = least.least()
+        if not self.virtual[v]:
+            self.opened.append(v)
+        least.add(v, q)
+        self.vms.append(v)
         return reason
 
 
@@ -235,6 +295,7 @@ class AStar:
         self.check = check
         self.trace = trace
         self.groups: list[_Group] = []
+        self.jobs: list[Job] = []  # every job so far, shared by all lanes
         self.t = 0
         self.adjustments = 0
         self.lanes_per_guess = 0
@@ -290,7 +351,7 @@ class AStar:
                 raise ValueError("inner factory must return a fixed number of lanes")
             lanes = []
             for k, inner in enumerate(inners):
-                lane = GuessLane(self.m, label=var_id * self.lanes_per_guess + k)
+                lane = GuessLane(self.m, var_id * self.lanes_per_guess + k, self.jobs)
                 lane.inner = inner
                 lanes.append(lane)
             group = _Group(var_id, gamma, lanes)
@@ -317,21 +378,7 @@ class AStar:
             raise ValueError("inner factory must return a fixed number of lanes")
         for lane, inner in zip(group.lanes, inners):
             self._past_violations += getattr(lane.inner, "fill_violations", 0)
-            phys_of_job = lane.placed[-1]  # where the lane just put the job
-            lane.reset_epoch(inner)
-            proposal = inner.propose(job)
-            if proposal is None:
-                lane.failed = True
-                lane.fail_reason = FAIL_NO_RULE
-                v = 0
-            else:
-                inner.record(job, proposal)
-                v = proposal - 1
-            # The job keeps its physical spot and becomes the epoch's
-            # first job on the machine the fresh inner would open.
-            lane.binding[v] = phys_of_job
-            lane.bound_physical.add(phys_of_job)
-            lane.virtual.add(v, q)
+            lane.restart(inner, job, q)
         group.live = sum(not lane.failed for lane in group.lanes)
 
     def _place(self, job: Job, q: int) -> int:
@@ -341,11 +388,13 @@ class AStar:
         live any more, or -1 if every guess has a live lane.
         """
         prefix = self._prefix
+        self.jobs.append(job)
         i_star = -1
         for pos, group in enumerate(self.groups):
-            caps = group.caps
+            gamma_cap, mean_cap, load_cap = group.caps
+            bounds = q > gamma_cap or prefix > mean_cap  # check_failure's test (iii)
             for lane in group.lanes:
-                reason = lane.place(job, q, prefix, caps)
+                reason = lane.place(job, q, bounds, load_cap)
                 if reason is not None:
                     group.live -= 1
                     self._emit(t=self.t, event="fail", var=group.var_id,

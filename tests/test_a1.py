@@ -367,3 +367,51 @@ def test_cached_integer_plan_matches_fraction_reference(eps, m, certify, data):
             ref.record(job, machine)
             assert lane.loads == ref.loads
             assert small_levels(lane) == ref_levels(ref)
+
+
+@given(
+    eps=st.sampled_from([F(1), F(1, 2)]),
+    m=st.integers(min_value=1, max_value=5),
+    T=st.sampled_from([F(1), F(5, 4), F(7, 3)]),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_lazy_fallback_loads_match_eager_reference(eps, m, T, rng):
+    """A lane whose count vector lies below the stream's census runs out of
+    slots, and its class-overflow fallback builds the loads it places by
+    only then, from level - virtual + large.  Its proposals and loads
+    equal the Fraction lane's, which keeps its loads from the start,
+    including when fresh denominators grow the scale before and after the
+    fallback's first use."""
+    partition = a1_partition(eps, T)
+    bounds = partition.bounds
+    sizes = []
+    for _ in range(rng.randint(1, 30)):
+        cls = rng.randrange(len(bounds))  # 0 is small
+        lo = bounds[cls - 1] if cls else F(0)
+        den = rng.randint(2, 60)
+        sizes.append(lo + (bounds[cls] - lo) * F(rng.randint(1, den), den))
+    census = a1_true_vector([Job(t, p) for t, p in enumerate(sizes, 1)], partition, 10**6)
+    over = rng.choice([i for i, c in enumerate(census) if c] or [0])
+    # One class more than its count, the rest at most theirs.
+    sizes.append(bounds[over + 1])
+    vector = tuple(rng.randint(0, c) for c in census)
+    # Fresh denominators (above 60) after the fallback: a small job, then
+    # another job of the overflowing class.
+    sizes += [bounds[0] / 97, bounds[over + 1] - bounds[over + 1] / 89]
+    plan = A1Plan.build(partition, m, vector, exact=False)
+    n_star, ell_star = fraction_plan_reference(partition, m, vector, exact=False)
+    lane = A1State(plan)
+    ref = FractionA1Lane(SimpleNamespace(m=m, partition=partition, n_star=n_star,
+                                         ell_star=ell_star))
+    for t, p in enumerate(sizes, 1):
+        job = Job(t, p)
+        proposal = ref.propose(job)
+        assert lane.propose(job) == proposal
+        lane.record(job, proposal)
+        ref.record(job, proposal)
+        assert lane.loads == ref.loads
+        assert small_levels(lane) == ref_levels(ref)
+    assert lane._loads is not None  # the fallback fired
+    assert lane._scale % (97 * 89) == 0  # and the scale grew after it
+    assert [F(x, lane._scale) for x in lane._loads.loads] == ref.loads

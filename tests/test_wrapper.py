@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from parsched.a1 import A1State, a1_family
 from parsched.adversary import StackScheduler
-from parsched.core import Job, JobSequence, select_best
+from parsched.core import Job, JobSequence, LeastLoaded, select_best
 from parsched.harness import (
     BATCH_ORDERS,
     a1_full_factory,
@@ -219,34 +219,64 @@ def test_single_guess_wrapper():
     assert state.finish().n_jobs() == len(seq)
 
 
+class Scripted:
+    """An inner lane that proposes whatever the test set ``next`` to."""
+
+    def __init__(self, m, proposal=1):
+        self.m = m
+        self.next = proposal
+
+    def propose(self, job):
+        return self.next
+
+    def record(self, job, machine):
+        pass
+
+
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=150, deadline=None)
 def test_bind_picks_least_loaded_unbound_machine(seed):
-    """Across epochs, with machines pre-bound the way an adjustment binds
-    the job it restarts on, every bind takes the unbound physical machine
-    of least (load, index), as a scan of all machines does."""
+    """Across epochs, each restarting on the job placed last, whose virtual
+    machine is bound to that job's physical machine, every virtual machine
+    gets, at its first use, the unbound physical machine of least (load,
+    index), as a scan of all machines does, although the lane binds only
+    when an epoch closes or its placements are asked for."""
     rng = random.Random(seed)
     m = rng.randint(1, 12)
-    lane = GuessLane(m, label=0)
+    inner = Scripted(m)
+    jobs = []  # the driver's job list, which the lane reads
+    lane = GuessLane(m, 0, jobs)
+    lane.reset_epoch(inner)
+    loads = [0] * m  # the scan's physical loads
+    expected = []  # the scan's physical machine of each job
+    binding = {}
     t = 0
     for epoch in range(rng.randint(1, 5)):
-        if epoch:
-            lane.reset_epoch(None)
-            for _ in range(rng.randint(0, 2)):
-                v, phys = rng.randrange(m), rng.randrange(m)
-                if v not in lane.binding and phys not in lane.bound_physical:
-                    lane.binding[v] = phys
-                    lane.bound_physical.add(phys)
+        if epoch and t:
+            # The fresh inner puts the last job on v, which is bound to
+            # the job's physical machine.
+            v = rng.randrange(m)
+            inner.next = v + 1
+            phys = binding[lane.vms[-1]]
+            lane.restart(inner, job, q)
+            binding = {v: phys}
         for _ in range(rng.randint(0, 3 * m)):
             v = rng.randrange(m)
-            if v not in lane.binding:
-                free = [pj for pj in range(m) if pj not in lane.bound_physical]
-                expected = min(free, key=lambda pj: (lane.physical.load(pj + 1), pj))
-            else:
-                expected = lane.binding[v]
+            if v not in binding:
+                free = [pj for pj in range(m) if pj not in binding.values()]
+                binding[v] = min(free, key=lambda pj: (loads[pj], pj))
             t += 1
-            q = rng.randint(1, 3)  # virtual loads in units of 1/2
-            assert lane.commit(Job(t, F(q, 2)), v, q) == expected
+            q = rng.randint(1, 3)
+            job = Job(t, F(q))
+            jobs.append(job)
+            inner.next = v + 1
+            assert lane.place(job, q, False, 10**9) is None
+            loads[binding[v]] += q
+            expected.append(binding[v])
+            if rng.random() < 0.3:  # ask mid-epoch: binding must not change
+                assert lane.physical.assignment[t] - 1 == binding[v]
+        assert lane.physical_loads == loads
+        assert [lane.physical.assignment[k] - 1 for k in range(1, t + 1)] == expected
 
 
 def test_a3star_with_configuration_lanes_end_to_end(monkeypatch):
@@ -333,9 +363,10 @@ def test_run_algorithm_checks_wrapped_lanes(monkeypatch, method, value, message)
 @settings(max_examples=40, deadline=None)
 def test_least_virtual_matches_scan(seed):
     """The least loaded virtual machine, whose heap a lane builds only at
-    its first failure, equals a scan over (load, index) after every job:
-    across failures, adjustments that reset epochs and pre-bind the job
-    they restart on, and lanes asked early or not at all."""
+    its failure, equals a scan over (load, index) after every job: across
+    failures, adjustments that reset epochs and pre-bind the job they
+    restart on, and failed lanes asked at some jobs and not others.  Live
+    lanes keep no heap."""
     rng = random.Random(seed)
     m = rng.randint(1, 3)
     sizes = sorted(F(rng.randint(1, 24), 24) * rng.choice([1, 1, 4]) for _ in range(rng.randint(1, 20)))
@@ -348,9 +379,143 @@ def test_least_virtual_matches_scan(seed):
         state.step(job)
         for group in state.groups:
             for lane in group.lanes:
-                if lane.failed or rng.random() < 0.2:
-                    scan = min(range(m), key=lambda v: (lane.virtual.loads[v], v))
-                    assert lane.virtual.least() == scan
+                assert (lane.least is not None) == lane.failed
+                if lane.failed and rng.random() < 0.8:
+                    assert lane.least.loads is lane.virtual
+                    scan = min(range(m), key=lambda v: (lane.virtual[v], v))
+                    assert lane.least.least() == scan
+
+
+class EagerLane:
+    """Test-local copy of the wrapper lane as it was before binding moved
+    to the epoch close: it binds each virtual machine at its first use,
+    keeps physical loads per job and its virtual loads in a LeastLoaded."""
+
+    def __init__(self, m):
+        self.m = m
+        self.placed = []
+        self.physical_loads = [0] * m
+        self.reset_epoch(None)
+
+    def reset_epoch(self, inner):
+        self.inner = inner
+        self.failed, self.fail_reason = False, None
+        self.virtual = LeastLoaded([0] * self.m)
+        self.binding, self.bound_physical, self._free = {}, set(), None
+
+    def rescale(self, k):
+        self.virtual.rescale(k)
+        self.physical_loads = [x * k for x in self.physical_loads]
+
+    def bind(self, v):
+        if self._free is None:
+            self._free = sorted(range(self.m), key=self.physical_loads.__getitem__)
+            self._free.reverse()
+        best = self._free.pop()
+        while best in self.bound_physical:
+            best = self._free.pop()
+        self.binding[v] = best
+        self.bound_physical.add(best)
+        return best
+
+    def commit(self, v, q):
+        phys = self.binding.get(v)
+        if phys is None:
+            phys = self.bind(v)
+        self.placed.append(phys)
+        self.physical_loads[phys] += q
+        self.virtual.add(v, q)
+
+    def place(self, job, q, prefix, caps):
+        if self.failed:
+            self.commit(self.virtual.least(), q)
+            return None
+        proposal = self.inner.propose(job)
+        load = 0 if proposal is None else self.virtual.loads[proposal - 1]
+        reason = check_failure(proposal, load, q, prefix, caps)
+        if reason is None:
+            self.inner.record(job, proposal)
+            self.commit(proposal - 1, q)
+        else:
+            self.failed, self.fail_reason = True, reason
+            self.commit(self.virtual.least(), q)
+        return reason
+
+    def restart(self, inner, job, q):
+        phys = self.placed[-1]
+        self.reset_epoch(inner)
+        proposal = inner.propose(job)
+        if proposal is None:
+            self.failed, self.fail_reason, v = True, "i", 0
+        else:
+            inner.record(job, proposal)
+            v = proposal - 1
+        self.binding[v] = phys
+        self.bound_physical.add(phys)
+        self.virtual.add(v, q)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_lane_matches_eager_reference(seed):
+    """A lane that binds when its epoch closes puts every job on the
+    physical machine, and fails for the reason, of the eager lane that
+    binds at each first use; its placements and physical loads equal the
+    eager lane's at every epoch close and at the end.  Proposals include
+    no rule, the bounds and overload tests fire on chosen caps, and the
+    scale grows mid-epoch."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 8)
+    inner = Scripted(m)
+    lane, ref = GuessLane(m, 0, []), EagerLane(m)
+    lane.reset_epoch(inner)
+    ref.reset_epoch(inner)
+    t = 0
+    for _ in range(rng.randint(1, 40)):
+        if rng.random() < 0.1:
+            k = rng.randint(2, 4)
+            lane.rescale(k)
+            ref.rescale(k)
+        t += 1
+        q, prefix = rng.randint(1, 6), rng.randint(1, 60)
+        caps = (rng.randint(0, 7), rng.randint(0, 70), rng.randint(0, 30))
+        job = Job(t, F(q))
+        lane.jobs.append(job)
+        inner.next = None if rng.random() < 0.05 else rng.randint(1, m)
+        bounds = q > caps[0] or prefix > caps[1]
+        assert lane.place(job, q, bounds, caps[2]) == ref.place(job, q, prefix, caps)
+        assert (lane.failed, lane.fail_reason) == (ref.failed, ref.fail_reason)
+        if rng.random() < 0.2:
+            inner.next = None if rng.random() < 0.2 else rng.randint(1, m)
+            lane.restart(inner, job, q)
+            ref.restart(inner, job, q)
+            assert (lane.failed, lane.fail_reason) == (ref.failed, ref.fail_reason)
+            # Closed: every job but the restart job, which opens the new epoch.
+            assert lane.placed == ref.placed[:-1]
+            assert lane.physical_loads == ref.physical_loads
+    assert lane.physical_loads == ref.physical_loads
+    assert [lane.physical.assignment[k] - 1 for k in range(1, t + 1)] == ref.placed
+    lane.close_epoch()
+    assert (lane.placed, lane.loads) == (ref.placed, ref.physical_loads)
+
+
+@pytest.mark.parametrize("proposal", [0, 4])
+@pytest.mark.parametrize("restart", [False, True])
+def test_out_of_range_proposal_raises(proposal, restart):
+    """A proposal outside 1..m is the inner lane's error, not a placement
+    (machine 0 must not land on machine m through a negative index), both
+    in a step and when a fresh inner restarts on the job that failed its
+    guess."""
+    # Epoch-1 inners propose machine 1 if the out-of-range proposal is
+    # to come at the restart.
+    state = AStar(astar_params(F(1), F(1)), 3,
+                  lambda T, t: [Scripted(3, 1 if restart and t == 1 else proposal)])
+    if restart:
+        state.step(Job(1, F(1)))  # guesses 1, 4/3, ..., all below job 2
+    with pytest.raises(ValueError, match=rf"machine {proposal} out of range 1\.\.3"):
+        state.step(Job(state.t + 1, F(100) if restart else F(1)))
+    if restart:
+        assert state.adjustments == 1  # raised in the first guess's restart
 
 
 # A test-local copy of the wrapper over Fractions, before its loads, caps
