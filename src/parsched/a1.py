@@ -11,12 +11,12 @@ plus accumulated small load is lowest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from ._scaling import ScaledLane, class_counts, common_scale, scale_values, stream_counts
+from ._scaling import ScaledLane, class_counts, stream_counts
 from .core import Job, LaneCapExceeded, LeastLoaded, check_lane_cap
 from .oracle import MultisetInstance, lpt_multiset, opt_multiset
 from .rational import ceil_log
@@ -51,7 +51,8 @@ class ClassPartition:
     Only T depends on the guess.  The bounds are T times a fixed ladder,
     bounds[i] = ladder[i] * T / unit, for the integers ``ladder`` and
     their common denominator ``unit``, which depend on eps alone; plans,
-    lanes and ``census`` work on the ladder in integers.
+    lanes and ``census`` work on the ladder in integers.  A run builds
+    the ladder once and rebinds it to each guess with ``at``.
     """
 
     eps: Fraction
@@ -67,6 +68,12 @@ class ClassPartition:
         num, den = self.T.numerator, self.T.denominator * self.unit
         return tuple(Fraction(x * num, den) for x in self.ladder)
 
+    def at(self, T: Fraction) -> "ClassPartition":
+        """The same ladder under the guess T > 0."""
+        if T.numerator <= 0:
+            raise ValueError("assumed optimum must be positive")
+        return ClassPartition(self.eps, self.eps_prime, self.levels, T, self.unit, self.ladder)
+
     def census(self, sizes: Sequence[int], scale: int) -> list[int]:
         """Per-class counts, classes 1..levels, of sorted sizes in units of
         1/scale, against the edges floor(bounds[i]*scale) read off the ladder."""
@@ -74,28 +81,18 @@ class ClassPartition:
         return class_counts(sizes, [x * num // den for x in self.ladder])
 
 
-@lru_cache(maxsize=None)
-def _unit_ladder(eps: Fraction) -> tuple[Fraction, int, int, tuple[int, ...]]:
-    """(eps', levels, unit, ladder) of the class bounds at T = 1; eps is
-    checked here, once per value, rather than once per guess."""
+def a1_partition(eps: Fraction, T: Fraction = Fraction(1)) -> ClassPartition:
+    """The class partition of accuracy eps under the guess T.  For eps' = p/q
+    in lowest terms, bounds[i] / T = p*(q+p)**i / q**(i+1) is in lowest terms
+    too, so unit = q**(levels+1) is the ladder's least common denominator."""
+    eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     eps_prime = eps / 2
     levels = ceil_log(1 / eps_prime, 1 + eps_prime)
-    bounds = [eps_prime]
-    for _ in range(levels):
-        bounds.append(bounds[-1] * (1 + eps_prime))
-    unit = common_scale(bounds)
-    return eps_prime, levels, unit, tuple(scale_values(bounds, unit))
-
-
-def a1_partition(eps: Fraction, T: Fraction) -> ClassPartition:
-    eps = Fraction(eps)
-    T = Fraction(T)
-    eps_prime, levels, unit, ladder = _unit_ladder(eps)
-    if T.numerator <= 0:
-        raise ValueError("assumed optimum must be positive")
-    return ClassPartition(eps, eps_prime, levels, T, unit, ladder)
+    p, q = eps_prime.numerator, eps_prime.denominator
+    ladder = tuple(p * (q + p) ** i * q ** (levels - i) for i in range(levels + 1))
+    return ClassPartition(eps, eps_prime, levels, Fraction(1), q ** (levels + 1), ladder).at(Fraction(T))
 
 
 def a1_count_cap(m: int, eps_prime: Fraction) -> int:
@@ -126,7 +123,8 @@ class A1Plan:
     T/partition.unit; slots[i] lists, ascending, the machine indices j
     with n_star[i][j] > 0.  None of these depends on T, because the class
     ceilings are T times a fixed ladder: ``build`` works at T = 1 over
-    integers and ``at`` rebinds a plan to another guess.  Plans are
+    integers and ``at`` rebinds a plan to another guess.  ``certified``
+    marks the greedy schedule with makespan within (1+eps')*T.  Plans are
     shareable across runs; all mutable stepping state lives in A1State.
     """
 
@@ -136,6 +134,7 @@ class A1Plan:
     n_star: tuple[tuple[int, ...], ...]
     loads: tuple[int, ...]
     slots: tuple[tuple[int, ...], ...]
+    certified: bool = False
 
     def at(self, partition: ClassPartition) -> "A1Plan":
         """The same virtual schedule under another guess's partition."""
@@ -143,7 +142,8 @@ class A1Plan:
             return self
         if (partition.unit, partition.ladder) != (self.partition.unit, self.partition.ladder):
             raise ValueError("a plan can only be rebound to a partition of the same accuracy")
-        return replace(self, partition=partition)
+        return A1Plan(partition, self.m, self.vector, self.n_star, self.loads, self.slots,
+                      self.certified)
 
     @classmethod
     def build(
@@ -167,23 +167,26 @@ class A1Plan:
             raise ValueError("vector length must equal the number of large classes")
         sizes = partition.ladder[1:]  # the rounded class sizes at T = 1, in units
         inst = MultisetInstance(tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0), m)
+        certified = False
         if exact and not certify:
             ms = opt_multiset(inst)
         else:
             ms = lpt_multiset(inst)
-            if exact and ms.makespan() > partition.unit + partition.ladder[0]:  # (1+eps')*T
+            certified = ms.makespan() <= partition.unit + partition.ladder[0]  # (1+eps')*T
+            if exact and not certified:
                 ms = opt_multiset(inst)
         by_size = dict(zip(ms.sizes, ms.counts))
         zero = (0,) * m
         n_star = tuple(by_size[size] if v > 0 else zero for size, v in zip(sizes, vector))
         slots = tuple(tuple(itertools.compress(range(m), row)) for row in n_star)
-        return cls(partition, m, vector, n_star, ms.loads(), slots)
+        return cls(partition, m, vector, n_star, ms.loads(), slots, certified)
 
 
 class A1Plans:
     """One run's census plans: the plan of each (vector, exact) is built
     once, by the first guess that asks for it, and rebound to every later
-    guess and epoch.  ``certify`` applies to every plan built."""
+    guess and epoch.  ``certify`` applies to every plan built; under it a
+    certified plan is built once for both values of exact."""
 
     def __init__(self, m: int, certify: bool = False):
         self.m = m
@@ -198,6 +201,8 @@ class A1Plans:
         if plan is None:
             plan = self._built[vector, exact] = A1Plan.build(
                 partition, self.m, vector, exact, self.certify)
+            if self.certify and plan.certified:
+                self._built[vector, not exact] = plan
         return plan.at(partition)
 
 
@@ -297,6 +302,10 @@ class A1Family:
     def size(self) -> int:
         return len(self.vectors)
 
+    def at(self, T: Fraction) -> "A1Family":
+        """The same lanes under the guess T, sharing one set of plans."""
+        return A1Family(self.partition.at(T), self.m, self.vectors, self.plans)
+
     def plan(self, vector: tuple[int, ...]) -> A1Plan:
         return self.plans.get(self.partition, vector)
 
@@ -306,7 +315,7 @@ class A1Family:
 
 def a1_family_size(eps: Fraction, m: int) -> int:
     """Closed-form full family cardinality (count cap + 1) ** levels."""
-    partition = a1_partition(Fraction(eps), Fraction(1))
+    partition = a1_partition(eps)
     return (a1_count_cap(m, partition.eps_prime) + 1) ** partition.levels
 
 
@@ -316,13 +325,10 @@ def a1_family(
     T: Fraction,
     vector: Optional[tuple[int, ...]] = None,
     lane_cap: Optional[int] = None,
-    plans: Optional[A1Plans] = None,
 ) -> A1Family:
     """Build the lane family; `vector` restricts it to a single lane.
-
-    ``plans`` shares already built plans, e.g. across the guesses of one
-    run (it must serve the same m and accuracy)."""
-    partition = a1_partition(Fraction(eps), Fraction(T))
+    ``A1Family.at`` rebinds it, with its plans, to another guess."""
+    partition = a1_partition(eps, T)
     cap = a1_count_cap(m, partition.eps_prime)
     if vector is not None:
         vector = tuple(int(v) for v in vector)
@@ -330,7 +336,7 @@ def a1_family(
             raise ValueError("vector length must equal the number of large classes")
         if any(v < 0 or v > cap for v in vector):
             raise ValueError("vector entries must lie in 0..floor(m/eps')")
-        return A1Family(partition, m, [vector], plans)
+        return A1Family(partition, m, [vector])
     check_lane_cap((cap + 1) ** partition.levels, lane_cap)
     vectors = list(itertools.product(range(cap + 1), repeat=partition.levels))
-    return A1Family(partition, m, vectors, plans)
+    return A1Family(partition, m, vectors)

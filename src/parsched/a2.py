@@ -11,9 +11,11 @@ sparsification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, groupby
 from typing import Optional, Sequence
 
 from ._scaling import ScaledLane, class_counts, common_scale, scale_values, stream_counts
@@ -48,55 +50,87 @@ class A2Params:
 
     Classes 1..levels cover medium jobs in (a_i, b_i] * T; classes
     levels+1..2*levels-1 cover their doubled ranges (2a_i, 2b_i] * T.
-    Core machines are 1..mu, reserve machines mu+1..m.  All thresholds
-    carry the factor T so that job sizes stay untouched in reports.
+    Core machines are 1..mu, reserve machines mu+1..m.  Every threshold
+    is T times a number fixed by eps; the integer fields hold these at
+    T = 1 in units of 1/unit, their least common denominator: the size
+    bounds, the load cap 4/3 + eps, the fill line 1 + eps' and the
+    targeted load bounds of classes 0..2l-1.  A run builds them once and
+    rebinds them to each guess with ``at``; the Fraction views carry T.
     """
 
     eps: Fraction
     eps_prime: Fraction
     lam: int
     levels: int  # l; class count is 2*levels - 1
-    a: tuple[Fraction, ...]  # a[i-1] = a_i * T
-    b: tuple[Fraction, ...]
     mu: int
     kappa: int
     m0: int
     m: int
     T: Fraction
+    unit: int
+    ladder: tuple[int, ...]  # the size bounds: small_max, then the class bounds
+    cap: int
+    fill: int
+    ell_minus: tuple[int, ...]
+    ell_plus: tuple[int, ...]
+
+    def at(self, T: Fraction) -> "A2Params":
+        """The same parameters under the guess T > 0."""
+        if T.numerator <= 0:
+            raise ValueError("assumed optimum must be positive")
+        return replace(self, T=T)
+
+    def _at_T(self, x: int) -> Fraction:
+        return Fraction(x * self.T.numerator, self.T.denominator * self.unit)
 
     @property
     def n_classes(self) -> int:
         return 2 * self.levels - 1
 
     @property
+    def a(self) -> tuple[Fraction, ...]:
+        """a[i-1] = a_i * T, half the targeted minimum load of class i."""
+        return tuple(self._at_T(x) / 2 for x in self.ell_minus[1 : self.levels + 1])
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        return self.class_bounds[: self.levels]
+
+    @property
     def small_max(self) -> Fraction:
-        return self.a[0]
+        return self.size_bounds[0]
 
     @property
     def load_cap(self) -> Fraction:
         """Per-machine ceiling (4/3 + eps) * T enforced by every rule."""
-        return (Fraction(4, 3) + self.eps) * self.T
+        return self._at_T(self.cap)
 
     @property
     def fill_line(self) -> Fraction:
         """(1 + eps') * T, the level small loads are meant to reach."""
-        return (1 + self.eps_prime) * self.T
+        return self._at_T(self.fill)
 
     @property
     def class_bounds(self) -> tuple[Fraction, ...]:
         """Upper endpoints of classes 1..2*levels-1, strictly increasing."""
-        doubled = tuple(2 * self.b[i] for i in range(self.levels - 1))
-        return self.b + doubled
+        return self.size_bounds[1:]
 
     @cached_property
     def size_bounds(self) -> tuple[Fraction, ...]:
         """small_max, then the class bounds: a size's class is bisect_left(size_bounds, size)."""
-        return (self.small_max,) + self.class_bounds
+        return tuple(map(self._at_T, self.ladder))
+
+    def scale(self) -> int:
+        """A common denominator of the thresholds at T = n/d, unit*d over its
+        gcd with n: the least one when the integers at T = 1 share no factor."""
+        den = self.unit * self.T.denominator
+        return den // math.gcd(den, self.T.numerator)
 
     def census(self, sizes: Sequence[int], scale: int) -> list[int]:
         """Per-class counts, classes 1..2l-1, of sorted sizes in units of
         1/scale, against the edges floor(b*scale) of the size bounds b."""
-        return class_counts(sizes, [b.numerator * scale // b.denominator for b in self.size_bounds])
+        num, den = self.T.numerator * scale, self.T.denominator * self.unit
+        return class_counts(sizes, [x * num // den for x in self.ladder])
 
     def slots_of(self, cls: int) -> int:
         """Core slot count for a class: two medium jobs or one doubled job."""
@@ -106,23 +140,17 @@ class A2Params:
 
     def ell_bounds_of(self, cls: int) -> tuple[Fraction, Fraction]:
         """(targeted minimum, targeted maximum) load of a class-cls machine."""
-        if cls == 0:
-            return Fraction(0), Fraction(0)
-        base = cls if cls <= self.levels else cls - self.levels
-        return 2 * self.a[base - 1], 2 * self.b[base - 1]
+        return self._at_T(self.ell_minus[cls]), self._at_T(self.ell_plus[cls])
 
     def threshold(self) -> Fraction:
         """Machine count below which the census family takes over."""
         return 2 * self.levels / self.eps_prime**2
 
 
-def a2_params(eps: Fraction, m: int, T: Fraction) -> A2Params:
+def a2_params(eps: Fraction, m: int, T: Fraction = Fraction(1)) -> A2Params:
     eps = Fraction(eps)
-    T = Fraction(T)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    if T <= 0:
-        raise ValueError("assumed optimum must be positive")
     if m < 1:
         raise ValueError("machine count must be positive")
     eps_prime = eps / 8
@@ -135,28 +163,32 @@ def a2_params(eps: Fraction, m: int, T: Fraction) -> A2Params:
     for i in range(1, levels + 1):
         step_a = slope * Fraction(2) ** (i - lam - 1)
         step_b = slope * Fraction(2) ** (i - lam)
-        a.append(max(third - 2 * eps_prime + step_a, third + 2 * eps_prime) * T)
-        b.append((third - 2 * eps_prime + step_b) * T)
+        a.append(max(third - 2 * eps_prime + step_a, third + 2 * eps_prime))
+        b.append(third - 2 * eps_prime + step_b)
+    # Class i and its doubled class l+i target loads in [2a_i, 2b_i]; class 0 none.
+    ell_minus, ell_plus = ([0, *(2 * x for x in xs), *(2 * x for x in xs[:-1])] for xs in (a, b))
+    # The size bounds (small_max, then the class bounds), the load cap and the fill line.
+    fixed = [a[0], *b, *(2 * x for x in b[:-1]), Fraction(4, 3) + eps, 1 + eps_prime]
+    unit = common_scale([*fixed, *ell_minus, *ell_plus])
+    *ladder, cap, fill = scale_values(fixed, unit)
     mu = -((-(1 + eps_prime) * m) // (1 + 2 * eps_prime))  # exact ceiling
     kappa_val = 2 * (2 + 1 / eps_prime) * (2 * levels - 1)
     kappa = -((-kappa_val) // 1)
     m0 = (m - mu) // (2 * levels - 1)
-    return A2Params(eps, eps_prime, lam, levels, tuple(a), tuple(b),
-                    int(mu), int(kappa), int(m0), m, T)
+    return A2Params(eps, eps_prime, lam, levels, int(mu), int(kappa), int(m0), m, Fraction(1),
+                    unit, tuple(ladder), cap, fill, tuple(scale_values(ell_minus, unit)),
+                    tuple(scale_values(ell_plus, unit))).at(Fraction(T))
 
 
-def a2_rule_thresholds(params: A2Params):
-    """(scale, size_bounds, cap, fill, ell_minus, ell_plus) over integers in
-    units of 1/scale, the least common denominator of them all: the class
-    ladder (a size's class is bisect_left(size_bounds, size), n_classes + 1
-    meaning none) and the thresholds of an A2Rule."""
-    bounds = [params.ell_bounds_of(cls) for cls in range(params.n_classes + 1)]
-    ell_minus, ell_plus = [lo for lo, _ in bounds], [hi for _, hi in bounds]
-    fixed = [params.load_cap, params.fill_line]
-    scale = common_scale([*params.size_bounds, *fixed, *ell_minus, *ell_plus])
-    cap, fill = scale_values(fixed, scale)
-    return (scale, scale_values(params.size_bounds, scale), cap, fill,
-            scale_values(ell_minus, scale), scale_values(ell_plus, scale))
+def a2_rule_thresholds(params: A2Params, scale: int):
+    """(size_bounds, cap, fill, ell_minus, ell_plus) in units of 1/scale, a
+    multiple of ``params.scale()``: the T = 1 integers times T*scale/unit.
+    A size's class is bisect_left(size_bounds, size), n_classes + 1 none."""
+    k, rem = divmod(params.T.numerator * scale, params.T.denominator * params.unit)
+    if rem:
+        raise ValueError("scale is not a common denominator of the thresholds")
+    return ([x * k for x in params.ladder], params.cap * k, params.fill * k,
+            [x * k for x in params.ell_minus], [x * k for x in params.ell_plus])
 
 
 def a2_class_counts(params: A2Params, jobs) -> tuple[int, ...]:
@@ -181,11 +213,7 @@ class TargetConfiguration:
 
     def machine_counts(self) -> tuple[int, ...]:
         """m_i = number of class-i core machines, i = 1..2l-1."""
-        counts = [0] * self.params.n_classes
-        for x in self.c:
-            if x > 0:
-                counts[x - 1] += 1
-        return tuple(counts)
+        return tuple(map(self.c.count, range(1, self.params.n_classes + 1)))
 
     def mu1(self) -> int:
         return sum(self.machine_counts()[: self.params.levels])
@@ -239,19 +267,11 @@ def a2_is_valid(params: A2Params, config: TargetConfiguration, counts: Sequence[
     if len(counts) != params.n_classes:
         raise ValueError("counts length must be 2l-1")
     m_i = config.machine_counts()
-    levels = params.levels
-    for i in range(levels):
-        if 2 * m_i[i] > counts[i]:
-            return False
-    for i in range(levels, params.n_classes):
-        if m_i[i] > counts[i]:
-            return False
-    mu1 = config.mu1()
-    mu2 = config.mu2()
-    surplus_medium = sum(counts[:levels]) - 2 * mu1
-    surplus_big = sum(counts[levels:]) - mu2
-    need = (surplus_medium + 1) // 2 + surplus_big
-    return need <= params.m - params.mu
+    if any(params.slots_of(i) * m_i[i - 1] > counts[i - 1] for i in range(1, params.n_classes + 1)):
+        return False
+    surplus_medium = sum(counts[: params.levels]) - 2 * config.mu1()
+    surplus_big = sum(counts[params.levels :]) - config.mu2()
+    return (surplus_medium + 1) // 2 + surplus_big <= params.m - params.mu
 
 
 def a2_valid_u(params: A2Params, counts: Sequence[int]) -> tuple[int, ...]:
@@ -268,12 +288,7 @@ def a2_valid_u(params: A2Params, counts: Sequence[int]) -> tuple[int, ...]:
     packing = (sum(counts[:levels]) + 1) // 2 + sum(counts[levels:])
     if packing > params.m:
         raise ValueError("census cannot belong to a sequence with optimum <= T")
-    u = []
-    for i in range(params.n_classes):
-        if i < levels:
-            u.append(counts[i] // (2 * params.m0))
-        else:
-            u.append(counts[i] // params.m0)
+    u = [counts[i] // (params.slots_of(i + 1) * params.m0) for i in range(params.n_classes)]
     if any(x > params.kappa for x in u):
         raise ValueError("guess entry above kappa; census inconsistent with T")
     return tuple(u)
@@ -354,12 +369,17 @@ class A2Rule:
         self.cap = cap
         self.loads = [zero] * params.m
         slots = [0] + [params.slots_of(cls) for cls in range(1, params.n_classes + 1)]
-        self.slots_left = [slots[cls] for cls in c]
         # Per-class stacks, pop() yields the lowest index first: core slots
         # of each large class, and core machines not yet holding small jobs.
+        # They and the slot counts are built from the runs of equal classes
+        # in c: a block configuration has O(classes) runs.
+        runs = [(cls, len(list(run))) for cls, run in groupby(c)]
+        self.slots_left = list(chain.from_iterable([slots[cls]] * n for cls, n in runs))
         self._unopened: list[list[int]] = [[] for _ in range(params.n_classes + 1)]
-        for j in range(mu - 1, -1, -1):
-            self._unopened[c[j]].append(j)
+        end = mu
+        for cls, n in reversed(runs):
+            self._unopened[cls].extend(range(end - 1, end - n - 1, -1))
+            end -= n
         self._admissible = [stack.copy() for stack in self._unopened[1:]]
         self._opened = bytearray(mu)
         self._ell_minus = ell_minus_cls
@@ -499,7 +519,8 @@ class A2State(ScaledLane):
 
     def __init__(self, config: TargetConfiguration, label: int = 0):
         params = config.params
-        self._scale, self._bounds, *thresholds = a2_rule_thresholds(params)
+        self._scale = params.scale()
+        self._bounds, *thresholds = a2_rule_thresholds(params, self._scale)
         self.rule = A2Rule(params, config.c, *thresholds)
         self.m = params.m
         self.params = params

@@ -76,13 +76,11 @@ class A2Sweep:
 
 def _prepare(params: A2Params, jobs: Sequence[Fraction]):
     """(classes, scale, sizes, ell_minus, ell_plus, cap, fill) of a job stream
-    in integers: the rule's thresholds scale once more, to the lcm of their
+    in integers: the rule's thresholds are rebound to the lcm of their own
     scale and the job denominators, and each size's class is a bisection."""
-    scale, bounds, cap, fill, emc, epc = a2_rule_thresholds(params)
     ratios = [p.as_integer_ratio() for p in jobs]
-    k = math.lcm(scale, *{den for _, den in ratios}) // scale
-    scale, cap, fill = scale * k, cap * k, fill * k
-    bounds, emc, epc = ([x * k for x in xs] for xs in (bounds, emc, epc))
+    scale = math.lcm(params.scale(), *{den for _, den in ratios})
+    bounds, cap, fill, emc, epc = a2_rule_thresholds(params, scale)
     top = len(bounds) - 1
     cls, sizes = [], []
     for p, (num, den) in zip(jobs, ratios):

@@ -196,17 +196,19 @@ def _a1_suffix_census(
 def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
     """Single-lane factory following the true census of each epoch suffix.
 
-    Plans do not depend on the guess, so each (vector, exact) is built
-    once per factory and shared by every guess and epoch."""
+    The class ladder and the plans do not depend on the guess: the ladder
+    is built once per factory and rebound to each guess, and each
+    (vector, exact) plan is built once and shared by every guess and epoch."""
     scale, census = _suffix_census(seq)
-    cap = a1_count_cap(seq.m, a1_partition(eps_inner, Fraction(1)).eps_prime)
+    unit = a1_partition(eps_inner)
+    cap = a1_count_cap(seq.m, unit.eps_prime)
     # The lane survives guesses at or above the suffix optimum as long
     # as its virtual schedule stays within (1+eps')*T, so a greedy
     # schedule certified against that bound is as good as the exact one.
     plans = A1Plans(seq.m, certify=True)
 
     def make(T: Fraction, start_t: int):
-        partition = a1_partition(eps_inner, T)
+        partition = unit.at(T)
         vector, doomed = _a1_suffix_census(*census(start_t), scale, partition, seq.m, cap)
         return [A1State(plans.get(partition, vector, exact=not doomed))]
 
@@ -215,23 +217,23 @@ def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
 
 def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
     """Dispatching factory: censuses at accuracy 1/3 below the machine
-    threshold, valid configurations above it."""
+    threshold, valid configurations above it.  The configuration
+    parameters are built once per factory and rebound to each guess."""
     choice = a3_dispatch(eps_inner, seq.m, Fraction(1))
     if choice.kind == "a1":
         return a1_targeted_factory(seq, Fraction(1, 3))
     scale, census = _suffix_census(seq)
+    unit = a2_params(eps_inner, seq.m)
 
     def make(T: Fraction, start_t: int):
-        params = a2_params(eps_inner, seq.m, T)
+        params = unit.at(T)
         counts = params.census(census(start_t)[0], scale)
         try:
             u = a2_valid_u(params, counts)
         except ValueError:
             # Census inconsistent with OPT <= T: the lane may fail.
-            u = tuple(
-                min(params.kappa, counts[i] // max(1, (2 if i < params.levels else 1) * params.m0))
-                for i in range(params.n_classes)
-            )
+            u = tuple(min(params.kappa, counts[i] // max(1, params.slots_of(i + 1) * params.m0))
+                      for i in range(params.n_classes))
         config = a2_config_from_u(params, u)
         return [A2State(config)]
 
@@ -239,12 +241,13 @@ def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
 
 
 def a1_full_factory(eps_inner: Fraction, m: int, lane_cap: Optional[int] = None):
-    """Whole-family factory; only sensible when the family is small.  Every
-    guess and epoch shares one set of plans."""
-    plans = A1Plans(m)
+    """Whole-family factory; only sensible when the family is small.  The
+    family is built once, at T = 1, and rebound to each guess with its
+    one set of plans."""
+    family = a1_family(eps_inner, m, Fraction(1), lane_cap=lane_cap)
 
     def make(T: Fraction, start_t: int):
-        return a1_family(eps_inner, m, T, lane_cap=lane_cap, plans=plans).lanes()
+        return family.at(T).lanes()
 
     return make
 
@@ -271,12 +274,12 @@ def _family_accounting(algo: str, eps: Fraction, m: int) -> tuple[str, Fraction,
     if algo == "a1":
         return "a1", eps, a1_family_size(eps, m)
     if algo == "a2":
-        return "a2", eps, a2_family_size(a2_params(eps, m, Fraction(1)))
+        return "a2", eps, a2_family_size(a2_params(eps, m))
     if algo == "a3":
         choice = a3_dispatch(eps, m, Fraction(1))
         if choice.kind == "a1":
             return "a1", choice.eps, a1_family_size(choice.eps, m)
-        return "a2", eps, a2_family_size(a2_params(eps, m, Fraction(1)))
+        return "a2", eps, a2_family_size(a2_params(eps, m))
     raise ValueError(f"unknown inner algorithm {algo!r}")
 
 
@@ -289,6 +292,8 @@ def compose(algo: str, epsilon: Fraction, m: int) -> Composition:
         inner, inner_eps, lanes = _family_accounting(algo, eps, m)
         return Composition(algo, eps, m, "plain", inner, inner_eps, None, lanes)
     if algo in ("a1star", "a3star"):
+        if not 0 < eps <= 1:  # the inner accuracy eps/2 alone would allow eps up to 2
+            raise ValueError("eps must lie in (0, 1]")
         inner_eps = eps / 2
         if algo == "a1star":
             rho = 1 + eps / 2

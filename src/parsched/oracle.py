@@ -10,7 +10,7 @@ seeds for the exact searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -166,17 +166,20 @@ class MultisetInstance:
 
 @dataclass
 class MultisetSchedule:
-    """A concrete schedule of a multiset: per-class, per-machine counts."""
+    """A concrete schedule of a multiset: per-class, per-machine counts, and
+    loads summed from them on first use unless the maker passes them in."""
 
     inst: MultisetInstance
     sizes: tuple[Fraction, ...]
     counts: tuple[tuple[int, ...], ...]  # [class][machine], machine 0-based
+    _loads: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def loads(self) -> tuple[Fraction, ...]:
         """Per-machine loads, machine 1 first."""
-        if not self.sizes:
-            return (0,) * self.inst.m
-        return tuple(sum(map(mul, self.sizes, column)) for column in zip(*self.counts))
+        if self._loads is None:
+            columns = zip(*self.counts) if self.sizes else [()] * self.inst.m
+            self._loads = tuple(sum(map(mul, self.sizes, column)) for column in columns)
+        return self._loads
 
     def makespan(self) -> Fraction:
         loads = self.loads()
@@ -190,7 +193,8 @@ class MultisetSchedule:
 
 
 def _greedy_counts(sizes, counts, m):
-    """Least-loaded placement of the multiset, largest sizes first."""
+    """Least-loaded placement of the multiset, largest sizes first:
+    (per-class placement counts, per-machine loads)."""
     loads = LeastLoaded([0] * m)
     placed = [[0] * m for _ in sizes]
     for i, size in enumerate(sizes):
@@ -199,7 +203,7 @@ def _greedy_counts(sizes, counts, m):
             j = loads.least()
             row[j] += 1
             loads.add(j, size)
-    return tuple(tuple(row) for row in placed)
+    return tuple(tuple(row) for row in placed), tuple(loads.loads)
 
 
 def lpt_multiset(inst: MultisetInstance) -> MultisetSchedule:
@@ -207,7 +211,7 @@ def lpt_multiset(inst: MultisetInstance) -> MultisetSchedule:
     norm = inst.normalized()
     sizes = tuple(s for s, _ in norm)
     counts = [c for _, c in norm]
-    return MultisetSchedule(inst, sizes, _greedy_counts(sizes, counts, inst.m))
+    return MultisetSchedule(inst, sizes, *_greedy_counts(sizes, counts, inst.m))
 
 
 def _ffd_fits(sizes, counts, m, limit):

@@ -47,9 +47,9 @@ def format_rational(value: Fraction) -> str:
 def ceil_log(x: Fraction, base: Fraction) -> int:
     """Smallest integer ``k`` (possibly negative) with ``base**k >= x``.
 
-    Computed by exact repeated multiplication/division, so the result is
-    right even when ``x`` is an exact power of ``base`` and a floating
-    log would land on either side of the boundary.
+    The walk compares cross-multiplied integer powers, so the result is
+    exact even when ``x`` is a power of ``base`` and a floating log would
+    land on either side of the boundary.
     """
     x = Fraction(x)
     base = Fraction(base)
@@ -57,15 +57,20 @@ def ceil_log(x: Fraction, base: Fraction) -> int:
         raise ValueError("ceil_log requires x > 0")
     if base <= 1:
         raise ValueError("ceil_log requires base > 1")
+    bn, bd = base.numerator, base.denominator
+    # base**k >= x  <=>  left >= right, for left = xd*bn**k, right = xn*bd**k
+    # (left = xd*bd**j, right = xn*bn**j for k = -j).
+    left, right = x.denominator, x.numerator
     k = 0
-    power = Fraction(1)
-    if power >= x:
+    if left >= right:
         # Walk down while the next smaller power still dominates x.
-        while power / base >= x:
-            power /= base
+        while left * bd >= right * bn:
+            left *= bd
+            right *= bn
             k -= 1
     else:
-        while power < x:
-            power *= base
+        while left < right:
+            left *= bn
+            right *= bd
             k += 1
     return k

@@ -1,4 +1,5 @@
 import heapq
+import math
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -415,3 +416,91 @@ def test_lazy_fallback_loads_match_eager_reference(eps, m, T, rng):
     assert lane._loads is not None  # the fallback fired
     assert lane._scale % (97 * 89) == 0  # and the scale grew after it
     assert [F(x, lane._scale) for x in lane._loads.loads] == ref.loads
+
+
+def fraction_ladder_reference(eps):
+    """Test-local copy of the class ladder as it was built over Fractions:
+    (unit, ladder) for bounds eps'*(1+eps')**i at T = 1, unit their lcm."""
+    eps_prime = eps / 2
+    bounds = [eps_prime]
+    while bounds[-1] < 1:
+        bounds.append(bounds[-1] * (1 + eps_prime))
+    unit = math.lcm(*(b.denominator for b in bounds))
+    return unit, tuple(int(b * unit) for b in bounds)
+
+
+def wrapper_guesses(p1, eps, count):
+    """Guesses shaped like a wrapped run's: p1 * (1 + eps_g)**k for the
+    wrapper's step at accuracy eps and inner ratio 1 + eps/2."""
+    step = 1 + eps / (3 * (1 + eps / 2))
+    return [p1 * step**k for k in range(count)]
+
+
+@given(
+    eps=st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 7)]),
+    m=st.integers(min_value=1, max_value=5),
+    certify=st.booleans(),
+    p1=st.builds(F, st.integers(1, 48), st.sampled_from([8, 12, 24, 48])),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, certify, p1, data):
+    """A census lane rebound from one run's parts (the T = 1 partition and
+    its A1Plans) to a guess proposes and loads exactly like a lane whose
+    partition and plan are built from scratch at that guess, on wrapper-
+    shaped guesses p1 * (1 + eps_g)**k whose denominators grow with k, with
+    jobs of fresh denominators growing the lane's scale mid-run; the
+    integer ladder is the one the Fraction bounds give."""
+    unit = a1_partition(eps)
+    assert (unit.unit, unit.ladder) == fraction_ladder_reference(eps)
+    plans = A1Plans(m, certify=certify)
+    cap = a1_count_cap(m, unit.eps_prime)
+    rng = data.draw(st.randoms(use_true_random=False))
+    for T in wrapper_guesses(p1, eps, data.draw(st.integers(1, 6))):
+        fresh = a1_partition(eps, T)
+        rebound = unit.at(T)
+        assert rebound == fresh and rebound.bounds == fresh.bounds
+        vector = data.draw(_census_vectors(unit.levels, cap))
+        exact = data.draw(st.booleans())
+        plan = plans.get(rebound, vector, exact)
+        ref_plan = A1Plan.build(fresh, m, vector, exact, certify)
+        assert (plan.n_star, plan.loads, plan.slots) == (ref_plan.n_star, ref_plan.loads,
+                                                          ref_plan.slots)
+        lane, ref = A1State(plan), A1State(ref_plan)
+        top = fresh.bounds[-1]
+        for t in range(1, 25):
+            den = rng.choice([2, 3, 5, 7, 11, 13]) ** rng.randint(1, 3)  # fresh denominators
+            job = Job(t, F(rng.randint(1, den), den) * top * F(rng.choice([1, 1, 1, 9]), 8))
+            proposal = ref.propose(job)
+            assert lane.propose(job) == proposal
+            if proposal is not None:
+                machine = proposal if rng.random() < 0.75 else rng.randint(1, m)
+                lane.record(job, machine)
+                ref.record(job, machine)
+                assert lane.loads == ref.loads
+
+
+@given(
+    eps=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+    m=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_greedy_plan_is_built_once_for_both_exact_values(eps, m, data):
+    """Under certify, a vector whose greedy schedule stays within
+    (1+eps')*T has one plan for a doomed and an exact lane, whichever asks
+    first; otherwise the two plans are built separately, as before."""
+    partition = a1_partition(eps)
+    vector = data.draw(_census_vectors(partition.levels, a1_count_cap(m, partition.eps_prime)))
+    first = data.draw(st.booleans())
+    plans = A1Plans(m, certify=True)
+    plan = plans.get(partition, vector, first)
+    greedy = A1Plan.build(partition, m, vector, exact=False)
+    bound = 1 + partition.eps_prime  # at T = 1
+    certified = max(F(x, partition.unit) for x in greedy.loads) <= bound
+    assert plan.certified == certified
+    other = plans.get(partition, vector, not first)
+    assert (other is plan) == certified
+    for exact, got in ((first, plan), (not first, other)):
+        n_star, _ = fraction_plan_reference(partition, m, vector, exact, bound)
+        assert got.n_star == n_star

@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_left
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from parsched.a2 import (
     a2_family_size,
     a2_is_valid,
     a2_params,
+    a2_rule_thresholds,
     a2_valid_u,
     a3_dispatch,
     lane_index_to_u,
@@ -426,3 +428,105 @@ def test_integer_lane_matches_fraction_rule(eps, m, T, rng):
         with pytest.raises(ValueError):
             lane.record(recorded, 1)
     assert lane.loads == ref.loads
+
+
+def fraction_params_reference(eps, T):
+    """Test-local copy of the configuration thresholds as they were built
+    over Fractions at T: (size_bounds, cap, fill, ell_minus, ell_plus),
+    the targeted load bounds indexed by class 0..2l-1."""
+    e = eps / 8
+    lam = 0
+    while F(2) ** lam < F(3, 8) + 1 / (48 * e):
+        lam += 1
+    levels = lam + 2
+    third, slope = F(1, 3), F(1, 12) + F(3, 2) * e
+    a = [max(third - 2 * e + slope * F(2) ** (i - lam - 1), third + 2 * e) * T
+         for i in range(1, levels + 1)]
+    b = [(third - 2 * e + slope * F(2) ** (i - lam)) * T for i in range(1, levels + 1)]
+    bases = [*range(levels), *range(levels - 1)]  # class i+1 and its doubled class
+    return ((a[0], *b, *(2 * x for x in b[:-1])), (F(4, 3) + eps) * T, (1 + e) * T,
+            [F(0), *(2 * a[i] for i in bases)], [F(0), *(2 * b[i] for i in bases)])
+
+
+@given(
+    eps=st.sampled_from([F(1), F(3, 4), F(1, 2), F(2, 5)]),
+    m=st.integers(min_value=2, max_value=12) | st.integers(min_value=30, max_value=48),
+    p1=st.builds(F, st.integers(1, 48), st.sampled_from([8, 12, 24, 48])),
+    k=st.integers(0, 8),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_rebound_lane_matches_lane_built_at_the_guess(eps, m, p1, k, rng):
+    """Parameters built once at T = 1 and rebound to a wrapper-shaped guess
+    T = p1 * (1 + eps_g)**k have the thresholds the Fraction formulas give
+    at T, and a configuration lane on them proposes, loads and counts
+    fill-line violations exactly like A2Rule driven over those Fraction
+    thresholds, including when jobs of fresh denominators grow the lane's
+    scale mid-run."""
+    unit = a2_params(eps, m)
+    T = p1 * (1 + eps / (3 * (F(4, 3) + eps / 2))) ** k
+    params = unit.at(T)
+    assert params == a2_params(eps, m, T)
+    bounds, cap, fill, ell_minus, ell_plus = fraction_params_reference(eps, T)
+    assert (params.size_bounds, params.load_cap, params.fill_line) == (bounds, cap, fill)
+    assert [params.ell_bounds_of(cls) for cls in range(params.n_classes + 1)] == list(
+        zip(ell_minus, ell_plus))
+    assert params.scale() == math.lcm(*(x.denominator for x in (*bounds, cap, fill, *ell_minus,
+                                                                   *ell_plus)))
+    scale = params.scale() * rng.choice([1, 7])
+    ints = a2_rule_thresholds(params, scale)
+    assert ints == ([x * scale for x in bounds], cap * scale, fill * scale,
+                    [x * scale for x in ell_minus], [x * scale for x in ell_plus])
+    with pytest.raises(ValueError, match="common denominator"):
+        a2_rule_thresholds(params, params.scale() * 3 + 1)
+    if rng.random() < 0.5:
+        u = [rng.randint(0, min(3, params.kappa)) for _ in range(params.n_classes)]
+        config = a2_config_from_u(params, u)
+    else:
+        config = TargetConfiguration(
+            params, tuple(rng.randint(0, params.n_classes) for _ in range(params.mu)))
+    ref = A2Rule(params, config.c, cap, fill, ell_minus, ell_plus)
+    lane = A2State(config)
+    for t in range(1, rng.randint(1, 60) + 1):
+        den = rng.choice([2, 3, 5, 7, 11, 13]) ** rng.randint(1, 3)  # fresh denominators
+        p = F(rng.randint(1, den), den) * bounds[-1] * F(rng.choice([1, 1, 1, 9]), 8)
+        cls = bisect_left(bounds, p)
+        proposal = None if cls > params.n_classes else ref.choose(cls, p) + 1
+        assert lane.propose(Job(t, p)) == proposal
+        if proposal is not None:
+            lane.record(Job(t, p), proposal)
+            ref.put(cls, p, proposal - 1)
+            assert lane.loads == ref.loads
+            assert lane.fill_violations == ref.fill_violations
+
+
+@given(
+    eps=st.sampled_from([F(1), F(1, 2)]),
+    m=st.integers(min_value=2, max_value=12) | st.integers(min_value=30, max_value=80),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_rule_stacks_from_runs_match_per_machine_loop(eps, m, data):
+    """A2Rule builds its per-class stacks and slot counts from the runs of
+    equal classes in c; they equal the ones a loop over every core machine
+    builds, for block layouts and for arbitrary c with runs of any length."""
+    params = a2_params(eps, m)
+    classes = st.integers(0, params.n_classes)
+    runs = st.lists(st.tuples(classes, st.integers(1, params.mu)), min_size=1)
+    c = data.draw(st.one_of(
+        st.lists(classes, min_size=params.mu, max_size=params.mu),
+        runs.map(lambda rs: [cls for cls, n in rs for _ in range(n)]),
+    ))
+    c = tuple((c * params.mu)[: params.mu])
+    rule = A2Rule(params, c, *a2_rule_thresholds(params, params.unit)[1:])
+    stacks = [[] for _ in range(params.n_classes + 1)]
+    for j in range(params.mu - 1, -1, -1):
+        stacks[c[j]].append(j)
+    assert rule._unopened == stacks
+    assert rule._admissible == stacks[1:]
+    assert rule.slots_left == [params.slots_of(cls) if cls else 0 for cls in c]
+    u = [data.draw(st.integers(0, params.kappa)) for _ in range(params.n_classes)]
+    block = a2_config_from_u(params, u).c
+    rule = A2Rule(params, block, *a2_rule_thresholds(params, params.unit)[1:])
+    assert rule._unopened == [[j for j in range(params.mu - 1, -1, -1) if block[j] == cls]
+                              for cls in range(params.n_classes + 1)]

@@ -189,6 +189,11 @@ def test_malformed_sequence_files_fail_cleanly(tmp_path, capsys, name, text, rea
     ("batch --algo list --m 2 --instances -1 --jsonl {out}",
      "instance count must be nonnegative, got -1"),
     ("params --epsilon 2 --m 256", "eps must lie in (0, 1]"),
+    # Wrapped runs halve eps for their inner lanes; eps itself must still be at most 1.
+    ("batch --algo a1star --epsilon 2 --m 3 --instances 1 --jsonl {out}",
+     "eps must lie in (0, 1]"),
+    ("batch --algo a3star --epsilon 3/2 --m 3 --instances 1 --jsonl {out}",
+     "eps must lie in (0, 1]"),
     ("adversary --theorem lb1 --m 6 --victim list:abc --out {out}", "got 'abc'"),
     ("adversary --theorem lb1 --m 6 --victim list:0 --out {out}", "need at least one victim"),
     ("adversary --theorem lb1 --m 6 --victim file:{missing} --out {out}",

@@ -10,6 +10,7 @@ from parsched.core import JobSequence
 from parsched.oracle import (
     ListScheduler,
     MultisetInstance,
+    MultisetSchedule,
     list_schedule,
     lower_bound,
     lpt_multiset,
@@ -231,3 +232,24 @@ def test_multiset_scale_invariance(data):
     inst = MultisetInstance(tuple(zip(sizes, counts)), m)
     lcd = math.lcm(*(s.denominator for s in sizes))
     _assert_scale_invariant(inst, lcd * data.draw(st.sampled_from([1, 1, 2, 61])))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_greedy_loads_equal_loads_summed_from_counts(data):
+    """LPT hands over the loads its least-loaded rule kept; they equal the
+    loads a schedule sums from its per-class counts, over integers and
+    over Fractions, including machines LPT leaves empty."""
+    m = data.draw(st.integers(min_value=1, max_value=6))
+    k = data.draw(st.integers(min_value=0, max_value=4))
+    sizes = data.draw(st.lists(st.fractions(min_value=F(1, 12), max_value=F(2), max_denominator=60),
+                               min_size=k, max_size=k, unique=True))
+    if data.draw(st.booleans()):
+        scale = math.lcm(1, *(s.denominator for s in sizes))
+        sizes = [int(s * scale) for s in sizes]
+    counts = data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))
+    inst = MultisetInstance(tuple(zip(sizes, counts)), m)
+    greedy = lpt_multiset(inst)
+    summed = MultisetSchedule(inst, greedy.sizes, greedy.counts)
+    assert greedy.loads() == summed.loads()
+    assert greedy.makespan() == summed.makespan()

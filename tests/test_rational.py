@@ -93,3 +93,49 @@ def test_ceil_log_float_cross_check_thousand():
         approx = math.log(x) / math.log(base)
         if math.ceil(approx) != k:
             assert abs(approx - round(approx)) < 1e-9  # float noise at a power
+
+
+def fraction_ceil_log(x, base):
+    """Test-local reference: ceil_log as it was, by exact repeated
+    multiplication and division of Fraction powers."""
+    k, power = 0, F(1)
+    if power >= x:
+        while power / base >= x:
+            power /= base
+            k -= 1
+    else:
+        while power < x:
+            power *= base
+            k += 1
+    return k
+
+
+near_one_bases = st.builds(lambda n: F(n + 1, n), st.integers(1, 40))  # 2, 3/2, .., 12/11, ..
+
+
+@given(
+    base=bases | near_one_bases,
+    exponent=st.integers(-30, 30),
+    nudge=st.sampled_from([F(1), F(1), F(999, 1000), F(1001, 1000)]),
+    x=positive_fractions,
+    power=st.booleans(),
+)
+@settings(max_examples=400)
+def test_ceil_log_matches_fraction_reference(base, exponent, nudge, x, power):
+    """The cross-multiplied integer walk returns what the Fraction walk
+    returns: on exact powers of the base (above and below 1), just off
+    them, at x = 1 and on arbitrary x, for bases near 1 like 12/11."""
+    if power:
+        x = base**exponent * nudge
+    assert ceil_log(x, base) == fraction_ceil_log(x, base)
+    assert ceil_log(F(1), base) == 0
+    assert ceil_log(base**exponent, base) == exponent
+
+
+def test_ceil_log_wrapper_guess_counts():
+    """The guess counts h = ceil_log(1 + 6*rho/eps, 1 + eps_g) of the two
+    wrapped families over a few accuracies agree with the reference."""
+    for eps in (F(1), F(1, 2), F(1, 3), F(1, 10)):
+        for rho in (1 + eps / 2, F(4, 3) + eps / 2):
+            x, base = 1 + 6 * rho / eps, 1 + eps / (3 * rho)
+            assert ceil_log(x, base) == fraction_ceil_log(x, base)
