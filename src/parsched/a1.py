@@ -2,10 +2,11 @@
 
 Given an assumed optimum T, job sizes are partitioned into a geometric
 ladder of classes.  Each lane fixes a vector of per-class counts, builds
-an exact optimal virtual schedule for those counts rounded up to class
-ceilings, and then follows that virtual schedule online: large jobs fill
-the virtual slots of their class, small jobs go wherever virtual load
-plus accumulated small load is lowest.
+a virtual schedule of makespan at most (1+eps')*T for those counts
+rounded up to class ceilings (LPT when it stays within that bound, else
+an exact fit decision at it), and then follows that virtual schedule
+online: large jobs fill the virtual slots of their class, small jobs go
+wherever virtual load plus accumulated small load is lowest.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._scaling import ScaledLane, class_counts, stream_counts
 from .core import Job, LaneCapExceeded, LeastLoaded, check_lane_cap
-from .oracle import MultisetInstance, lpt_multiset, opt_multiset
+from .oracle import MultisetInstance, fit_multiset, lpt_multiset
 from .rational import ceil_log
 
 __all__ = [
@@ -104,7 +105,7 @@ def a1_true_vector(jobs: Iterable[Job], partition: ClassPartition, m: int) -> tu
     """Exact per-class counts of the large jobs in the stream.
 
     Raises if a count exceeds floor(m/eps') or a job exceeds the top
-    class bound, both of which certify that the true optimum is above T.
+    class bound, both of which show that the true optimum is above T.
     """
     counts = stream_counts(jobs, partition.census, partition.bounds[-1])
     cap = a1_count_cap(m, partition.eps_prime)
@@ -124,8 +125,9 @@ class A1Plan:
     with n_star[i][j] > 0.  None of these depends on T, because the class
     ceilings are T times a fixed ladder: ``build`` works at T = 1 over
     integers and ``at`` rebinds a plan to another guess.  ``certified``
-    marks the greedy schedule with makespan within (1+eps')*T.  Plans are
-    shareable across runs; all mutable stepping state lives in A1State.
+    marks a greedy schedule with makespan within (1+eps')*T, which the
+    lane takes whether or not it is exact.  Plans are shareable across
+    runs; all mutable stepping state lives in A1State.
     """
 
     partition: ClassPartition
@@ -146,35 +148,24 @@ class A1Plan:
                       self.certified)
 
     @classmethod
-    def build(
-        cls,
-        partition: ClassPartition,
-        m: int,
-        vector: tuple[int, ...],
-        exact: bool = True,
-        certify: bool = False,
-    ) -> "A1Plan":
-        """Construct the virtual schedule for the rounded count vector.
-
-        With certify=True, a greedy virtual schedule is used whenever its
-        makespan provably stays within (1+eps')*T (the guarantee only
-        needs the virtual schedule to be that good), and the exact
-        search runs otherwise.  exact=False always takes the greedy
-        schedule; only callers that can prove the lane irrelevant to any
-        guarantee may use it.
-        """
+    def build(cls, partition: ClassPartition, m: int, vector: tuple[int, ...],
+              exact: bool = True) -> "A1Plan":
+        """The virtual schedule of the rounded count vector, of makespan at
+        most (1+eps')*T, all the guarantee needs: LPT when it stays within
+        that bound, else one exact fit decision at the bound, which succeeds
+        whenever OPT <= T.  A vector the search proves unfit contradicts
+        OPT <= T and keeps LPT; a search over its budget raises
+        SearchBudgetExceeded.  exact=False always takes LPT; only callers
+        that can prove the lane irrelevant to any guarantee may use it."""
         if len(vector) != partition.levels:
             raise ValueError("vector length must equal the number of large classes")
         sizes = partition.ladder[1:]  # the rounded class sizes at T = 1, in units
         inst = MultisetInstance(tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0), m)
-        certified = False
-        if exact and not certify:
-            ms = opt_multiset(inst)
-        else:
-            ms = lpt_multiset(inst)
-            certified = ms.makespan() <= partition.unit + partition.ladder[0]  # (1+eps')*T
-            if exact and not certified:
-                ms = opt_multiset(inst)
+        ms = lpt_multiset(inst)
+        limit = partition.unit + partition.ladder[0]  # (1+eps')*T
+        certified = ms.makespan() <= limit
+        if exact and not certified:
+            ms = fit_multiset(inst, limit) or ms
         by_size = dict(zip(ms.sizes, ms.counts))
         zero = (0,) * m
         n_star = tuple(by_size[size] if v > 0 else zero for size, v in zip(sizes, vector))
@@ -185,12 +176,11 @@ class A1Plan:
 class A1Plans:
     """One run's census plans: the plan of each (vector, exact) is built
     once, by the first guess that asks for it, and rebound to every later
-    guess and epoch.  ``certify`` applies to every plan built; under it a
-    certified plan is built once for both values of exact."""
+    guess and epoch.  A certified plan, whose greedy schedule lies within
+    (1+eps')*T, is the plan of both values of exact and is built once."""
 
-    def __init__(self, m: int, certify: bool = False):
+    def __init__(self, m: int):
         self.m = m
-        self.certify = certify
         self._built: dict[tuple[tuple[int, ...], bool], A1Plan] = {}
 
     def __len__(self) -> int:
@@ -199,9 +189,8 @@ class A1Plans:
     def get(self, partition: ClassPartition, vector: tuple[int, ...], exact: bool = True) -> A1Plan:
         plan = self._built.get((vector, exact))
         if plan is None:
-            plan = self._built[vector, exact] = A1Plan.build(
-                partition, self.m, vector, exact, self.certify)
-            if self.certify and plan.certified:
+            plan = self._built[vector, exact] = A1Plan.build(partition, self.m, vector, exact)
+            if plan.certified:
                 self._built[vector, not exact] = plan
         return plan.at(partition)
 

@@ -7,12 +7,12 @@ guess wrapper with the accuracy split used for the end-to-end bounds.
 
 Targeted runs use hindsight (the full sequence) to pick the single lane
 that the guarantees single out — the true census lane or the valid
-configuration lane — instead of simulating the whole family.  When the
-hindsight census certifies that a guess is below the suffix's optimum
-(volume overflow or a count above its ceiling), the lane is built with
-a greedy virtual schedule instead of the exact one; such a lane is
-allowed to fail, and every asserted guarantee is unaffected because it
-only concerns guesses at or above the optimum.
+configuration lane — instead of simulating the whole family.  A census
+lane's plan is LPT when that stays within (1+eps')*T, else a fit at that
+bound; when the hindsight census certifies that a guess is below the
+suffix's optimum (volume overflow or a count above its ceiling), the
+lane keeps LPT.  Such a lane may fail, and no asserted guarantee is
+affected, because each concerns only guesses at or above the optimum.
 """
 
 from __future__ import annotations
@@ -202,10 +202,7 @@ def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
     scale, census = _suffix_census(seq)
     unit = a1_partition(eps_inner)
     cap = a1_count_cap(seq.m, unit.eps_prime)
-    # The lane survives guesses at or above the suffix optimum as long
-    # as its virtual schedule stays within (1+eps')*T, so a greedy
-    # schedule certified against that bound is as good as the exact one.
-    plans = A1Plans(seq.m, certify=True)
+    plans = A1Plans(seq.m)
 
     def make(T: Fraction, start_t: int):
         partition = unit.at(T)

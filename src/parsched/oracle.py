@@ -1,10 +1,11 @@
 """Exact offline optimum, multiset scheduling, and greedy baselines.
 
 ``opt_exact`` is a branch-and-bound over arbitrary instances (guarded by
-a size cap).  ``opt_multiset`` schedules a small number of distinct job
-sizes with multiplicities, which is what the census-family lanes need
-for their virtual target schedules.  List/LPT serve as baselines and as
-seeds for the exact searches.
+a size cap).  ``fit_multiset`` decides whether a small number of distinct
+job sizes with multiplicities fits under a load limit, which is what the
+census-family lanes need for their virtual target schedules;
+``opt_multiset`` bisects over such decisions for the optimum.  List/LPT
+serve as baselines and as seeds for the exact searches.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "MultisetSchedule",
     "SearchBudgetExceeded",
     "opt_exact",
+    "fit_multiset",
     "opt_multiset",
     "lpt_multiset",
     "lower_bound",
@@ -366,6 +368,17 @@ def _fit_decision(sizes, counts, m, limit, node_cap):
     return tuple(tuple(row) for row in placed)
 
 
+def fit_multiset(inst: MultisetInstance, limit,
+                 node_cap: int = 2_000_000) -> Optional[MultisetSchedule]:
+    """A schedule of the multiset with every load <= limit, or None when
+    the search proves that none exists: a decision at a target makespan,
+    as in the Hochbaum-Shmoys dual approximation, not a minimisation."""
+    norm = inst.normalized()
+    sizes = tuple(s for s, _ in norm)
+    placed = _fit_decision(sizes, [c for _, c in norm], inst.m, limit, node_cap)
+    return None if placed is None else MultisetSchedule(inst, sizes, placed)
+
+
 def opt_multiset(inst: MultisetInstance, node_cap: int = 2_000_000) -> MultisetSchedule:
     """Exact optimal schedule of a multiset instance.
 
@@ -390,14 +403,14 @@ def opt_multiset(inst: MultisetInstance, node_cap: int = 2_000_000) -> MultisetS
         step = {s + k * size for s in sums for k in range(1, reach + 1) if s + k * size <= ub}
         sums |= step
     candidates = sorted(s for s in sums if lb <= s < ub)
-    best_counts = incumbent.counts
+    best = incumbent
     lo, hi = 0, len(candidates)  # candidates[hi] == ub conceptually, known feasible
     while lo < hi:
         mid = (lo + hi) // 2
-        placed = _fit_decision(sizes, counts, m, candidates[mid], node_cap)
-        if placed is None:
+        fit = fit_multiset(inst, candidates[mid], node_cap)
+        if fit is None:
             lo = mid + 1
         else:
-            best_counts = placed
+            best = fit
             hi = mid
-    return MultisetSchedule(inst, sizes, best_counts)
+    return best

@@ -307,7 +307,7 @@ class AStar:
 
     def _emit(self, **event) -> None:
         if self.trace is not None:
-            self.trace(event)
+            self.trace({k: str(v) if isinstance(v, Fraction) else v for k, v in event.items()})
 
     def _set_caps(self, group: _Group) -> None:
         """floor(gamma*S), floor(gamma*m*S) and floor(rho*gamma*S) for the group's guess."""
@@ -357,7 +357,7 @@ class AStar:
             group = _Group(var_id, gamma, lanes)
             self._set_caps(group)
             self.groups.append(group)
-            self._emit(t=1, event="init", var=var_id, gamma=str(gamma))
+            self._emit(t=1, event="init", var=var_id, gamma=gamma)
             gamma = gamma * step
         if self.check:
             self._check_guess_order()
@@ -369,7 +369,7 @@ class AStar:
                     < old.numerator * growth.numerator * new_gamma.denominator):
                 raise InvariantViolation("adjustment grew the guess too little")
         self._emit(t=self.t, event="adjust", var=group.var_id,
-                   old=str(group.gamma), new=str(new_gamma))
+                   old=group.gamma, new=new_gamma)
         group.gamma = new_gamma
         self._set_caps(group)
         self.adjustments += 1
@@ -398,7 +398,7 @@ class AStar:
                 if reason is not None:
                     group.live -= 1
                     self._emit(t=self.t, event="fail", var=group.var_id,
-                               gamma=str(group.gamma), lane=lane.label, reason=reason)
+                               gamma=group.gamma, lane=lane.label, reason=reason)
             if not group.live:
                 i_star = pos
         return i_star

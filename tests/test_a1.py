@@ -20,7 +20,7 @@ from parsched.a1 import (
 )
 from parsched.core import Job, JobSequence, LaneRunner, select_best
 from parsched.harness import gen_planted
-from parsched.oracle import MultisetInstance, lpt_multiset, opt_multiset
+from parsched.oracle import MultisetInstance, fit_multiset, lpt_multiset
 
 
 def test_partition_examples():
@@ -276,20 +276,17 @@ def test_integer_lane_matches_fraction_reference(eps, m, T, rng):
     assert lane.loads == ref.loads
 
 
-def fraction_plan_reference(partition, m, vector, exact=True, certify=None):
-    """Test-local copy of A1Plan.build as it was over Fractions: the virtual
-    schedule of the class ceilings at the partition's T, certified against
-    the absolute bound ``certify``.  Returns (n_star, ell_star)."""
+def fraction_plan_reference(partition, m, vector, exact=True):
+    """Test-local copy of A1Plan.build's rule over Fractions: the virtual
+    schedule of the class ceilings at the partition's T, LPT if it lies
+    within (1+eps')*T, else a fit at that bound, else LPT.  Returns
+    (n_star, ell_star)."""
     sizes = partition.bounds[1:]  # each class's ceiling
     inst = MultisetInstance(tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0), m)
-    if not exact:
-        ms = lpt_multiset(inst)
-    elif certify is not None:
-        ms = lpt_multiset(inst)
-        if ms.makespan() > certify:
-            ms = opt_multiset(inst)
-    else:
-        ms = opt_multiset(inst)
+    ms = lpt_multiset(inst)
+    bound = (1 + partition.eps_prime) * partition.T
+    if exact and ms.makespan() > bound:
+        ms = fit_multiset(inst, bound) or ms
     by_size = {size: ms.counts[k] for k, size in enumerate(ms.sizes)}
     n_star = []
     for i, v in enumerate(vector):
@@ -314,15 +311,14 @@ def _census_vectors(levels, cap):
 @given(
     eps=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
     m=st.integers(min_value=1, max_value=4),
-    certify=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_cached_integer_plan_matches_fraction_reference(eps, m, certify, data):
+def test_cached_integer_plan_matches_fraction_reference(eps, m, data):
     """Plans built once at T = 1 over integers and rebound through one
     A1Plans cache to several guesses T (denominators up to 60) have the
     n_star and ell_star of the Fraction build at each T, with exact both
-    ways and with and without certify; each (vector, exact) is built once;
+    ways; each (vector, exact) is built once;
     and an A1State over the cached plan steps like the Fraction lane over
     the reference plan, a quarter of the jobs recorded off-proposal."""
     levels = a1_partition(eps, F(1)).levels
@@ -330,14 +326,13 @@ def test_cached_integer_plan_matches_fraction_reference(eps, m, certify, data):
     guesses = data.draw(st.lists(
         st.builds(F, st.integers(1, 240), st.integers(1, 60)), min_size=1, max_size=4))
     vectors = data.draw(st.lists(_census_vectors(levels, cap), min_size=1, max_size=3))
-    plans = A1Plans(m, certify=certify)
+    plans = A1Plans(m)
     for T in guesses:
         partition = a1_partition(eps, T)
-        bound = (1 + partition.eps_prime) * T if certify else None
         for vector in vectors:
             for exact in (True, False):
                 plan = plans.get(partition, vector, exact)
-                n_star, ell_star = fraction_plan_reference(partition, m, vector, exact, bound)
+                n_star, ell_star = fraction_plan_reference(partition, m, vector, exact)
                 assert (plan.partition, plan.vector) == (partition, vector)
                 assert plan.n_star == n_star
                 unit = partition.unit
@@ -347,7 +342,7 @@ def test_cached_integer_plan_matches_fraction_reference(eps, m, certify, data):
     # Stepping: the cached plan against the reference plan at the last guess.
     vector, exact = data.draw(st.sampled_from(vectors)), data.draw(st.booleans())
     plan = plans.get(partition, vector, exact)
-    n_star, ell_star = fraction_plan_reference(partition, m, vector, exact, bound)
+    n_star, ell_star = fraction_plan_reference(partition, m, vector, exact)
     lane = A1State(plan)
     ref = FractionA1Lane(SimpleNamespace(m=m, partition=partition, n_star=n_star,
                                          ell_star=ell_star))
@@ -439,12 +434,11 @@ def wrapper_guesses(p1, eps, count):
 @given(
     eps=st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 7)]),
     m=st.integers(min_value=1, max_value=5),
-    certify=st.booleans(),
     p1=st.builds(F, st.integers(1, 48), st.sampled_from([8, 12, 24, 48])),
     data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, certify, p1, data):
+def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, p1, data):
     """A census lane rebound from one run's parts (the T = 1 partition and
     its A1Plans) to a guess proposes and loads exactly like a lane whose
     partition and plan are built from scratch at that guess, on wrapper-
@@ -453,7 +447,7 @@ def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, certify, p1, data
     integer ladder is the one the Fraction bounds give."""
     unit = a1_partition(eps)
     assert (unit.unit, unit.ladder) == fraction_ladder_reference(eps)
-    plans = A1Plans(m, certify=certify)
+    plans = A1Plans(m)
     cap = a1_count_cap(m, unit.eps_prime)
     rng = data.draw(st.randoms(use_true_random=False))
     for T in wrapper_guesses(p1, eps, data.draw(st.integers(1, 6))):
@@ -463,7 +457,7 @@ def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, certify, p1, data
         vector = data.draw(_census_vectors(unit.levels, cap))
         exact = data.draw(st.booleans())
         plan = plans.get(rebound, vector, exact)
-        ref_plan = A1Plan.build(fresh, m, vector, exact, certify)
+        ref_plan = A1Plan.build(fresh, m, vector, exact)
         assert (plan.n_star, plan.loads, plan.slots) == (ref_plan.n_star, ref_plan.loads,
                                                           ref_plan.slots)
         lane, ref = A1State(plan), A1State(ref_plan)
@@ -487,13 +481,13 @@ def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, certify, p1, data
 )
 @settings(max_examples=60, deadline=None)
 def test_certified_greedy_plan_is_built_once_for_both_exact_values(eps, m, data):
-    """Under certify, a vector whose greedy schedule stays within
-    (1+eps')*T has one plan for a doomed and an exact lane, whichever asks
-    first; otherwise the two plans are built separately, as before."""
+    """A vector whose greedy schedule stays within (1+eps')*T has one plan
+    for a doomed and an exact lane, whichever asks first; otherwise the
+    two plans are built separately."""
     partition = a1_partition(eps)
     vector = data.draw(_census_vectors(partition.levels, a1_count_cap(m, partition.eps_prime)))
     first = data.draw(st.booleans())
-    plans = A1Plans(m, certify=True)
+    plans = A1Plans(m)
     plan = plans.get(partition, vector, first)
     greedy = A1Plan.build(partition, m, vector, exact=False)
     bound = 1 + partition.eps_prime  # at T = 1
@@ -502,5 +496,5 @@ def test_certified_greedy_plan_is_built_once_for_both_exact_values(eps, m, data)
     other = plans.get(partition, vector, not first)
     assert (other is plan) == certified
     for exact, got in ((first, plan), (not first, other)):
-        n_star, _ = fraction_plan_reference(partition, m, vector, exact, bound)
+        n_star, _ = fraction_plan_reference(partition, m, vector, exact)
         assert got.n_star == n_star

@@ -21,8 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("list", None, 8), ("list", None, 256),
     ("a1", "1", 8), ("a1", "1", 256), ("a1", "1/2", 8), ("a1", "1/2", 256),
-    ("a3", "1", 8), ("a3", "1", 256), ("a3", "1/2", 8),
-    ("a1star", "1", 8), ("a1star", "1", 256), ("a1star", "1/2", 8),
+    ("a3", "1", 8), ("a3", "1", 256), ("a3", "1/2", 8), ("a3", "1/2", 256),
+    ("a1star", "1", 8), ("a1star", "1", 256), ("a1star", "1/2", 8), ("a1star", "1/2", 256),
     ("a3star", "1", 8), ("a3star", "1", 256), ("a3star", "1/2", 8), ("a3star", "1/2", 256),
     ("a3star", "1", 1024),  # wrapped configuration lanes: m=1024 clears the inner threshold
 ]

@@ -106,6 +106,18 @@ def test_a3_dispatches_by_machine_count():
     assert r.makespan <= F(4, 3) * 1  # census at 1/3 keeps ratio 4/3
 
 
+def test_census_plans_fit_planted_instances_that_outgrew_the_optimum_search():
+    """Two valid planted instances whose census plans once ran the exact
+    optimum search past its node budget: a plain a3 run (census at accuracy
+    1/3, ratio <= 4/3) and a wrapped a3star run (ratio <= 11/6)."""
+    plain = gen_planted(256, (1, 3), 24, seed=0, order="shuffle")
+    r = run_algorithm("a3", plain, epsilon=F(1, 2), assumed_opt=F(1), check=True)
+    assert r.ratio <= F(4, 3)
+    wrapped = gen_planted(1024, (1, 3), 48, seed=3, order="interleave")
+    r = run_algorithm("a3star", wrapped, epsilon=F(1, 2), check=True)
+    assert r.opt == 1 and r.ratio <= F(11, 6)
+
+
 def test_run_batch_reports(tmp_path):
     jsonl = tmp_path / "report.jsonl"
     csv_path = tmp_path / "report.csv"

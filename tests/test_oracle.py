@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,8 @@ from parsched.oracle import (
     ListScheduler,
     MultisetInstance,
     MultisetSchedule,
+    SearchBudgetExceeded,
+    fit_multiset,
     list_schedule,
     lower_bound,
     lpt_multiset,
@@ -169,12 +173,12 @@ def test_multiset_agrees_with_expanded_instance(data):
 
 
 def test_multiset_budget_guard():
-    from parsched.oracle import SearchBudgetExceeded
-
     sizes = [F(5, 11), F(4, 9), F(3, 7), F(2, 5), F(5, 13), F(4, 13)]
     inst = MultisetInstance(tuple((s, 5) for s in sizes), 7)
     with pytest.raises(SearchBudgetExceeded):
         opt_multiset(inst, node_cap=3)
+    with pytest.raises(SearchBudgetExceeded):
+        fit_multiset(inst, F(23, 13), node_cap=3)  # the optimum, which FFD misses
 
 
 def _scaled(inst, scale):
@@ -253,3 +257,60 @@ def test_greedy_loads_equal_loads_summed_from_counts(data):
     summed = MultisetSchedule(inst, greedy.sizes, greedy.counts)
     assert greedy.loads() == summed.loads()
     assert greedy.makespan() == summed.makespan()
+
+
+def test_fit_multiset_agrees_with_optimum(monkeypatch):
+    """On small random multisets, the fit decision returns a schedule of
+    every job with each load <= limit exactly when the optimum is <= limit,
+    at limits on, just below and around the optimum; some decisions need
+    the machine-by-machine search (FFD alone does not settle them)."""
+    from parsched import oracle
+
+    calls = []
+    real = oracle._bin_completions
+    monkeypatch.setattr(oracle, "_bin_completions", lambda *a: calls.append(1) or real(*a))
+    rng = random.Random(13)
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        k = rng.randint(1, 4)
+        sizes = []
+        while len(sizes) < k:
+            s = F(rng.randint(1, 16), rng.choice([1, 2, 4]))
+            if s not in sizes:
+                sizes.append(s)
+        counts = [rng.randint(0, 4) for _ in range(k)]
+        while sum(counts) > 12:
+            counts[counts.index(max(counts))] -= 1
+        inst = MultisetInstance(tuple(zip(sizes, counts)), m)
+        opt = opt_multiset(inst).makespan()
+        jobs = [s for s, c in zip(sizes, counts) for _ in range(c)]
+        assert opt == opt_exact(JobSequence.from_sizes(m, jobs))  # a reference without the fit search
+        for limit in (opt, opt - F(1, 8), opt + F(1, 8), F(rng.randint(1, 96), 4)):
+            fit = fit_multiset(inst, limit)
+            assert (fit is not None) == (opt <= limit)
+            if fit is not None:
+                assert all(x <= limit for x in fit.loads())
+                assert [sum(row) for row in fit.counts] == [c for _, c in inst.normalized()]
+    assert calls
+
+
+def test_plan_build_searches_only_past_the_bound_and_raises_out_of_budget(monkeypatch):
+    """A census plan whose LPT makespan is at most (1+eps')*T, bound
+    included, is the LPT plan; one whose LPT overshoots needs the fit
+    search, and when that outgrows its budget the error reaches the
+    caller instead of a silent greedy plan.  A doomed lane (exact=False)
+    never searches."""
+    from parsched import a1
+
+    partition = a1.a1_partition(F(1))  # eps' = 1/2, ceilings 3/4 and 9/8 at T = 1
+    vector = (0, 4)  # LPT and FFD both overshoot 3/2 on 3 machines
+    greedy = a1.A1Plan.build(partition, 3, vector, exact=False)
+    assert not greedy.certified
+    # With its budget the search proves that nothing fits: the plan stays greedy.
+    assert a1.A1Plan.build(partition, 3, vector).n_star == greedy.n_star
+    monkeypatch.setattr(a1, "fit_multiset", functools.partial(fit_multiset, node_cap=1))
+    with pytest.raises(SearchBudgetExceeded):
+        a1.A1Plan.build(partition, 3, vector)
+    assert a1.A1Plan.build(partition, 3, vector, exact=False).n_star == greedy.n_star
+    at_bound = a1.A1Plan.build(partition, 2, (3, 0))  # LPT loads 3/2 and 3/4
+    assert at_bound.certified and max(at_bound.loads) == partition.unit + partition.ladder[0]
