@@ -205,9 +205,16 @@ class A1State(ScaledLane):
     minus its virtual load plus its large load.  The class-overflow
     fallback, which places by load, keeps the loads in a LeastLoaded from
     its first use on.
+
+    ``least_loaded`` (see ``core.OnlineScheduler``) may be set only on an
+    all-zero plan, by a caller that knows every job of the lane is small:
+    with no slot and no virtual load, its least level is its least load.
     """
 
-    def __init__(self, plan: A1Plan, label: int = 0):
+    def __init__(self, plan: A1Plan, label: int = 0, least_loaded: bool = False):
+        if least_loaded and any(plan.vector):
+            raise ValueError("only a lane of the all-zero vector can be least loaded")
+        self._least_loaded = least_loaded
         self.plan = plan
         self.m = m = plan.m
         self.label = label
@@ -222,6 +229,10 @@ class A1State(ScaledLane):
         # Per class, the position in plan.slots of the lowest machine that
         # may still have an open slot: open slots only ever close.
         self._next_slot = [0] * len(plan.slots)
+
+    @property
+    def least_loaded(self) -> bool:
+        return self._least_loaded
 
     def _rescale(self, k: int) -> None:
         self._level.rescale(k)

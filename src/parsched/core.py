@@ -300,6 +300,10 @@ class OnlineScheduler(Protocol):
     return None to signal that no scheduling rule applies (e.g. a job
     falls outside every size class).  ``record`` commits a placement.
     A scheduler never inspects any other lane's state.
+
+    An optional ``least_loaded`` true promises that it proposes its least
+    loaded machine, lowest index on ties, for every job it is given; the
+    guess wrapper then places by that rule and never steps it.
     """
 
     m: int

@@ -198,7 +198,9 @@ def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
 
     The class ladder and the plans do not depend on the guess: the ladder
     is built once per factory and rebound to each guess, and each
-    (vector, exact) plan is built once and shared by every guess and epoch."""
+    (vector, exact) plan is built once and shared by every guess and epoch.
+    A suffix with no large job that is not doomed holds only jobs of at
+    most eps'*T, so its lane is flagged ``least_loaded``."""
     scale, census = _suffix_census(seq)
     unit = a1_partition(eps_inner)
     cap = a1_count_cap(seq.m, unit.eps_prime)
@@ -207,7 +209,8 @@ def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
     def make(T: Fraction, start_t: int):
         partition = unit.at(T)
         vector, doomed = _a1_suffix_census(*census(start_t), scale, partition, seq.m, cap)
-        return [A1State(plans.get(partition, vector, exact=not doomed))]
+        plan = plans.get(partition, vector, exact=not doomed)
+        return [A1State(plan, least_loaded=not (doomed or any(vector)))]
 
     return make
 

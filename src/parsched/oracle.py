@@ -311,6 +311,8 @@ def _fit_decision(sizes, counts, m, limit, node_cap):
     """
     if max(sizes, default=Fraction(0)) > limit:
         return None
+    if sum(s * c for s, c in zip(sizes, counts)) > m * limit:  # the search's first volume test
+        return None
     quick = _ffd_fits(sizes, counts, m, limit)
     if quick is not None:
         return quick

@@ -4,10 +4,11 @@ The wrapper runs h geometrically spaced guesses on the optimum.  Each
 guess drives a fresh copy of a known-optimum lane family; a lane *fails*
 when its inner rule has no machine, when following the rule would push a
 machine past rho * guess, or when the guess drops below the trivial
-lower bounds.  Failed lanes place jobs on their least-loaded machine
-until every lane of some guess has failed, at which point that guess
-(and all smaller ones) jumps past the largest guess and its lanes
-restart, ignoring everything placed before the restart.
+lower bounds.  Failed lanes, and lanes whose inner rule is the same,
+place jobs on their least-loaded machine until every lane of some guess
+has failed, at which point that guess (and all smaller ones) jumps past
+the largest guess and its lanes restart, ignoring everything placed
+before the restart.
 
 Lanes reason in *virtual* machine numbers that restart with each epoch;
 when an epoch closes, a binding maps them onto physical machines so that
@@ -29,6 +30,7 @@ from .rational import ceil_log
 __all__ = [
     "WrapperParams",
     "InvariantViolation",
+    "Epoch",
     "GuessLane",
     "AStar",
     "astar_params",
@@ -99,15 +101,62 @@ def _out_of_range(proposal: int, m: int) -> ValueError:
     return ValueError(f"machine {proposal} out of range 1..{m}")
 
 
+class Epoch:
+    """One epoch's virtual schedule: the virtual loads, the virtual machine
+    of each job and the virtual machines in the order of their first use.
+
+    Graham's rule places through ``place_least``, which wraps the loads in
+    a ``LeastLoaded`` on first use.  The rule does not depend on the
+    guess, so an epoch that flagged lanes share places each job once, for
+    the first lane that asks, and ``AStar`` rescales it once.
+    """
+
+    __slots__ = ("shared", "loads", "least", "vms", "opened", "last")
+
+    def __init__(self, m: int, shared: bool = False):
+        self.shared = shared
+        self.loads = [0] * m
+        self.least: Optional[LeastLoaded] = None
+        self.vms: list[int] = []
+        self.opened: list[int] = []
+        self.last = 0  # index of the last job place_least placed
+
+    def rescale(self, k: int) -> None:
+        if self.least is not None:
+            self.least.rescale(k)
+            self.loads = self.least.loads
+        else:
+            self.loads = [x * k for x in self.loads]
+
+    def place_least(self, t: int, q: int) -> int:
+        """Job t, of size q, on the least loaded virtual machine (lowest
+        index on ties) unless it is there already; that machine's load
+        before the job."""
+        if self.last == t:
+            return self.loads[self.vms[-1]] - q
+        least = self.least
+        if least is None:
+            least = self.least = LeastLoaded(self.loads)  # shares the list: least.add updates it
+        v = least.least()
+        load = self.loads[v]
+        if not load:
+            self.opened.append(v)
+        least.add(v, q)
+        self.vms.append(v)
+        self.last = t
+        return load
+
+
 class GuessLane:
     """One inner scheduler plus its virtual/physical bookkeeping.
 
     Loads are integers in units of 1/S for the run-wide scale S of the
     driving ``AStar``; ``rescale`` follows its growth.  Within an epoch
-    the lane keeps only its virtual loads (a plain list, wrapped in a
-    ``LeastLoaded`` once the lane fails and places on its least loaded
-    virtual machine), the virtual machine of each job, and the virtual
-    machines in the order of their first use.
+    the lane keeps only its ``Epoch``.  A live lane follows its inner; a
+    failed one places on its least loaded virtual machine.  A lane whose
+    inner is *flagged* (``least_loaded``, see ``core.OnlineScheduler``)
+    never steps it: it shares the epoch of every flagged lane opened at the
+    same job, and tests its failure conditions on the machine Graham's rule picks.
 
     Physical machines are bound only when the epoch closes or a caller
     asks (``physical``, ``physical_loads``).  The rule is: the k-th
@@ -120,53 +169,51 @@ class GuessLane:
     """
 
     __slots__ = (
-        "m", "label", "jobs", "inner", "failed", "fail_reason", "virtual", "least",
-        "vms", "opened", "prebound", "placed", "loads",
+        "m", "label", "jobs", "inner", "flagged", "failed", "fail_reason", "epoch", "prebound",
+        "placed", "loads",
     )
 
-    def __init__(self, m: int, label: int, jobs: list[Job]):
+    def __init__(self, m: int, label: int, jobs: list[Job],
+                 inner: Optional[OnlineScheduler] = None, shared: Optional[Epoch] = None):
         self.m = m
         self.label = label
         self.jobs = jobs
         self.placed: list[int] = []  # 0-based physical machine of each job of closed epochs
         self.loads = [0] * m  # physical loads of the closed epochs
-        self.reset_epoch(None)
+        self.reset_epoch(inner, shared)
 
-    def reset_epoch(self, inner: Optional[OnlineScheduler]) -> None:
+    def reset_epoch(self, inner: Optional[OnlineScheduler], shared: Optional[Epoch] = None) -> None:
+        """Open an epoch under a fresh inner; a flagged one takes ``shared``."""
         self.inner = inner
+        self.flagged = getattr(inner, "least_loaded", False)
+        self.epoch = shared if self.flagged and shared is not None else Epoch(self.m)
         self.failed = False
         self.fail_reason: Optional[str] = None
-        self.virtual = [0] * self.m
-        self.least: Optional[LeastLoaded] = None  # the virtual loads, once failed
-        self.vms: list[int] = []  # the virtual machine of each job of the epoch
-        self.opened: list[int] = []  # virtual machines by first use, bar the pre-bound one
         self.prebound: Optional[tuple[int, int]] = None  # (virtual, physical) of the restart job
 
     def rescale(self, k: int) -> None:
-        """Multiply the virtual and physical loads by k (the run-wide scale
-        grew k-fold)."""
-        if self.least is not None:
-            self.least.rescale(k)
-            self.virtual = self.least.loads
-        else:
-            self.virtual = [x * k for x in self.virtual]
+        """Multiply the physical loads, and the virtual ones unless the
+        epoch is shared, by k (the run-wide scale grew k-fold)."""
+        if not self.epoch.shared:
+            self.epoch.rescale(k)
         self.loads = [x * k for x in self.loads]
 
     def _binding(self) -> dict[int, int]:
         """The physical machine of each virtual machine the epoch used."""
         free = sorted(range(self.m), key=self.loads.__getitem__)  # by (load, index)
+        opened = self.epoch.opened
         if self.prebound is None:
-            return dict(zip(self.opened, free))
-        v, j = self.prebound
+            return dict(zip(opened, free))
+        v, j = self.prebound  # the restart job's machine, opened[0]
         free.remove(j)
-        binding = dict(zip(self.opened, free))
+        binding = dict(zip(opened[1:], free))
         binding[v] = j
         return binding
 
     def _bound_loads(self, binding: dict[int, int]) -> list[int]:
         """The physical loads once the epoch's virtual loads sit on their bound machines."""
         loads = self.loads[:]
-        virtual = self.virtual
+        virtual = self.epoch.loads
         for v, j in binding.items():
             loads[j] += virtual[v]
         return loads
@@ -175,7 +222,7 @@ class GuessLane:
         """Bind the epoch's virtual machines and fold it into the placements."""
         binding = self._binding()
         self.loads = self._bound_loads(binding)
-        self.placed += [binding[v] for v in self.vms]
+        self.placed += [binding[v] for v in self.epoch.vms]
 
     @property
     def physical_loads(self) -> list[int]:
@@ -186,39 +233,37 @@ class GuessLane:
         """The lane's placements as a Schedule (built afresh on each access)."""
         binding = self._binding()
         schedule = Schedule(self.m, self.label)
-        for job, j in zip(self.jobs, self.placed + [binding[v] for v in self.vms]):
+        for job, j in zip(self.jobs, self.placed + [binding[v] for v in self.epoch.vms]):
             schedule.assign(j + 1, job)
         return schedule
 
-    def restart(self, inner: OnlineScheduler, job: Job, q: int) -> None:
+    def restart(self, inner: OnlineScheduler, job: Job, q: int,
+                shared: Optional[Epoch] = None) -> None:
         """Close the epoch and open one under a fresh inner whose first job
         is ``job``, of scaled size q, the last one placed.
 
         The job keeps its physical machine and becomes the epoch's first
-        job on the virtual machine the fresh inner proposes; that virtual
-        machine is bound to it from the start.
+        job on the virtual machine the fresh inner proposes (0 if it has no
+        rule or is flagged), which is bound to it from the start.
         """
         self.close_epoch()
         j = self.placed.pop()
         self.loads[j] -= q
-        self.reset_epoch(inner)
-        proposal = inner.propose(job)
+        self.reset_epoch(inner, shared)
+        epoch = self.epoch
+        proposal = None if self.flagged else inner.propose(job)
         if proposal is None:
-            self._fail(FAIL_NO_RULE)
-            v = 0
+            if not self.flagged:
+                self.failed, self.fail_reason = True, FAIL_NO_RULE
+            epoch.place_least(job.index, q)
         elif not 0 < proposal <= self.m:
             raise _out_of_range(proposal, self.m)
         else:
             inner.record(job, proposal)
-            v = proposal - 1
-        self.prebound = (v, j)
-        self.virtual[v] = q
-        self.vms.append(v)
-
-    def _fail(self, reason: str) -> None:
-        self.failed = True
-        self.fail_reason = reason
-        self.least = LeastLoaded(self.virtual)  # shares the list: least.add updates it
+            epoch.loads[proposal - 1] = q
+            epoch.opened.append(proposal - 1)
+            epoch.vms.append(proposal - 1)
+        self.prebound = (epoch.vms[0], j)
 
     def place(self, job: Job, q: int, bounds: bool, load_cap: int) -> Optional[str]:
         """Place one job: follow the inner rule unless a failure condition applies.
@@ -226,12 +271,14 @@ class GuessLane:
         This is ``check_failure`` with its guess-wide part precomputed:
         ``bounds`` is whether the job breaks the guess's bounds (size or
         average load) and ``load_cap`` is floor(rho*gamma*S).  A lane that
-        fails here, or failed before, puts the job on its least loaded
-        virtual machine.  Returns the reason when the lane fails on this
-        job, else None.
+        fails here, failed before or is flagged puts the job on its least
+        loaded virtual machine; a live flagged lane then fails if the
+        bounds test (iii) or the overload test (ii) on that machine does.
+        Returns the reason when the lane fails on this job, else None.
         """
         reason = None
-        if not self.failed:
+        epoch = self.epoch
+        if not (self.failed or self.flagged):
             proposal = self.inner.propose(job)
             if proposal is None:
                 reason = FAIL_NO_RULE
@@ -241,23 +288,26 @@ class GuessLane:
                 reason = FAIL_BOUNDS
             else:
                 v = proposal - 1
-                virtual = self.virtual
+                virtual = epoch.loads
                 load = virtual[v]
                 if load + q <= load_cap:
                     self.inner.record(job, proposal)
                     if not load:
-                        self.opened.append(v)
+                        epoch.opened.append(v)
                     virtual[v] = load + q
-                    self.vms.append(v)
+                    epoch.vms.append(v)
                     return None
                 reason = FAIL_OVERLOAD
-            self._fail(reason)
-        least = self.least
-        v = least.least()
-        if not self.virtual[v]:
-            self.opened.append(v)
-        least.add(v, q)
-        self.vms.append(v)
+            self.failed, self.fail_reason = True, reason
+        load = epoch.place_least(job.index, q)
+        if not self.failed:
+            if bounds:
+                reason = FAIL_BOUNDS
+            elif load + q > load_cap:
+                reason = FAIL_OVERLOAD
+            else:
+                return None
+            self.failed, self.fail_reason = True, reason
         return reason
 
 
@@ -323,10 +373,15 @@ class AStar:
             k = den // math.gcd(scale, den)
             self._scale = scale = scale * k
             self._prefix *= k
+            shared = {}
             for group in self.groups:
                 self._set_caps(group)
                 for lane in group.lanes:
                     lane.rescale(k)
+                    if lane.epoch.shared:
+                        shared[id(lane.epoch)] = lane.epoch
+            for epoch in shared.values():
+                epoch.rescale(k)
         q = p.numerator * (scale // den)
         self._prefix += q
         return q
@@ -343,17 +398,15 @@ class AStar:
     def _init(self, p1: Fraction) -> None:
         step = self._step
         gamma = Fraction(p1)
+        shared = Epoch(self.m, shared=True)  # the epoch of every flagged lane
         for var_id in range(self.params.h):
             inners = list(self.factory(gamma, 1))
             if var_id == 0:
                 self.lanes_per_guess = len(inners)
             elif len(inners) != self.lanes_per_guess:
                 raise ValueError("inner factory must return a fixed number of lanes")
-            lanes = []
-            for k, inner in enumerate(inners):
-                lane = GuessLane(self.m, var_id * self.lanes_per_guess + k, self.jobs)
-                lane.inner = inner
-                lanes.append(lane)
+            lanes = [GuessLane(self.m, var_id * self.lanes_per_guess + k, self.jobs, inner, shared)
+                     for k, inner in enumerate(inners)]
             group = _Group(var_id, gamma, lanes)
             self._set_caps(group)
             self.groups.append(group)
@@ -362,7 +415,8 @@ class AStar:
         if self.check:
             self._check_guess_order()
 
-    def _reset_group(self, group: _Group, new_gamma: Fraction, job: Job, q: int) -> None:
+    def _reset_group(self, group: _Group, new_gamma: Fraction, job: Job, q: int,
+                     shared: Epoch) -> None:
         if self.check:
             old, growth = group.gamma, self._growth  # new_gamma >= old * growth, in integers
             if (new_gamma.numerator * old.denominator * growth.denominator
@@ -378,7 +432,7 @@ class AStar:
             raise ValueError("inner factory must return a fixed number of lanes")
         for lane, inner in zip(group.lanes, inners):
             self._past_violations += getattr(lane.inner, "fill_violations", 0)
-            lane.restart(inner, job, q)
+            lane.restart(inner, job, q, shared)
         group.live = sum(not lane.failed for lane in group.lanes)
 
     def _place(self, job: Job, q: int) -> int:
@@ -416,9 +470,10 @@ class AStar:
             anchor = max(self.groups[-1].gamma, job.p, mean)
             new_gamma = anchor
             reset = self.groups[: i_star + 1]
+            shared = Epoch(self.m, shared=True)  # the epoch of every flagged lane reset here
             for group in reset:
                 new_gamma = new_gamma * self._step
-                self._reset_group(group, new_gamma, job, q)
+                self._reset_group(group, new_gamma, job, q, shared)
             # The reset guesses are anchor * step**k for k = 1, 2, ..., all
             # above the largest guess kept, so moving them to the end keeps
             # the guesses sorted.

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsched.a1 import a1_count_cap, a1_family_size, a1_partition, a1_true_vector
+from parsched.a1 import (
+    A1State, a1_count_cap, a1_family, a1_family_size, a1_partition, a1_true_vector,
+)
 from parsched.a2 import a2_class_counts, a2_config_from_u, a2_family_size, a2_params, a2_valid_u
 from parsched.core import JobSequence
 from parsched.harness import (
+    BATCH_ORDERS,
     CSV_COLUMNS,
     ExperimentConfig,
     _a1_suffix_census,
@@ -284,3 +287,46 @@ def test_true_counts_raise_like_per_job_loop():
         jobs = JobSequence.from_sizes(2, sizes).jobs
         assert_true_counts(lambda js: a1_true_vector(js, partition, 2), jobs, partition.bounds, cap)
         assert_true_counts(lambda js: a2_class_counts(params, js), jobs, params.size_bounds)
+
+
+def test_flagged_census_lane_proposes_least_loaded_machine():
+    """A lane the targeted factory flags least_loaded, stepped on its own
+    over its epoch's suffix, proposes its least loaded machine, lowest index
+    on ties, for every job.  No lane of a full family is flagged."""
+    flagged = 0
+    for seed, order in enumerate(BATCH_ORDERS * 2):
+        seq = gen_planted(4, counts=(1, 4), denom=24, seed=seed, order=order)
+        factory = a1_targeted_factory(seq, F(1))  # eps' = 1/2: small jobs are <= T/2
+        for T in (F(1), F(2), F(4)):
+            for start in range(1, len(seq) + 1):
+                lane, = factory(T, start)
+                if not lane.least_loaded:
+                    continue
+                flagged += 1
+                loads = [F(0)] * seq.m
+                for job in seq.jobs[start - 1:]:
+                    machine = lane.propose(job)
+                    assert machine == min(range(seq.m), key=lambda j: (loads[j], j)) + 1
+                    lane.record(job, machine)
+                    loads[machine - 1] += job.p
+    assert flagged
+    assert not any(lane.least_loaded for lane in a1_family(F(1), 2, F(1)).lanes())
+
+
+@pytest.mark.parametrize("sizes, flagged", [
+    (["1/4", "1/2"], True),  # small jobs only (at most eps'*T = 1/2), volume within m*T
+    (["1/4", "3/4"], False),  # a job of class 1
+    (["1/4", "2"], False),  # no large class counts it, but it is above T: doomed
+    (["1/2"] * 5, False),  # small jobs only, but volume 5/2 above m*T: doomed
+])
+def test_targeted_factory_flags_only_small_suffixes_that_are_not_doomed(sizes, flagged):
+    """At eps 1 and T = 1 the classes are (1/2, 3/4] and (3/4, 9/8]."""
+    lane, = a1_targeted_factory(JobSequence.from_sizes(2, sizes), F(1))(F(1), 1)
+    assert lane.least_loaded is flagged
+    with pytest.raises(AttributeError):
+        lane.least_loaded = not flagged
+    if not any(lane.plan.vector):
+        assert A1State(lane.plan, least_loaded=True).least_loaded
+    else:
+        with pytest.raises(ValueError, match="all-zero vector"):
+            A1State(lane.plan, least_loaded=True)

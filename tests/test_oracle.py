@@ -314,3 +314,22 @@ def test_plan_build_searches_only_past_the_bound_and_raises_out_of_budget(monkey
     assert a1.A1Plan.build(partition, 3, vector, exact=False).n_star == greedy.n_star
     at_bound = a1.A1Plan.build(partition, 2, (3, 0))  # LPT loads 3/2 and 3/4
     assert at_bound.certified and max(at_bound.loads) == partition.unit + partition.ladder[0]
+
+
+def test_fit_decision_rejects_by_volume_before_first_fit(monkeypatch):
+    """A multiset whose volume exceeds m * limit is unfit without a
+    first-fit-decreasing pass, the answer the search's first volume test
+    gives; at volume exactly m * limit the decision still packs it."""
+    from parsched import oracle
+
+    calls = []
+    real = oracle._ffd_fits
+    monkeypatch.setattr(oracle, "_ffd_fits", lambda *a: calls.append(1) or real(*a))
+    over = MultisetInstance(((F(3, 4), 5), (F(1, 2), 2)), 3)  # volume 19/4 > 3 * 3/2
+    assert fit_multiset(over, F(3, 2)) is None
+    assert not calls
+    assert opt_multiset(over).makespan() > F(3, 2)
+    full = MultisetInstance(((F(3, 4), 6),), 3)  # volume 9/2 = 3 * 3/2
+    calls.clear()
+    assert fit_multiset(full, F(3, 2)).makespan() == F(3, 2)
+    assert calls

@@ -18,6 +18,8 @@ from parsched.harness import (
     BATCH_ORDERS,
     a1_full_factory,
     a1_targeted_factory,
+    a3_targeted_factory,
+    compose,
     gen_planted,
     run_algorithm,
 )
@@ -257,7 +259,7 @@ def test_bind_picks_least_loaded_unbound_machine(seed):
             # the job's physical machine.
             v = rng.randrange(m)
             inner.next = v + 1
-            phys = binding[lane.vms[-1]]
+            phys = binding[lane.epoch.vms[-1]]
             lane.restart(inner, job, q)
             binding = {v: phys}
         for _ in range(rng.randint(0, 3 * m)):
@@ -379,11 +381,12 @@ def test_least_virtual_matches_scan(seed):
         state.step(job)
         for group in state.groups:
             for lane in group.lanes:
-                assert (lane.least is not None) == lane.failed
+                epoch = lane.epoch
+                assert (epoch.least is not None) == lane.failed
                 if lane.failed and rng.random() < 0.8:
-                    assert lane.least.loads is lane.virtual
-                    scan = min(range(m), key=lambda v: (lane.virtual[v], v))
-                    assert lane.least.least() == scan
+                    assert epoch.least.loads is epoch.loads
+                    scan = min(range(m), key=lambda v: (epoch.loads[v], v))
+                    assert epoch.least.least() == scan
 
 
 class EagerLane:
@@ -455,19 +458,29 @@ class EagerLane:
         self.virtual.add(v, q)
 
 
-@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
-@settings(max_examples=150, deadline=None)
-def test_lane_matches_eager_reference(seed):
-    """A lane that binds when its epoch closes puts every job on the
-    physical machine, and fails for the reason, of the eager lane that
-    binds at each first use; its placements and physical loads equal the
-    eager lane's at every epoch close and at the end.  Proposals include
-    no rule, the bounds and overload tests fire on chosen caps, and the
-    scale grows mid-epoch."""
+class FlaggedLeast:
+    """A flagged inner whose rule is the reference lane's least loaded
+    virtual machine.  It ignores ``next``, which the test sets for
+    scripted inners."""
+
+    least_loaded = True
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.next = None
+
+    def propose(self, job):
+        return self.ref.virtual.least() + 1
+
+    def record(self, job, machine):
+        pass
+
+
+def _check_lane_against_eager(seed, make_inner):
     rng = random.Random(seed)
     m = rng.randint(1, 8)
-    inner = Scripted(m)
     lane, ref = GuessLane(m, 0, []), EagerLane(m)
+    inner = make_inner(m, ref)
     lane.reset_epoch(inner)
     ref.reset_epoch(inner)
     t = 0
@@ -497,6 +510,77 @@ def test_lane_matches_eager_reference(seed):
     assert [lane.physical.assignment[k] - 1 for k in range(1, t + 1)] == ref.placed
     lane.close_epoch()
     assert (lane.placed, lane.loads) == (ref.placed, ref.physical_loads)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_lane_matches_eager_reference(seed):
+    """A lane that binds when its epoch closes puts every job on the
+    physical machine, and fails for the reason, of the eager lane that
+    binds at each first use; its placements and physical loads equal the
+    eager lane's at every epoch close and at the end.  Proposals include
+    no rule, the bounds and overload tests fire on chosen caps, and the
+    scale grows mid-epoch."""
+    _check_lane_against_eager(seed, lambda m, ref: Scripted(m))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_flagged_lane_matches_eager_reference(seed):
+    """A lane over a flagged inner, which it never steps, places and fails
+    as the eager lane that steps the inner and applies check_failure:
+    bounds (iii) before overload (ii) on the least loaded machine, both
+    firing on chosen caps, also on the same job."""
+    _check_lane_against_eager(seed, lambda m, ref: FlaggedLeast(ref))
+
+
+class StepOnly:
+    """Forwards only propose and record, so the wrapper cannot see a flag."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def propose(self, job):
+        return self.inner.propose(job)
+
+    def record(self, job, machine):
+        self.inner.record(job, machine)
+
+
+def _run_wrapped(algo, eps, seq, proxy):
+    comp = compose(algo, eps, seq.m)
+    if algo == "a1star":
+        factory = a1_targeted_factory(seq, comp.inner_eps)
+    else:
+        factory = a3_targeted_factory(seq, eps / 2)
+    made = factory if not proxy else (lambda T, t: [StepOnly(inner) for inner in factory(T, t)])
+    events = []
+    state = AStar(comp.wrapper, seq.m, made, check=True, trace=events.append)
+    best = state.run(seq)
+    lanes = [(lane.label, lane.failed, lane.fail_reason, lane.physical.assignment)
+             for group in state.groups for lane in group.lanes]
+    return (events, lanes, best.label, best.assignment, state.adjustments,
+            state.smallest_gamma(), state.smallest_guess_has_live_lane())
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 64]),
+    algo_eps=st.sampled_from([("a1star", F(1)), ("a1star", F(1, 2)), ("a3star", F(1)),
+                              ("a3star", F(1, 2))]),
+    denom=st.sampled_from([6, 12, 24, 30, 60]),  # two or three primes: the scale grows mid-run
+    order=st.sampled_from(BATCH_ORDERS),
+)
+@settings(max_examples=40, deadline=None)
+def test_flagged_lanes_match_stepped_inners(seed, m, algo_eps, denom, order):
+    """Census lanes the targeted factory flags ``least_loaded`` share one
+    least-loaded schedule per epoch start and are never stepped; the run
+    equals, event for event and machine for machine, the run whose inners
+    hide the flag behind a proxy and are stepped job by job.  a3star at
+    these m dispatches to census lanes at accuracy 1/3."""
+    algo, eps = algo_eps
+    seq = gen_planted(m, counts=(1, 3), denom=denom, seed=seed, order=order)
+    assert _run_wrapped(algo, eps, seq, proxy=False) == _run_wrapped(algo, eps, seq, proxy=True)
 
 
 @pytest.mark.parametrize("proposal", [0, 4])
