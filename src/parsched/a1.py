@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._scaling import ScaledLane, class_counts, stream_counts
 from .core import Job, LaneCapExceeded, LeastLoaded, check_lane_cap
-from .oracle import MultisetInstance, fit_multiset, lpt_multiset
+from .oracle import MultisetInstance, _greedy_counts, fit_multiset
 from .rational import ceil_log
 
 __all__ = [
@@ -159,18 +159,24 @@ class A1Plan:
         that can prove the lane irrelevant to any guarantee may use it."""
         if len(vector) != partition.levels:
             raise ValueError("vector length must equal the number of large classes")
-        sizes = partition.ladder[1:]  # the rounded class sizes at T = 1, in units
-        inst = MultisetInstance(tuple((sizes[i], v) for i, v in enumerate(vector) if v > 0), m)
-        ms = lpt_multiset(inst)
+        if m < 1:
+            raise ValueError("machine count must be positive")
+        # The rounded class sizes at T = 1, in units, are distinct, positive
+        # and ascending: LPT takes the present classes from the top.
+        present = [i for i in reversed(range(len(vector))) if vector[i] > 0]
+        classes = tuple((partition.ladder[i + 1], vector[i]) for i in present)
+        rows, loads = _greedy_counts(classes, m)
         limit = partition.unit + partition.ladder[0]  # (1+eps')*T
-        certified = ms.makespan() <= limit
+        certified = max(loads) <= limit
         if exact and not certified:
-            ms = fit_multiset(inst, limit) or ms
-        by_size = dict(zip(ms.sizes, ms.counts))
-        zero = (0,) * m
-        n_star = tuple(by_size[size] if v > 0 else zero for size, v in zip(sizes, vector))
-        slots = tuple(tuple(itertools.compress(range(m), row)) for row in n_star)
-        return cls(partition, m, vector, n_star, ms.loads(), slots, certified)
+            fit = fit_multiset(MultisetInstance(classes, m), limit)
+            if fit is not None:
+                rows, loads = fit.counts, fit.loads()
+        n_star, slots = [(0,) * m] * len(vector), [()] * len(vector)
+        for i, row in zip(present, rows):
+            n_star[i] = row
+            slots[i] = tuple(itertools.compress(range(m), row))
+        return cls(partition, m, vector, tuple(n_star), loads, tuple(slots), certified)
 
 
 class A1Plans:

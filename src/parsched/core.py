@@ -253,24 +253,30 @@ class LeastLoaded:
     """Machine loads that only grow, and the least loaded machine.
 
     Graham's least-loaded rule, the one copy every lane that falls back on
-    it uses.  ``loads`` is read freely and changed only through ``add``;
-    loads may be of any one exact ordered number type.  ``least()`` returns
-    the 0-based machine of least (load, index).  Inside is a heap of
-    (load, machine) entries, built on the first ``least()``, to which
+    it uses.  ``loads`` is read freely and changed only through ``add`` and
+    ``add_equal``; loads may be of any one exact ordered number type.
+    ``least()`` returns the 0-based machine of least (load, index).
+
+    Two views of the loads serve the two kinds of step; an instance keeps
+    whichever it used last and rebuilds the other from ``loads`` when asked.
+    ``least`` and ``add`` keep a heap of (load, machine) entries, to which
     ``add`` pushes each new load.  An entry whose load is no longer its
     machine's lies below it, because loads only grow, and is dropped when
-    it reaches the top.
+    it reaches the top.  ``add_equal`` keeps the load levels: a heap of the
+    distinct loads and, for each, its machines in index order.
     """
 
-    __slots__ = ("loads", "_heap")
+    __slots__ = ("loads", "_heap", "_levels")
 
     def __init__(self, loads: list):
         self.loads = loads
         self._heap: Optional[list] = None
+        self._levels: Optional[tuple[list, dict]] = None
 
     def least(self) -> int:
         heap, loads = self._heap, self.loads
         if heap is None:
+            self._levels = None
             heap = self._heap = [(x, j) for j, x in enumerate(loads)]
             heapify(heap)
         load, j = heap[0]
@@ -285,12 +291,74 @@ class LeastLoaded:
         loads[j] = load = loads[j] + q
         if self._heap is not None:
             heappush(self._heap, (load, j))
+        else:
+            self._levels = None
+
+    def add_equal(self, q, c: int) -> list[int]:
+        """Place c >= 0 jobs of size q > 0 by the rule, as c times
+        ``add(least(), q)`` would, and return how many each machine got.
+
+        Machine j's keys (load_j + k*q, j), k >= 0, only grow, so the c
+        picks are the c least keys of all machines, taken in rounds over
+        load levels: every machine of the lowest level L takes the
+        ceil((L' - L)/q) keys it has below the next level L', and its new
+        load joins the levels.  Jobs too few for a full round split evenly,
+        the lower indices taking one more.
+        """
+        if q <= 0:
+            raise ValueError(f"job size must be positive, got {q!r}")
+        if c < 0:
+            raise ValueError(f"job count must be nonnegative, got {c!r}")
+        loads = self.loads
+        got = [0] * len(loads)
+        if self._levels is None:
+            self._heap = None
+            members: dict = {}
+            for j, x in enumerate(loads):
+                members.setdefault(x, []).append(j)
+            self._levels = (sorted(members), members)  # a sorted list is a heap
+        order, members = self._levels
+
+        def join(load, group) -> None:
+            for j in group:
+                loads[j] = load
+            have = members.get(load)
+            if have is None:
+                members[load] = group
+                heappush(order, load)
+            else:
+                members[load] = sorted(have + group)
+
+        while c:
+            low = heappop(order)
+            group = members.pop(low)
+            k = len(group)
+            # Each one's keys below the next level; with no level above, r = c sets no bound.
+            r = -((low - order[0]) // q) if order else c
+            if c >= k * r:
+                c -= k * r
+                for j in group:
+                    got[j] += r
+                join(low + r * q, group)
+            else:
+                r, extra = divmod(c, k)
+                for j in group:
+                    got[j] += r
+                for j in group[:extra]:
+                    got[j] += 1
+                join(low + r * q, group[extra:])
+                if extra:
+                    join(low + (r + 1) * q, group[:extra])
+                c = 0
+        return got
 
     def rescale(self, k: int) -> None:
-        """Multiply every load by k > 0; the order, so the heap, is kept."""
+        """Multiply every load by k > 0; the order, so the heap, is kept, and
+        the levels are rebuilt when next used."""
         self.loads = [x * k for x in self.loads]
         if self._heap is not None:
             self._heap = [(x * k, j) for x, j in self._heap]
+        self._levels = None
 
 
 class OnlineScheduler(Protocol):

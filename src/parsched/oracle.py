@@ -115,8 +115,7 @@ def opt_exact(seq: JobSequence, cap: int = 24) -> Fraction:
             # Only jobs of size p remain, and for equal jobs Graham's rule
             # is optimal: each one on a least loaded machine.
             tail = LeastLoaded(list(loads))
-            for _ in range(idx, n):
-                tail.add(tail.least(), p)
+            tail.add_equal(p, n - idx)
             best = min(best, max(cur_max, *tail.loads))
             return
         seen: set[Fraction] = set()
@@ -194,26 +193,19 @@ class MultisetSchedule:
         return JobSequence.from_sizes(self.inst.m, sizes)
 
 
-def _greedy_counts(sizes, counts, m):
-    """Least-loaded placement of the multiset, largest sizes first:
+def _greedy_counts(classes, m):
+    """Least-loaded placement of (size, count) classes, one class after
+    another in the given order (LPT: largest size first):
     (per-class placement counts, per-machine loads)."""
     loads = LeastLoaded([0] * m)
-    placed = [[0] * m for _ in sizes]
-    for i, size in enumerate(sizes):
-        row = placed[i]
-        for _ in range(counts[i]):
-            j = loads.least()
-            row[j] += 1
-            loads.add(j, size)
-    return tuple(tuple(row) for row in placed), tuple(loads.loads)
+    placed = tuple(tuple(loads.add_equal(size, c)) for size, c in classes)
+    return placed, tuple(loads.loads)
 
 
 def lpt_multiset(inst: MultisetInstance) -> MultisetSchedule:
     """LPT over the multiset; used as incumbent and as a fast fit test."""
     norm = inst.normalized()
-    sizes = tuple(s for s, _ in norm)
-    counts = [c for _, c in norm]
-    return MultisetSchedule(inst, sizes, *_greedy_counts(sizes, counts, inst.m))
+    return MultisetSchedule(inst, tuple(s for s, _ in norm), *_greedy_counts(norm, inst.m))
 
 
 def _ffd_fits(sizes, counts, m, limit):

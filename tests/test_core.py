@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -128,39 +129,85 @@ def test_integer_loads_match_fraction_sums_as_scale_grows(m, dens, data):
     assert s.machines_by_load() == sorted(range(m), key=lambda i: (sums[i], i))
 
 
-# (machine or -1 for a rescale, numerator, denominator): few values, many ties.
+# (numerator, denominator): few values, many ties.
 _amount = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=3))
-_op = st.tuples(st.integers(min_value=-1, max_value=4), _amount)
+# (kind, amount, count).  Kind -1 rescales by numerator + 1; -2 places
+# count % (3m + 1) jobs of size (numerator + 1)/denominator by add_equal;
+# any other kind adds the amount to machine kind % m.
+_op = st.tuples(st.one_of(st.just(-1), st.just(-2), st.integers(min_value=0, max_value=299)),
+                _amount, st.integers(min_value=0, max_value=900))
 
 
 @given(
-    m=st.integers(min_value=1, max_value=5),
+    m=st.one_of(st.integers(min_value=1, max_value=5), st.integers(min_value=6, max_value=300)),
     fractions=st.booleans(),
-    start=st.lists(_amount, min_size=5, max_size=5),
+    start=st.lists(_amount, min_size=1, max_size=8),
     ops=st.lists(_op, max_size=30),
     first_ask=st.integers(min_value=0, max_value=31),
 )
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_least_loaded_matches_scan(m, fractions, start, ops, first_ask):
     """LeastLoaded returns the least (load, index) of a plain scan after
     every step: adds (zero ones included), rescales, equal loads, with
-    least() first asked early, late or never, over ints and Fractions."""
+    least() first asked early, late or never, over ints and Fractions.
+    add_equal(q, c), interleaved with them, gives the counts and loads of
+    c steps of the scan, c = 0 included, from uneven loads with ties."""
 
     def value(num, den):
         return F(num, den) if fractions else num
 
-    ref = [value(*a) for a in start[:m]]
+    def scan():
+        return min(range(m), key=ref.__getitem__)  # the first of least load
+
+    ref = [value(*start[j % len(start)]) for j in range(m)]
     loads = LeastLoaded(list(ref))
-    for step, (j, (num, den)) in enumerate(ops):
-        if j < 0:
+    for step, (kind, (num, den), count) in enumerate(ops):
+        if kind == -1:
             loads.rescale(num + 1)
             ref = [x * (num + 1) for x in ref]
+        elif kind == -2:
+            q, c = value(num + 1, den), count % (3 * m + 1)
+            want = [0] * m
+            for _ in range(c):
+                j = scan()
+                ref[j] += q
+                want[j] += 1
+            assert loads.add_equal(q, c) == want
         else:
-            loads.add(j % m, value(num, den))
-            ref[j % m] += value(num, den)
+            loads.add(kind % m, value(num, den))
+            ref[kind % m] += value(num, den)
         if step >= first_ask:
-            assert loads.least() == min(range(m), key=lambda i: (ref[i], i))
+            assert loads.least() == scan()
         assert loads.loads == ref
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_least_loaded_add_equal_rounds_pass_the_next_level():
+    """A round lifts the lowest level to or past the next one, ceil((5 - 0)/2)
+    = 3 jobs here, so the rounds end; a round that stopped below the next
+    level would be the lowest again with no job left to take."""
+
+    def stop(signum, frame):
+        raise TimeoutError("add_equal did not finish")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        loads = LeastLoaded([0, 5])
+        assert loads.add_equal(2, 3) == [3, 0] and loads.loads == [6, 5]
+        loads = LeastLoaded([F(1, 3), 0, F(7, 3)])
+        assert loads.add_equal(F(1, 2), 9) == [4, 5, 0] and loads.loads == [F(7, 3), F(5, 2), F(7, 3)]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("q, c", [(0, 1), (-1, 1), (F(-1, 2), 0), (1, -1), (F(1, 2), -3)])
+def test_least_loaded_add_equal_rejects_bad_arguments(q, c):
+    loads = LeastLoaded([0, 1])
+    with pytest.raises(ValueError):
+        loads.add_equal(q, c)
+    assert loads.loads == [0, 1] and loads.least() == 0
 
 
 _BROKEN_CHECK = """

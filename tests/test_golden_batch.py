@@ -2,9 +2,9 @@
 
 Each file under ``golden/`` is the ``--jsonl`` report of
 
-    parsched batch --algo ALGO [--epsilon EPS] --m M --instances 3 --jsonl FILE
+    parsched batch --algo ALGO [--epsilon EPS] --m M [--mode MODE] --instances 3 --jsonl FILE
 
-named ``batch-ALGO[-epsEPS]-mM.jsonl`` (``1_2`` for ``1/2``).  A change that
+named ``batch-ALGO[-epsEPS]-mM[-MODE].jsonl`` (``1_2`` for ``1/2``).  A change that
 is meant to keep every output must leave these bytes as they are; one
 that changes outputs on purpose regenerates the files with the command
 above and says which rows changed, and why.
@@ -25,24 +25,28 @@ CASES = [
     ("a1star", "1", 8), ("a1star", "1", 256), ("a1star", "1/2", 8), ("a1star", "1/2", 256),
     ("a3star", "1", 8), ("a3star", "1", 256), ("a3star", "1/2", 8), ("a3star", "1/2", 256),
     ("a3star", "1", 1024),  # wrapped configuration lanes: m=1024 clears the inner threshold
+    ("a1", "1", 8, "full"),  # all 289 census vectors, each with an LPT plan
 ]
 
 
-def golden_name(algo, eps, m):
+def golden_name(algo, eps, m, mode=None):
     tag = "" if eps is None else "-eps" + eps.replace("/", "_")
-    return f"batch-{algo}{tag}-m{m}.jsonl"
+    return f"batch-{algo}{tag}-m{m}{'' if mode is None else '-' + mode}.jsonl"
 
 
 def test_golden_files_are_the_cases():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(golden_name(*case) for case in CASES)
 
 
-@pytest.mark.parametrize("algo, eps, m", CASES)
-def test_batch_jsonl_matches_golden_bytes(tmp_path, capsys, algo, eps, m):
+@pytest.mark.parametrize("case", CASES, ids=lambda case: "-".join(map(str, case)))
+def test_batch_jsonl_matches_golden_bytes(tmp_path, capsys, case):
+    algo, eps, m, *mode = case
     out = tmp_path / "batch.jsonl"
     argv = ["batch", "--algo", algo, "--m", str(m), "--instances", "3", "--jsonl", str(out)]
     if eps is not None:
         argv += ["--epsilon", eps]
+    if mode:
+        argv += ["--mode", *mode]
     assert main(argv) == 0
     capsys.readouterr()
-    assert out.read_bytes() == (GOLDEN / golden_name(algo, eps, m)).read_bytes()
+    assert out.read_bytes() == (GOLDEN / golden_name(*case)).read_bytes()

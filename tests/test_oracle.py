@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parsched.a1 import a1_partition
 from parsched.core import JobSequence
 from parsched.oracle import (
     ListScheduler,
@@ -257,6 +258,42 @@ def test_greedy_loads_equal_loads_summed_from_counts(data):
     summed = MultisetSchedule(inst, greedy.sizes, greedy.counts)
     assert greedy.loads() == summed.loads()
     assert greedy.makespan() == summed.makespan()
+
+
+def _lpt_one_job_at_a_time(classes, m):
+    """Reference LPT: jobs largest first, each on the first least loaded machine."""
+    loads = [0] * m
+    counts = []
+    for size, c in sorted(classes, key=lambda sc: -sc[0]):
+        row = [0] * m
+        for _ in range(c):
+            j = min(range(m), key=loads.__getitem__)
+            loads[j] += size
+            row[j] += 1
+        if c:
+            counts.append(tuple(row))
+    return tuple(counts), tuple(loads)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lpt_multiset_matches_one_job_at_a_time(data):
+    """lpt_multiset, which places each class in one step, gives the counts
+    and loads of LPT placing its jobs one at a time, at census shapes: up to
+    256 machines, the integer class ladders of eps 1, 1/2 and 1/3 (2, 7 and
+    12 classes) or distinct Fractions, counts up to twice the machines."""
+    m = data.draw(st.integers(min_value=1, max_value=256))
+    eps = data.draw(st.sampled_from([None, F(1), F(1, 2), F(1, 3)]))
+    if eps is None:
+        sizes = data.draw(st.lists(st.fractions(min_value=F(1, 12), max_value=F(2), max_denominator=60),
+                                   max_size=12, unique=True))
+    else:
+        sizes = list(a1_partition(eps).ladder[1:])
+    counts = data.draw(st.lists(st.integers(min_value=0, max_value=2 * m),
+                                min_size=len(sizes), max_size=len(sizes)))
+    inst = MultisetInstance(tuple(zip(sizes, counts)), m)
+    greedy = lpt_multiset(inst)
+    assert (greedy.counts, greedy.loads()) == _lpt_one_job_at_a_time(inst.classes, m)
 
 
 def test_fit_multiset_agrees_with_optimum(monkeypatch):
