@@ -138,6 +138,11 @@ class A2Params:
             raise ValueError("class out of range")
         return 2 if cls <= self.levels else 1
 
+    def canonical_u(self, counts: Sequence[int]) -> tuple[int, ...]:
+        """The canonical guess floor(n_i / (slots_i * m0)) of a census, not
+        capped at kappa; m0 > 0 at or above the machine threshold."""
+        return tuple(counts[i] // (self.slots_of(i + 1) * self.m0) for i in range(self.n_classes))
+
     def ell_bounds_of(self, cls: int) -> tuple[Fraction, Fraction]:
         """(targeted minimum, targeted maximum) load of a class-cls machine."""
         return self._at_T(self.ell_minus[cls]), self._at_T(self.ell_plus[cls])
@@ -275,7 +280,7 @@ def a2_is_valid(params: A2Params, config: TargetConfiguration, counts: Sequence[
 
 
 def a2_valid_u(params: A2Params, counts: Sequence[int]) -> tuple[int, ...]:
-    """The canonical guess floor(n_i / (2*m0)) / floor(n_i / m0).
+    """The canonical guess floor(n_i / (2*m0)) / floor(n_i / m0), checked.
 
     Requires the machine count to be at or above the family threshold
     and the census to be packable at all; under those premises the
@@ -288,10 +293,10 @@ def a2_valid_u(params: A2Params, counts: Sequence[int]) -> tuple[int, ...]:
     packing = (sum(counts[:levels]) + 1) // 2 + sum(counts[levels:])
     if packing > params.m:
         raise ValueError("census cannot belong to a sequence with optimum <= T")
-    u = [counts[i] // (params.slots_of(i + 1) * params.m0) for i in range(params.n_classes)]
+    u = params.canonical_u(counts)
     if any(x > params.kappa for x in u):
         raise ValueError("guess entry above kappa; census inconsistent with T")
-    return tuple(u)
+    return u
 
 
 def a2_family_size(params: A2Params) -> int:

@@ -227,6 +227,7 @@ def _command(args) -> int:
         }
         if result.opt is not None:
             doc["opt"] = format_rational(result.opt)
+        if result.ratio is not None:
             doc["ratio"] = format_rational(result.ratio)
         print(json.dumps(doc))
         return 0

@@ -156,7 +156,7 @@ class JobSequence:
         if type(m) is not int or m < 1:
             raise ValueError(f'"m" must be a positive integer, got {m!r}')
         sizes = [_exact(p, f"jobs[{k}]", positive=True) for k, p in enumerate(doc["jobs"])]
-        opt = _exact(doc["opt"], '"opt"') if "opt" in doc else None
+        opt = _exact(doc["opt"], '"opt"', positive=bool(sizes)) if "opt" in doc else None
         return cls.from_sizes(m, sizes, opt)
 
     def save(self, path) -> None:

@@ -47,7 +47,7 @@ from .a2 import (
     a3_dispatch,
     u_to_lane_index,
 )
-from .core import InvariantViolation, JobSequence, LaneRunner, select_best
+from .core import InvariantViolation, JobSequence, LaneRunner, default_lane_cap, select_best
 from .fullsim import a2_full_sweep, a2_lane_makespan
 from .oracle import list_schedule, opt_exact
 from .rational import format_rational
@@ -232,8 +232,7 @@ def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
             u = a2_valid_u(params, counts)
         except ValueError:
             # Census inconsistent with OPT <= T: the lane may fail.
-            u = tuple(min(params.kappa, counts[i] // max(1, params.slots_of(i + 1) * params.m0))
-                      for i in range(params.n_classes))
+            u = tuple(min(params.kappa, x) for x in params.canonical_u(counts))
         config = a2_config_from_u(params, u)
         return [A2State(config)]
 
@@ -377,6 +376,8 @@ def run_algorithm(
     """Run one algorithm id over one sequence and report the chosen schedule."""
     if mode not in ("targeted", "full"):
         raise ValueError("mode must be 'targeted' or 'full'")
+    if lane_cap is not None:
+        default_lane_cap(lane_cap)  # a bad cap is an error even where the mode never reads it
     if algo == "list":
         schedule = list_schedule(seq)
         return RunResult("list", None, seq.m, len(seq), 1,

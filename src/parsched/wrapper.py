@@ -34,9 +34,6 @@ __all__ = [
     "GuessLane",
     "AStar",
     "astar_params",
-    "astar_init",
-    "check_failure",
-    "run_guess_once",
 ]
 
 # Builds one epoch's lane set: (assumed optimum, epoch start index) -> schedulers.
@@ -67,36 +64,6 @@ def astar_params(rho: Fraction, eps: Fraction) -> WrapperParams:
     return WrapperParams(rho, eps, eps_g, h)
 
 
-def check_failure(
-    proposal: Optional[int],
-    virtual_load: int,
-    q: int,
-    prefix: int,
-    caps: tuple[int, int, int],
-) -> Optional[str]:
-    """First failure condition that applies, or None.
-
-    Every number is an integer in units of 1/S for one run-wide scale S:
-    ``q`` is the job's size, ``prefix`` the sum of the whole sequence
-    processed so far including the current job (never epoch-relative),
-    ``virtual_load`` the epoch-relative load of the proposed machine, and
-    ``caps`` the guess's ``(floor(gamma*S), floor(gamma*m*S),
-    floor(rho*gamma*S))``.  Since q, prefix and the load are integers,
-    ``q > floor(gamma*S)`` is exactly ``gamma < p``, and likewise for the
-    average-load and overload tests.  ``GuessLane.place`` applies these
-    tests in this order, with the bounds test, which is the same for
-    every lane of a guess, made once per guess and job.
-    """
-    if proposal is None:
-        return FAIL_NO_RULE
-    gamma_cap, mean_cap, load_cap = caps
-    if q > gamma_cap or prefix > mean_cap:
-        return FAIL_BOUNDS
-    if virtual_load + q > load_cap:
-        return FAIL_OVERLOAD
-    return None
-
-
 def _out_of_range(proposal: int, m: int) -> ValueError:
     return ValueError(f"machine {proposal} out of range 1..{m}")
 
@@ -105,16 +72,16 @@ class Epoch:
     """One epoch's virtual schedule: the virtual loads, the virtual machine
     of each job and the virtual machines in the order of their first use.
 
-    Graham's rule places through ``place_least``, which wraps the loads in
-    a ``LeastLoaded`` on first use.  The rule does not depend on the
-    guess, so an epoch that flagged lanes share places each job once, for
-    the first lane that asks, and ``AStar`` rescales it once.
+    Every placement goes through ``put``.  Graham's rule places through
+    ``place_least``, which wraps the loads in a ``LeastLoaded`` on first
+    use.  The rule does not depend on the guess, so an epoch that flagged
+    lanes share places each job once, for the first lane that asks.
+    ``AStar`` rescales each epoch once, however many lanes hold it.
     """
 
-    __slots__ = ("shared", "loads", "least", "vms", "opened", "last")
+    __slots__ = ("loads", "least", "vms", "opened", "last")
 
-    def __init__(self, m: int, shared: bool = False):
-        self.shared = shared
+    def __init__(self, m: int):
         self.loads = [0] * m
         self.least: Optional[LeastLoaded] = None
         self.vms: list[int] = []
@@ -128,23 +95,28 @@ class Epoch:
         else:
             self.loads = [x * k for x in self.loads]
 
+    def put(self, v: int, q: int) -> int:
+        """The next job, of size q, on virtual machine v; v's load before the job."""
+        load = self.loads[v]
+        if not load:
+            self.opened.append(v)
+        if self.least is None:
+            self.loads[v] = load + q
+        else:
+            self.least.add(v, q)  # shares the list: add updates it
+        self.vms.append(v)
+        return load
+
     def place_least(self, t: int, q: int) -> int:
         """Job t, of size q, on the least loaded virtual machine (lowest
         index on ties) unless it is there already; that machine's load
         before the job."""
         if self.last == t:
             return self.loads[self.vms[-1]] - q
-        least = self.least
-        if least is None:
-            least = self.least = LeastLoaded(self.loads)  # shares the list: least.add updates it
-        v = least.least()
-        load = self.loads[v]
-        if not load:
-            self.opened.append(v)
-        least.add(v, q)
-        self.vms.append(v)
+        if self.least is None:
+            self.least = LeastLoaded(self.loads)
         self.last = t
-        return load
+        return self.put(self.least.least(), q)
 
 
 class GuessLane:
@@ -192,10 +164,8 @@ class GuessLane:
         self.prebound: Optional[tuple[int, int]] = None  # (virtual, physical) of the restart job
 
     def rescale(self, k: int) -> None:
-        """Multiply the physical loads, and the virtual ones unless the
-        epoch is shared, by k (the run-wide scale grew k-fold)."""
-        if not self.epoch.shared:
-            self.epoch.rescale(k)
+        """Multiply the physical loads by k (the run-wide scale grew
+        k-fold); ``AStar`` rescales the epoch."""
         self.loads = [x * k for x in self.loads]
 
     def _binding(self) -> dict[int, int]:
@@ -243,71 +213,56 @@ class GuessLane:
         is ``job``, of scaled size q, the last one placed.
 
         The job keeps its physical machine and becomes the epoch's first
-        job on the virtual machine the fresh inner proposes (0 if it has no
-        rule or is flagged), which is bound to it from the start.
+        job, placed as any job is, which binds its virtual machine to that
+        physical one from the start.  Every guess an adjustment sets is at
+        least the job's size and the average load, and the job opens the
+        epoch on an empty machine, so only the no-rule test (i) can fire.
         """
         self.close_epoch()
         j = self.placed.pop()
         self.loads[j] -= q
         self.reset_epoch(inner, shared)
-        epoch = self.epoch
-        proposal = None if self.flagged else inner.propose(job)
-        if proposal is None:
-            if not self.flagged:
-                self.failed, self.fail_reason = True, FAIL_NO_RULE
-            epoch.place_least(job.index, q)
-        elif not 0 < proposal <= self.m:
-            raise _out_of_range(proposal, self.m)
-        else:
-            inner.record(job, proposal)
-            epoch.loads[proposal - 1] = q
-            epoch.opened.append(proposal - 1)
-            epoch.vms.append(proposal - 1)
-        self.prebound = (epoch.vms[0], j)
+        self.place(job, q, False, q)
+        self.prebound = (self.epoch.vms[0], j)
 
     def place(self, job: Job, q: int, bounds: bool, load_cap: int) -> Optional[str]:
         """Place one job: follow the inner rule unless a failure condition applies.
 
-        This is ``check_failure`` with its guess-wide part precomputed:
-        ``bounds`` is whether the job breaks the guess's bounds (size or
-        average load) and ``load_cap`` is floor(rho*gamma*S).  A lane that
-        fails here, failed before or is flagged puts the job on its least
-        loaded virtual machine; a live flagged lane then fails if the
-        bounds test (iii) or the overload test (ii) on that machine does.
+        The lane finds the job's virtual machine and that machine's load
+        before it: a stepped lane from its inner's proposal, a flagged one
+        from the least loaded machine.  It then fails, in this order, on
+        no rule (i), on ``bounds`` (iii), whether the job breaks the guess's
+        bounds (size or average load), or on an overload (ii), the load
+        passing ``load_cap`` = floor(rho*gamma*S).  A lane that fails, or
+        failed before, puts the job on its least loaded virtual machine.
         Returns the reason when the lane fails on this job, else None.
         """
-        reason = None
         epoch = self.epoch
-        if not (self.failed or self.flagged):
+        if self.failed:
+            epoch.place_least(job.index, q)
+            return None
+        if self.flagged:
+            load = epoch.place_least(job.index, q)
+        else:
             proposal = self.inner.propose(job)
             if proposal is None:
-                reason = FAIL_NO_RULE
-            elif not 0 < proposal <= self.m:
+                return self._fail(FAIL_NO_RULE, job, q)
+            if not 0 < proposal <= self.m:
                 raise _out_of_range(proposal, self.m)
-            elif bounds:
-                reason = FAIL_BOUNDS
-            else:
-                v = proposal - 1
-                virtual = epoch.loads
-                load = virtual[v]
-                if load + q <= load_cap:
-                    self.inner.record(job, proposal)
-                    if not load:
-                        epoch.opened.append(v)
-                    virtual[v] = load + q
-                    epoch.vms.append(v)
-                    return None
-                reason = FAIL_OVERLOAD
-            self.failed, self.fail_reason = True, reason
-        load = epoch.place_least(job.index, q)
-        if not self.failed:
-            if bounds:
-                reason = FAIL_BOUNDS
-            elif load + q > load_cap:
-                reason = FAIL_OVERLOAD
-            else:
-                return None
-            self.failed, self.fail_reason = True, reason
+            load = epoch.loads[proposal - 1]
+        if bounds:
+            return self._fail(FAIL_BOUNDS, job, q)
+        if load + q > load_cap:
+            return self._fail(FAIL_OVERLOAD, job, q)
+        if not self.flagged:
+            self.inner.record(job, proposal)
+            epoch.put(proposal - 1, q)
+        return None
+
+    def _fail(self, reason: str, job: Job, q: int) -> str:
+        """Fail for ``reason`` and put the job on the least loaded virtual machine."""
+        self.failed, self.fail_reason = True, reason
+        self.epoch.place_least(job.index, q)
         return reason
 
 
@@ -319,7 +274,7 @@ class _Group:
         self.gamma = gamma
         self.lanes = lanes
         self.live = len(lanes)  # lanes that have not failed
-        self.caps = (0, 0, 0)  # check_failure's caps, set by AStar._set_caps
+        self.caps = (0, 0, 0)  # the failure tests' caps, set by AStar._set_caps
 
 
 class AStar:
@@ -348,7 +303,7 @@ class AStar:
         self.jobs: list[Job] = []  # every job so far, shared by all lanes
         self.t = 0
         self.adjustments = 0
-        self.lanes_per_guess = 0
+        self.lanes_per_guess: Optional[int] = None  # set by the first factory call
         self._past_violations = 0  # fill-line violations of inners replaced at adjustments
         self._scale = 1
         self._prefix = 0
@@ -373,14 +328,13 @@ class AStar:
             k = den // math.gcd(scale, den)
             self._scale = scale = scale * k
             self._prefix *= k
-            shared = {}
+            epochs = set()  # each epoch once, however many lanes hold it
             for group in self.groups:
                 self._set_caps(group)
                 for lane in group.lanes:
                     lane.rescale(k)
-                    if lane.epoch.shared:
-                        shared[id(lane.epoch)] = lane.epoch
-            for epoch in shared.values():
+                    epochs.add(lane.epoch)
+            for epoch in epochs:
                 epoch.rescale(k)
         q = p.numerator * (scale // den)
         self._prefix += q
@@ -395,17 +349,22 @@ class AStar:
             if a.numerator * sn * b.denominator > b.numerator * a.denominator * sd:
                 raise InvariantViolation("guess order broken")
 
+    def _inners(self, gamma: Fraction, start_t: int) -> list[OnlineScheduler]:
+        """The factory's lanes for one guess; every call must return as many."""
+        inners = list(self.factory(gamma, start_t))
+        if self.lanes_per_guess is None:
+            self.lanes_per_guess = len(inners)
+        elif len(inners) != self.lanes_per_guess:
+            raise ValueError("inner factory must return a fixed number of lanes")
+        return inners
+
     def _init(self, p1: Fraction) -> None:
         step = self._step
         gamma = Fraction(p1)
-        shared = Epoch(self.m, shared=True)  # the epoch of every flagged lane
+        shared = Epoch(self.m)  # the epoch of every flagged lane
         for var_id in range(self.params.h):
-            inners = list(self.factory(gamma, 1))
-            if var_id == 0:
-                self.lanes_per_guess = len(inners)
-            elif len(inners) != self.lanes_per_guess:
-                raise ValueError("inner factory must return a fixed number of lanes")
-            lanes = [GuessLane(self.m, var_id * self.lanes_per_guess + k, self.jobs, inner, shared)
+            inners = self._inners(gamma, 1)
+            lanes = [GuessLane(self.m, var_id * len(inners) + k, self.jobs, inner, shared)
                      for k, inner in enumerate(inners)]
             group = _Group(var_id, gamma, lanes)
             self._set_caps(group)
@@ -427,10 +386,7 @@ class AStar:
         group.gamma = new_gamma
         self._set_caps(group)
         self.adjustments += 1
-        inners = list(self.factory(new_gamma, self.t))
-        if len(inners) != self.lanes_per_guess:
-            raise ValueError("inner factory must return a fixed number of lanes")
-        for lane, inner in zip(group.lanes, inners):
+        for lane, inner in zip(group.lanes, self._inners(new_gamma, self.t)):
             self._past_violations += getattr(lane.inner, "fill_violations", 0)
             lane.restart(inner, job, q, shared)
         group.live = sum(not lane.failed for lane in group.lanes)
@@ -446,7 +402,7 @@ class AStar:
         i_star = -1
         for pos, group in enumerate(self.groups):
             gamma_cap, mean_cap, load_cap = group.caps
-            bounds = q > gamma_cap or prefix > mean_cap  # check_failure's test (iii)
+            bounds = q > gamma_cap or prefix > mean_cap  # test (iii), the same for every lane
             for lane in group.lanes:
                 reason = lane.place(job, q, bounds, load_cap)
                 if reason is not None:
@@ -470,7 +426,7 @@ class AStar:
             anchor = max(self.groups[-1].gamma, job.p, mean)
             new_gamma = anchor
             reset = self.groups[: i_star + 1]
-            shared = Epoch(self.m, shared=True)  # the epoch of every flagged lane reset here
+            shared = Epoch(self.m)  # the epoch of every flagged lane reset here
             for group in reset:
                 new_gamma = new_gamma * self._step
                 self._reset_group(group, new_gamma, job, q, shared)
@@ -516,44 +472,3 @@ class AStar:
             getattr(lane.inner, "fill_violations", 0)
             for group in self.groups for lane in group.lanes)
 
-
-def astar_init(
-    inner_factory: InnerFactory,
-    params: WrapperParams,
-    m: int,
-    p1: Fraction,
-    check: bool = False,
-) -> AStar:
-    """Wrapper state with guesses seeded from the first job's size."""
-    if p1 <= 0:
-        raise ValueError("first job size must be positive")
-    state = AStar(params, m, inner_factory, check=check)
-    state._init(Fraction(p1))
-    state.t = 0
-    return state
-
-
-def run_guess_once(
-    schedulers: Sequence[OnlineScheduler],
-    seq: JobSequence,
-    gamma: Fraction,
-    rho: Fraction,
-):
-    """Run one fixed guess over a whole sequence, no adjustments.
-
-    Returns (failed flags, fail reasons, schedules); failed lanes fall
-    back to least-loaded placement.  This is the single-epoch view used
-    to probe which lanes survive a given guess.
-    """
-    # One guess (h = 1) whose factory hands out the given schedulers.
-    params = WrapperParams(Fraction(rho), Fraction(1), Fraction(0), 1)
-    state = AStar(params, seq.m, lambda T, start_t: schedulers)
-    state._init(Fraction(gamma))
-    for job in seq:
-        state._place(job, state._feed(job.p))
-    lanes = state.groups[0].lanes
-    return (
-        [lane.failed for lane in lanes],
-        [lane.fail_reason for lane in lanes],
-        [lane.physical for lane in lanes],
-    )

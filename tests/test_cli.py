@@ -145,6 +145,40 @@ def test_run_rejects_bad_lane_caps(tmp_path, capsys, monkeypatch):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("algo", ["list", "a1", "a1star"])
+def test_run_rejects_bad_lane_cap_in_every_mode(tmp_path, capsys, algo):
+    """A lane cap that is not a positive integer is bad input even where
+    the run never reads it: targeted mode and list."""
+    seq_path = tmp_path / "seq.json"
+    JobSequence.from_sizes(2, ["1/2", "1/2"], F(1, 2)).save(seq_path)
+    argv = ["run", "--algo", algo, "--epsilon", "1", "--input", str(seq_path)]
+    for cap in ("0", "-5"):
+        assert main(argv + ["--lane-cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: lane cap (--lane-cap) must be a positive integer")
+    assert main(argv + ["--lane-cap", "1"]) == 0
+
+
+@pytest.mark.parametrize("algo", ["list", "a1star"])
+def test_run_with_zero_optimum(tmp_path, capsys, algo):
+    """An empty sequence may give its optimum as 0, and run then prints no
+    ratio; a sequence with a job may not, and its file is bad input."""
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"m": 2, "jobs": [], "opt": "0"}')
+    code, out = run_cli(capsys, "run", "--algo", algo, "--epsilon", "1", "--input", str(empty))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["opt"] == doc["makespan"] == format_rational(F(0))
+    assert "ratio" not in doc
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"m": 2, "jobs": ["1/2"], "opt": "0"}')
+    assert main(["run", "--algo", algo, "--epsilon", "1", "--input", str(zero)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f'error: {zero}: "opt": must be positive')
+
+
 def test_batch_rejects_bad_lane_cap_cleanly(monkeypatch, capsys):
     monkeypatch.setenv("PARSCHED_LANE_CAP", "abc")
     assert main(["batch", "--algo", "a1", "--epsilon", "1", "--m", "2", "--mode", "full"]) == 2
@@ -162,6 +196,7 @@ def test_batch_reports_family_above_lane_cap_cleanly(monkeypatch, capsys):
     ("missing_m", '{"jobs": ["1/2"]}', 'missing "m"'),
     ("bad_job", '{"m": 2, "jobs": ["1/2", "abc"]}', "jobs[1]: not a nonnegative rational"),
     ("zero_job", '{"m": 2, "jobs": ["0"]}', "jobs[0]: must be positive"),
+    ("zero_opt", '{"m": 2, "jobs": ["1/2"], "opt": "0"}', '"opt": must be positive'),
     ("float_job", '{"m": 2, "jobs": [0.1]}', "jobs[0]: expected an integer or a string"),
     ("bool_job", '{"m": 2, "jobs": ["1/2", true]}', "jobs[1]: expected an integer or a string"),
     ("missing_file", None, "No such file or directory"),

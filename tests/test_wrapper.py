@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from parsched.a1 import A1State, a1_family
 from parsched.adversary import StackScheduler
-from parsched.core import Job, JobSequence, LeastLoaded, select_best
+from parsched.core import Job, JobSequence, LeastLoaded, OnlineScheduler, select_best
 from parsched.harness import (
     BATCH_ORDERS,
     a1_full_factory,
@@ -29,11 +30,72 @@ from parsched.wrapper import (
     GuessLane,
     InvariantViolation,
     WrapperParams,
-    astar_init,
     astar_params,
-    check_failure,
-    run_guess_once,
 )
+
+
+# Test-side references and drivers.  The wrapper states the failure tests
+# once, inside GuessLane.place; check_failure is the independent statement
+# the eager reference lane applies.
+
+
+def check_failure(
+    proposal: Optional[int],
+    virtual_load: int,
+    q: int,
+    prefix: int,
+    caps: tuple[int, int, int],
+) -> Optional[str]:
+    """First failure condition that applies, or None.
+
+    Every number is an integer in units of 1/S for one run-wide scale S:
+    ``q`` is the job's size, ``prefix`` the sum of the whole sequence
+    processed so far including the current job (never epoch-relative),
+    ``virtual_load`` the epoch-relative load of the proposed machine, and
+    ``caps`` the guess's ``(floor(gamma*S), floor(gamma*m*S),
+    floor(rho*gamma*S))``.  Since q, prefix and the load are integers,
+    ``q > floor(gamma*S)`` is exactly ``gamma < p``, and likewise for the
+    average-load and overload tests.
+    """
+    if proposal is None:
+        return "i"
+    gamma_cap, mean_cap, load_cap = caps
+    if q > gamma_cap or prefix > mean_cap:
+        return "iii"
+    if virtual_load + q > load_cap:
+        return "ii"
+    return None
+
+
+def astar_init(inner_factory, params: WrapperParams, m: int, p1: F, check: bool = False) -> AStar:
+    """Wrapper state with guesses seeded from the first job's size."""
+    if p1 <= 0:
+        raise ValueError("first job size must be positive")
+    state = AStar(params, m, inner_factory, check=check)
+    state._init(F(p1))
+    state.t = 0
+    return state
+
+
+def run_guess_once(schedulers: Sequence[OnlineScheduler], seq: JobSequence, gamma: F, rho: F):
+    """Run one fixed guess over a whole sequence, no adjustments.
+
+    Returns (failed flags, fail reasons, schedules); failed lanes fall
+    back to least-loaded placement.  This is the single-epoch view used
+    to probe which lanes survive a given guess.
+    """
+    # One guess (h = 1) whose factory hands out the given schedulers.
+    params = WrapperParams(F(rho), F(1), F(0), 1)
+    state = AStar(params, seq.m, lambda T, start_t: schedulers)
+    state._init(F(gamma))
+    for job in seq:
+        state._place(job, state._feed(job.p))
+    lanes = state.groups[0].lanes
+    return (
+        [lane.failed for lane in lanes],
+        [lane.fail_reason for lane in lanes],
+        [lane.physical for lane in lanes],
+    )
 
 
 def test_params_examples():
@@ -488,6 +550,7 @@ def _check_lane_against_eager(seed, make_inner):
         if rng.random() < 0.1:
             k = rng.randint(2, 4)
             lane.rescale(k)
+            lane.epoch.rescale(k)  # as AStar does: the lane rescales only its physical loads
             ref.rescale(k)
         t += 1
         q, prefix = rng.randint(1, 6), rng.randint(1, 60)
@@ -581,6 +644,51 @@ def test_flagged_lanes_match_stepped_inners(seed, m, algo_eps, denom, order):
     algo, eps = algo_eps
     seq = gen_planted(m, counts=(1, 3), denom=denom, seed=seed, order=order)
     assert _run_wrapped(algo, eps, seq, proxy=False) == _run_wrapped(algo, eps, seq, proxy=True)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.sampled_from([2, 3, 4, 5, 8, 64]),
+    algo_eps=st.sampled_from([("a1star", F(1)), ("a1star", F(1, 2)), ("a3star", F(1)),
+                              ("a3star", F(1, 2))]),
+    denom=st.sampled_from([6, 30, 60, 210]),  # two to four primes: the scale grows mid-run
+    order=st.sampled_from(BATCH_ORDERS),
+)
+@settings(max_examples=40, deadline=None)
+def test_restart_job_passes_its_new_guess_caps(seed, m, algo_eps, denom, order):
+    """At every adjustment the job the reset guesses restart on passes each
+    new guess's caps at the run-wide scale S after the job: q <= floor(gamma*S),
+    prefix <= floor(gamma*m*S) and q <= floor(rho*gamma*S).  It opens the new
+    epoch on an empty machine, so a restart, which places it as any job, can
+    fail only by (i), and the reset lanes are live or failed by (i)."""
+    algo, eps = algo_eps
+    seq = gen_planted(m, counts=(1, 3), denom=denom, seed=seed, order=order)
+    comp = compose(algo, eps, m)
+    if algo == "a1star":
+        factory = a1_targeted_factory(seq, comp.inner_eps)
+    else:
+        factory = a3_targeted_factory(seq, eps / 2)
+    rho = comp.wrapper.rho
+    events = []
+    state = AStar(comp.wrapper, m, factory, check=True, trace=events.append)
+    prefix = F(0)
+    for job in seq:
+        seen = len(events)
+        state.step(job)
+        prefix += job.p
+        scale = state._scale
+        assert scale % job.p.denominator == 0
+        q, total = job.p * scale, prefix * scale
+        adjusted = [e for e in events[seen:] if e["event"] == "adjust"]
+        for event in adjusted:
+            gamma = F(event["new"])
+            assert q <= math.floor(gamma * scale)
+            assert total <= math.floor(gamma * m * scale)
+            assert q <= math.floor(rho * gamma * scale)
+        reset = state.groups[len(state.groups) - len(adjusted):]
+        assert [(g.var_id, str(g.gamma)) for g in reset] == [(e["var"], e["new"]) for e in adjusted]
+        for group in reset:
+            assert all(lane.fail_reason in (None, "i") for lane in group.lanes)
 
 
 @pytest.mark.parametrize("proposal", [0, 4])
