@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-__all__ = ["common_scale", "scale_values", "class_counts", "stream_counts", "ScaledLane"]
+__all__ = ["common_scale", "scale_values", "class_counts", "stream_counts", "GuessLadder",
+           "ScaledLane"]
 
 
 def common_scale(values: Iterable[Fraction]) -> int:
@@ -55,17 +57,56 @@ def stream_counts(jobs, census: Callable[[list[int], int], list[int]], top: Frac
     return census(sizes, scale)
 
 
+class GuessLadder:
+    """The one binding of a guess T's thresholds, each T times a number
+    fixed by eps.  A subclass has the fields ``T``, ``unit`` and ``ladder``:
+    at T = 1 every threshold is an integer over ``unit``, the ascending
+    class bounds among them in ``ladder``."""
+
+    def _at_T(self, x: int) -> Fraction:
+        return Fraction(x * self.T.numerator, self.T.denominator * self.unit)
+
+    @cached_property
+    def bounds(self) -> tuple[Fraction, ...]:
+        """The ladder at T, as Fractions, derived on first use."""
+        return tuple(map(self._at_T, self.ladder))
+
+    def scale(self) -> int:
+        """A common denominator of the thresholds at T = n/d, unit*d over its
+        gcd with n: the least one when the integers at T = 1 share no factor."""
+        den = self.unit * self.T.denominator
+        return den // math.gcd(den, self.T.numerator)
+
+    def rebind(self, scale: int, values: Iterable[int]) -> list[int]:
+        """T = 1 integers at T in units of 1/scale, which must be a multiple of ``scale()``."""
+        k, rem = divmod(self.T.numerator * scale, self.T.denominator * self.unit)
+        if rem:
+            raise ValueError("scale is not a common denominator of the thresholds")
+        return [x * k for x in values]
+
+    def census(self, sizes: Sequence[int], scale: int) -> list[int]:
+        """Per-class counts of sorted sizes in units of 1/scale, against the
+        edges floor(bound*scale) read off the ladder."""
+        num, den = self.T.numerator * scale, self.T.denominator * self.unit
+        return class_counts(sizes, [x * num // den for x in self.ladder])
+
+
 class ScaledLane:
     """Job-stepping glue of a lane kept in integers in units of 1/_scale.
 
-    A subclass sets ``m``, ``_scale`` and ``_bounds``, its class ladder in
-    those units (a size's class is bisect_left(_bounds, size), len(_bounds)
-    meaning none), and ``_rescale(k)``, which multiplies its own
-    size-valued state by k when a job's denominator grows the scale k-fold.
+    A subclass sets ``m``, calls ``_start`` and defines ``_rescale(k)``,
+    which multiplies its own size-valued state by k when a job's
+    denominator grows the scale k-fold.  A size's class is
+    bisect_left(_bounds, size), len(_bounds) meaning none.
     """
 
     _pending: tuple = (None, 0, 0)  # (job, class, size) last classified
     _last = 0  # index of the last recorded job
+
+    def _start(self, guess: GuessLadder) -> None:
+        """Start at the guess's scale, with its ladder as the class bounds."""
+        self._scale = guess.scale()
+        self._bounds = guess.rebind(self._scale, guess.ladder)
 
     def _classify(self, job) -> tuple[int, int]:
         num, den = job.p.as_integer_ratio()

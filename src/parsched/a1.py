@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from ._scaling import ScaledLane, class_counts, stream_counts
+from ._scaling import GuessLadder, ScaledLane, stream_counts
 from .core import Job, LaneCapExceeded, LeastLoaded, check_lane_cap
 from .oracle import MultisetInstance, _greedy_counts, fit_multiset
 from .rational import ceil_log
@@ -40,7 +39,7 @@ SMALL = 0
 
 
 @dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(GuessLadder):
     """Size classes under assumed optimum T.
 
     Class 0 holds small jobs, sizes in (0, eps'*T].  Class i >= 1 holds
@@ -49,11 +48,9 @@ class ClassPartition:
     always >= T, so every job of a sequence whose true optimum is <= T
     falls into some class.
 
-    Only T depends on the guess.  The bounds are T times a fixed ladder,
-    bounds[i] = ladder[i] * T / unit, for the integers ``ladder`` and
-    their common denominator ``unit``, which depend on eps alone; plans,
-    lanes and ``census`` work on the ladder in integers.  A run builds
-    the ladder once and rebinds it to each guess with ``at``.
+    Only T depends on the guess: the bounds are T times the integers
+    ``ladder`` over ``unit`` (see GuessLadder), which depend on eps alone.
+    A run builds the ladder once and rebinds it to each guess with ``at``.
     """
 
     eps: Fraction
@@ -63,23 +60,11 @@ class ClassPartition:
     unit: int
     ladder: tuple[int, ...]
 
-    @cached_property
-    def bounds(self) -> tuple[Fraction, ...]:
-        """bounds[0] = eps'*T .. bounds[levels], as Fractions, derived on first use."""
-        num, den = self.T.numerator, self.T.denominator * self.unit
-        return tuple(Fraction(x * num, den) for x in self.ladder)
-
     def at(self, T: Fraction) -> "ClassPartition":
         """The same ladder under the guess T > 0."""
         if T.numerator <= 0:
             raise ValueError("assumed optimum must be positive")
         return ClassPartition(self.eps, self.eps_prime, self.levels, T, self.unit, self.ladder)
-
-    def census(self, sizes: Sequence[int], scale: int) -> list[int]:
-        """Per-class counts, classes 1..levels, of sorted sizes in units of
-        1/scale, against the edges floor(bounds[i]*scale) read off the ladder."""
-        num, den = self.T.numerator * scale, self.T.denominator * self.unit
-        return class_counts(sizes, [x * num // den for x in self.ladder])
 
 
 def a1_partition(eps: Fraction, T: Fraction = Fraction(1)) -> ClassPartition:
@@ -205,8 +190,8 @@ class A1State(ScaledLane):
     """Mutable lane state stepping one schedule under a fixed plan.
 
     Sizes and loads are integers in units of a lane-local common
-    denominator that starts as unit * T.denominator, which makes the
-    class bounds and the plan's virtual loads integers (see ScaledLane).
+    denominator that starts at the partition's ``scale()``, which makes
+    the class bounds and the plan's virtual loads integers (see ScaledLane).
     A machine's load is derived: its level (virtual plus small load)
     minus its virtual load plus its large load.  The class-overflow
     fallback, which places by load, keeps the loads in a LeastLoaded from
@@ -224,11 +209,8 @@ class A1State(ScaledLane):
         self.plan = plan
         self.m = m = plan.m
         self.label = label
-        partition = plan.partition
-        num = partition.T.numerator
-        self._scale = partition.unit * partition.T.denominator
-        self._bounds = [x * num for x in partition.ladder]
-        self._level = LeastLoaded([x * num for x in plan.loads])  # virtual plus small load
+        self._start(plan.partition)
+        self._level = LeastLoaded(plan.partition.rebind(self._scale, plan.loads))  # virtual + small
         self._large = [0] * m  # load of large jobs
         self._loads: Optional[LeastLoaded] = None  # built by _fallback
         self._left = [list(row) for row in plan.n_star]  # open virtual slots
@@ -247,10 +229,9 @@ class A1State(ScaledLane):
             self._loads.rescale(k)
 
     def _current_loads(self) -> list[int]:
-        partition = self.plan.partition
-        k = self._scale // (partition.unit * partition.T.denominator) * partition.T.numerator
-        return [level - base * k + large
-                for level, base, large in zip(self._level.loads, self.plan.loads, self._large)]
+        virtual = self.plan.partition.rebind(self._scale, self.plan.loads)
+        return [level - base + large
+                for level, base, large in zip(self._level.loads, virtual, self._large)]
 
     def _fallback(self) -> LeastLoaded:
         if self._loads is None:

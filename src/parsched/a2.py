@@ -11,14 +11,12 @@ sparsification.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, groupby
 from typing import Optional, Sequence
 
-from ._scaling import ScaledLane, class_counts, common_scale, scale_values, stream_counts
+from ._scaling import GuessLadder, ScaledLane, common_scale, scale_values, stream_counts
 from .core import Job
 from .rational import ceil_log
 
@@ -45,17 +43,16 @@ SMALL = 0
 
 
 @dataclass(frozen=True)
-class A2Params:
+class A2Params(GuessLadder):
     """Exact parameters of the configuration family for one (eps, m, T).
 
     Classes 1..levels cover medium jobs in (a_i, b_i] * T; classes
     levels+1..2*levels-1 cover their doubled ranges (2a_i, 2b_i] * T.
-    Core machines are 1..mu, reserve machines mu+1..m.  Every threshold
-    is T times a number fixed by eps; the integer fields hold these at
-    T = 1 in units of 1/unit, their least common denominator: the size
-    bounds, the load cap 4/3 + eps, the fill line 1 + eps' and the
-    targeted load bounds of classes 0..2l-1.  A run builds them once and
-    rebinds them to each guess with ``at``; the Fraction views carry T.
+    Core machines are 1..mu, reserve machines mu+1..m.  The integer
+    fields are the thresholds at T = 1 over ``unit`` (see GuessLadder):
+    the size bounds, the load cap 4/3 + eps, the fill line 1 + eps' and
+    the targeted load bounds of classes 0..2l-1.  A run builds them once
+    and rebinds them to each guess with ``at``.
     """
 
     eps: Fraction
@@ -68,7 +65,7 @@ class A2Params:
     m: int
     T: Fraction
     unit: int
-    ladder: tuple[int, ...]  # the size bounds: small_max, then the class bounds
+    ladder: tuple[int, ...]  # small_max, then the class bounds: a size's class bisects them
     cap: int
     fill: int
     ell_minus: tuple[int, ...]
@@ -79,9 +76,6 @@ class A2Params:
         if T.numerator <= 0:
             raise ValueError("assumed optimum must be positive")
         return replace(self, T=T)
-
-    def _at_T(self, x: int) -> Fraction:
-        return Fraction(x * self.T.numerator, self.T.denominator * self.unit)
 
     @property
     def n_classes(self) -> int:
@@ -98,7 +92,7 @@ class A2Params:
 
     @property
     def small_max(self) -> Fraction:
-        return self.size_bounds[0]
+        return self.bounds[0]
 
     @property
     def load_cap(self) -> Fraction:
@@ -113,24 +107,7 @@ class A2Params:
     @property
     def class_bounds(self) -> tuple[Fraction, ...]:
         """Upper endpoints of classes 1..2*levels-1, strictly increasing."""
-        return self.size_bounds[1:]
-
-    @cached_property
-    def size_bounds(self) -> tuple[Fraction, ...]:
-        """small_max, then the class bounds: a size's class is bisect_left(size_bounds, size)."""
-        return tuple(map(self._at_T, self.ladder))
-
-    def scale(self) -> int:
-        """A common denominator of the thresholds at T = n/d, unit*d over its
-        gcd with n: the least one when the integers at T = 1 share no factor."""
-        den = self.unit * self.T.denominator
-        return den // math.gcd(den, self.T.numerator)
-
-    def census(self, sizes: Sequence[int], scale: int) -> list[int]:
-        """Per-class counts, classes 1..2l-1, of sorted sizes in units of
-        1/scale, against the edges floor(b*scale) of the size bounds b."""
-        num, den = self.T.numerator * scale, self.T.denominator * self.unit
-        return class_counts(sizes, [x * num // den for x in self.ladder])
+        return self.bounds[1:]
 
     def slots_of(self, cls: int) -> int:
         """Core slot count for a class: two medium jobs or one doubled job."""
@@ -186,21 +163,18 @@ def a2_params(eps: Fraction, m: int, T: Fraction = Fraction(1)) -> A2Params:
 
 
 def a2_rule_thresholds(params: A2Params, scale: int):
-    """(size_bounds, cap, fill, ell_minus, ell_plus) in units of 1/scale, a
-    multiple of ``params.scale()``: the T = 1 integers times T*scale/unit.
-    A size's class is bisect_left(size_bounds, size), n_classes + 1 none."""
-    k, rem = divmod(params.T.numerator * scale, params.T.denominator * params.unit)
-    if rem:
-        raise ValueError("scale is not a common denominator of the thresholds")
-    return ([x * k for x in params.ladder], params.cap * k, params.fill * k,
-            [x * k for x in params.ell_minus], [x * k for x in params.ell_plus])
+    """(bounds, cap, fill, ell_minus, ell_plus) in units of 1/scale, a multiple
+    of ``params.scale()``; a size's class is bisect_left(bounds, size), n_classes + 1 none."""
+    bounds, (cap, fill), *ells = (params.rebind(scale, xs) for xs in (
+        params.ladder, (params.cap, params.fill), params.ell_minus, params.ell_plus))
+    return bounds, cap, fill, *ells
 
 
 def a2_class_counts(params: A2Params, jobs) -> tuple[int, ...]:
     """Per-class counts of the large jobs in a stream (class 1..2l-1).
 
     Raises if a job exceeds the top class bound."""
-    return tuple(stream_counts(jobs, params.census, params.size_bounds[-1]))
+    return tuple(stream_counts(jobs, params.census, params.bounds[-1]))
 
 
 @dataclass(frozen=True)
@@ -524,9 +498,8 @@ class A2State(ScaledLane):
 
     def __init__(self, config: TargetConfiguration, label: int = 0):
         params = config.params
-        self._scale = params.scale()
-        self._bounds, *thresholds = a2_rule_thresholds(params, self._scale)
-        self.rule = A2Rule(params, config.c, *thresholds)
+        self._start(params)
+        self.rule = A2Rule(params, config.c, *a2_rule_thresholds(params, self._scale)[1:])
         self.m = params.m
         self.params = params
         self.config = config
@@ -560,16 +533,11 @@ class AlgoChoice:
 
     kind: str  # "a1" or "a2"
     eps: Fraction
-    m: int
-    T: Fraction
-    threshold: Fraction
 
 
-def a3_dispatch(eps: Fraction, m: int, T: Fraction) -> AlgoChoice:
+def a3_dispatch(eps: Fraction, m: int) -> AlgoChoice:
     """Configuration family when m clears the threshold, else census at 1/3."""
     eps = Fraction(eps)
-    params = a2_params(eps, m, Fraction(T))
-    threshold = params.threshold()
-    if Fraction(m) < threshold:
-        return AlgoChoice("a1", Fraction(1, 3), m, Fraction(T), threshold)
-    return AlgoChoice("a2", eps, m, Fraction(T), threshold)
+    if Fraction(m) < a2_params(eps, m).threshold():
+        return AlgoChoice("a1", Fraction(1, 3))
+    return AlgoChoice("a2", eps)

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Iterable, Iterator, Optional, Protocol
 
 from .rational import format_rational, parse_rational
 
@@ -236,17 +236,6 @@ class Schedule:
     def machines_by_load(self) -> list[int]:
         """0-based machine indices ordered by (load, index)."""
         return sorted(range(self.m), key=self._loads.__getitem__)
-
-    def n_jobs(self) -> int:
-        return len(self.assignment)
-
-    def check_loads(self, jobs: Sequence[Job]) -> bool:
-        """Recompute loads from the assignment; True iff they match."""
-        sums = [Fraction(0)] * self.m
-        for job in jobs:
-            if job.index in self.assignment:
-                sums[self.assignment[job.index] - 1] += job.p
-        return tuple(sums) == self.loads()
 
 
 class LeastLoaded:

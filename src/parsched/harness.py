@@ -97,6 +97,10 @@ def gen_planted_with_witness(
     """
     if denom < 2:
         raise ValueError("denominator must be at least 2")
+    if min_num < 1:
+        raise ValueError(f"least numerator (--min-num) must be at least 1, got {min_num}")
+    if verify_cap < 0:
+        raise ValueError(f"verification cap (--verify-cap) must be nonnegative, got {verify_cap}")
     if order not in ORDERS:
         raise ValueError(f"unknown arrival order {order!r}")
     rng = random.Random(seed)
@@ -219,7 +223,7 @@ def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
     """Dispatching factory: censuses at accuracy 1/3 below the machine
     threshold, valid configurations above it.  The configuration
     parameters are built once per factory and rebound to each guess."""
-    choice = a3_dispatch(eps_inner, seq.m, Fraction(1))
+    choice = a3_dispatch(eps_inner, seq.m)
     if choice.kind == "a1":
         return a1_targeted_factory(seq, Fraction(1, 3))
     scale, census = _suffix_census(seq)
@@ -275,7 +279,7 @@ def _family_accounting(algo: str, eps: Fraction, m: int) -> tuple[str, Fraction,
     if algo == "a2":
         return "a2", eps, a2_family_size(a2_params(eps, m))
     if algo == "a3":
-        choice = a3_dispatch(eps, m, Fraction(1))
+        choice = a3_dispatch(eps, m)
         if choice.kind == "a1":
             return "a1", choice.eps, a1_family_size(choice.eps, m)
         return "a2", eps, a2_family_size(a2_params(eps, m))

@@ -94,6 +94,8 @@ def opt_exact(seq: JobSequence, cap: int = 24) -> Fraction:
     machines without branching.  The incumbent is seeded by LPT.
     """
     n = len(seq)
+    if cap < 0:
+        raise ValueError(f"search cap (--cap) must be nonnegative, got {cap}")
     if n > cap:
         raise ValueError(f"instance with {n} jobs exceeds the search cap {cap}")
     if n == 0:
@@ -185,12 +187,6 @@ class MultisetSchedule:
     def makespan(self) -> Fraction:
         loads = self.loads()
         return max(loads) if loads else Fraction(0)
-
-    def to_sequence(self) -> JobSequence:
-        sizes = []
-        for i, size in enumerate(self.sizes):
-            sizes.extend([size] * sum(self.counts[i]))
-        return JobSequence.from_sizes(self.inst.m, sizes)
 
 
 def _greedy_counts(classes, m):

@@ -223,7 +223,8 @@ class FractionA1Lane:
 @given(
     eps=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
     m=st.integers(min_value=1, max_value=6),
-    T=st.sampled_from([F(1), F(5, 4), F(7, 3)]),
+    # 6/5 shares a factor with every unit here, so the start scale is below unit*5.
+    T=st.sampled_from([F(1), F(5, 4), F(7, 3), F(6, 5)]),
     rng=st.randoms(use_true_random=False),
 )
 @settings(max_examples=200, deadline=None)
@@ -444,7 +445,9 @@ def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, p1, data):
     partition and plan are built from scratch at that guess, on wrapper-
     shaped guesses p1 * (1 + eps_g)**k whose denominators grow with k, with
     jobs of fresh denominators growing the lane's scale mid-run; the
-    integer ladder is the one the Fraction bounds give."""
+    integer ladder is the one the Fraction bounds give, the start scale is
+    the lcm of their denominators at the guess, and the ladder rebinds
+    exactly to any multiple of it and to no other scale."""
     unit = a1_partition(eps)
     assert (unit.unit, unit.ladder) == fraction_ladder_reference(eps)
     plans = A1Plans(m)
@@ -454,6 +457,11 @@ def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, p1, data):
         fresh = a1_partition(eps, T)
         rebound = unit.at(T)
         assert rebound == fresh and rebound.bounds == fresh.bounds
+        assert rebound.scale() == math.lcm(*(b.denominator for b in fresh.bounds))
+        scale = rebound.scale() * rng.choice([1, 7])
+        assert rebound.rebind(scale, unit.ladder) == [b * scale for b in fresh.bounds]
+        with pytest.raises(ValueError, match="common denominator"):
+            rebound.rebind(rebound.scale() * 3 + 1, unit.ladder)
         vector = data.draw(_census_vectors(unit.levels, cap))
         exact = data.draw(st.booleans())
         plan = plans.get(rebound, vector, exact)
@@ -461,6 +469,7 @@ def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, p1, data):
         assert (plan.n_star, plan.loads, plan.slots) == (ref_plan.n_star, ref_plan.loads,
                                                           ref_plan.slots)
         lane, ref = A1State(plan), A1State(ref_plan)
+        assert lane._scale == rebound.scale()
         top = fresh.bounds[-1]
         for t in range(1, 25):
             den = rng.choice([2, 3, 5, 7, 11, 13]) ** rng.randint(1, 3)  # fresh denominators

@@ -149,10 +149,10 @@ def test_step_small_rules():
 
 
 def test_dispatch_threshold():
-    assert a3_dispatch(F(1), 100, F(1)).kind == "a1"
-    assert a3_dispatch(F(1), 100, F(1)).eps == F(1, 3)
-    assert a3_dispatch(F(1), 256, F(1)).kind == "a2"
-    assert a3_dispatch(F(1), 300, F(1)).kind == "a2"
+    assert a3_dispatch(F(1), 100).kind == "a1"
+    assert a3_dispatch(F(1), 100).eps == F(1, 3)
+    assert a3_dispatch(F(1), 256).kind == "a2"
+    assert a3_dispatch(F(1), 300).kind == "a2"
 
 
 def test_family_enumeration_and_cap():
@@ -394,16 +394,16 @@ def test_integer_lane_matches_fraction_rule(eps, m, T, rng):
     ref = A2Rule(params, config.c, params.load_cap, params.fill_line,
                  [lo for lo, _ in bounds], [hi for _, hi in bounds])
     lane = A2State(config)
-    top = params.size_bounds[-1]
+    top = params.bounds[-1]
     recorded = None
     for t in range(1, rng.randint(1, 80) + 1):
         if rng.random() < 0.2:
-            p = rng.choice(params.size_bounds)
+            p = rng.choice(params.bounds)
         else:
             den = rng.randint(2, 60)
             p = F(rng.randint(1, den), den) * top * F(rng.choice([1, 1, 1, 9]), 8)
         job = Job(t, p)
-        cls = bisect_left(params.size_bounds, p)
+        cls = bisect_left(params.bounds, p)
         proposal = None if cls > params.n_classes else ref.choose(cls, p) + 1
         assert lane.propose(job) == proposal
         if proposal is None:
@@ -468,7 +468,7 @@ def test_rebound_lane_matches_lane_built_at_the_guess(eps, m, p1, k, rng):
     params = unit.at(T)
     assert params == a2_params(eps, m, T)
     bounds, cap, fill, ell_minus, ell_plus = fraction_params_reference(eps, T)
-    assert (params.size_bounds, params.load_cap, params.fill_line) == (bounds, cap, fill)
+    assert (params.bounds, params.load_cap, params.fill_line) == (bounds, cap, fill)
     assert [params.ell_bounds_of(cls) for cls in range(params.n_classes + 1)] == list(
         zip(ell_minus, ell_plus))
     assert params.scale() == math.lcm(*(x.denominator for x in (*bounds, cap, fill, *ell_minus,

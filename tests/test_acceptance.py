@@ -34,6 +34,8 @@ from parsched.harness import compose, gen_planted, run_algorithm
 from parsched.oracle import ListScheduler, opt_exact, opt_multiset, MultisetInstance
 from parsched.rational import ceil_log
 
+from helpers import multiset_sequence
+
 ORDERS = ("shuffle", "largest_first", "smallest_first", "interleave")
 
 
@@ -272,7 +274,7 @@ def test_criterion_7_oracle_agreement():
             while sum(counts) > 12:
                 counts[counts.index(max(counts))] -= 1
             ms = opt_multiset(MultisetInstance(tuple(zip(sizes, counts)), m))
-            expanded = ms.to_sequence()
+            expanded = multiset_sequence(ms)
             if len(expanded):
                 assert ms.makespan() == opt_exact(expanded)
     except AssertionError:
@@ -291,7 +293,7 @@ def test_criterion_8_pair_profile_adversary():
             assert report.forced_makespan >= F(4, 3), m
             assert report.opt == 1
             assert report.opt_witness.makespan() == 1
-            assert report.opt_witness.n_jobs() == len(report.sigma)
+            assert len(report.opt_witness.assignment) == len(report.sigma)
     except AssertionError:
         _line(8, "FAIL", "pair-profile adversary missed the bound")
         raise

@@ -234,6 +234,12 @@ def test_malformed_sequence_files_fail_cleanly(tmp_path, capsys, name, text, rea
     ("adversary --theorem lb1 --m 6 --victim file:{missing} --out {out}",
      "No such file or directory"),
     ("oracle --cap 3 --input {seq}", "exceeds the search cap 3"),
+    ("oracle --cap -1 --input {seq}", "search cap (--cap) must be nonnegative, got -1"),
+    # Whether a zero least numerator yields a zero-size job depends on the seed.
+    *((f"gen --m 3 --denom 4 --min-num 0 --seed {seed} --out {{out}}",
+       "(--min-num) must be at least 1, got 0") for seed in range(4)),
+    ("gen --m 3 --denom 4 --min-num -1 --out {out}", "(--min-num) must be at least 1, got -1"),
+    ("gen --m 3 --verify-cap -1 --out {out}", "(--verify-cap) must be nonnegative, got -1"),
 ])
 def test_bad_input_fails_cleanly_for_every_command(tmp_path, capsys, argv, reason):
     """Bad input to any command is `error: ...` with exit 2, not a traceback."""

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from parsched.core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule, select_best
 
+from helpers import check_loads
+
 
 def test_job_validation():
     with pytest.raises(ValueError):
@@ -95,7 +97,7 @@ def test_loads_always_match_assignment(sizes, m, data):
     s = Schedule(m)
     for job in seq:
         s.assign(data.draw(st.integers(min_value=1, max_value=m)), job)
-        assert s.check_loads(seq.jobs)
+        assert check_loads(s, seq.jobs)
     assert s.makespan() == max(s.loads())
 
 
@@ -121,11 +123,11 @@ def test_integer_loads_match_fraction_sums_as_scale_grows(m, dens, data):
         assert s.loads() == tuple(sums)
         assert [s.load(i) for i in range(1, m + 1)] == sums
         assert s.makespan() == max(sums)
-        assert s.check_loads(jobs)
+        assert check_loads(s, jobs)
         values = (*s.loads(), *(s.load(i) for i in range(1, m + 1)), s.makespan())
         assert all(type(v) is F for v in values)
     heavier = jobs[:-1] + [Job(jobs[-1].index, jobs[-1].p + F(1, 61))]
-    assert not s.check_loads(heavier)
+    assert not check_loads(s, heavier)
     assert s.machines_by_load() == sorted(range(m), key=lambda i: (sums[i], i))
 
 

@@ -226,7 +226,7 @@ def test_suffix_census_matches_per_job_loop(m, eps_g, k, rng):
     T = F(rng.randint(1, 2 * den), den) * (1 + eps_g) ** k
     partition = a1_partition(F(1, 3), T)  # the a3 factory's census accuracy
     params = a2_params(F(1), m, T)
-    edges = [*partition.bounds, *params.size_bounds, T]
+    edges = [*partition.bounds, *params.bounds, T]
     dens = rng.sample(MIXED_DENOMS, rng.randint(2, 3))
     S0 = math.lcm(*dens)
     edge_share = rng.choice([0, 0.3])
@@ -255,11 +255,11 @@ def test_suffix_census_matches_per_job_loop(m, eps_g, k, rng):
         assert sizes == sorted(job.p * S for job in suffix) and total == sum(sizes)
         vector, doomed = per_job_a1_census(suffix, partition, m, T)
         assert _a1_suffix_census(sizes, total, S, partition, m, cap) == (vector, doomed)
-        counts, _ = per_job_counts(suffix, params.size_bounds)
+        counts, _ = per_job_counts(suffix, params.bounds)
         assert params.census(sizes, S) == counts
         assert_true_counts(lambda jobs: a1_true_vector(jobs, partition, m),
                            suffix, partition.bounds, cap)
-        assert_true_counts(lambda jobs: a2_class_counts(params, jobs), suffix, params.size_bounds)
+        assert_true_counts(lambda jobs: a2_class_counts(params, jobs), suffix, params.bounds)
         assert a1_make(T, start_t)[0].plan.vector == vector
         if m < 256:  # below the configuration threshold a3 builds census lanes
             assert a3_make(T, start_t)[0].plan.vector == vector
@@ -286,7 +286,7 @@ def test_true_counts_raise_like_per_job_loop():
     ):
         jobs = JobSequence.from_sizes(2, sizes).jobs
         assert_true_counts(lambda js: a1_true_vector(js, partition, 2), jobs, partition.bounds, cap)
-        assert_true_counts(lambda js: a2_class_counts(params, js), jobs, params.size_bounds)
+        assert_true_counts(lambda js: a2_class_counts(params, js), jobs, params.bounds)
 
 
 def test_flagged_census_lane_proposes_least_loaded_machine():

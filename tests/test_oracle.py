@@ -24,6 +24,8 @@ from parsched.oracle import (
     opt_multiset,
 )
 
+from helpers import multiset_sequence
+
 
 def brute_opt(sizes, m):
     best = None
@@ -167,7 +169,7 @@ def test_multiset_agrees_with_expanded_instance(data):
     ms = opt_multiset(inst)
     for i, (_, c) in enumerate(inst.normalized()):
         assert sum(ms.counts[i]) == c
-    expanded = ms.to_sequence()
+    expanded = multiset_sequence(ms)
     if len(expanded):
         assert ms.makespan() == opt_exact(expanded)
         assert lpt_multiset(inst).makespan() >= ms.makespan()

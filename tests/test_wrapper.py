@@ -184,7 +184,7 @@ def test_empty_sequence_yields_empty_schedule():
     params = astar_params(F(1), F(1))
     state = AStar(params, 3, a1_targeted_factory(JobSequence.from_sizes(3, []), F(1)))
     schedule = state.finish()
-    assert schedule.makespan() == 0 and schedule.n_jobs() == 0
+    assert schedule.makespan() == 0 and len(schedule.assignment) == 0
 
 
 def test_wrapper_tracks_arrival_order():
@@ -260,7 +260,7 @@ def test_wrapper_with_configuration_lanes():
     from parsched.harness import a3_targeted_factory
 
     m = 256
-    assert a3_dispatch(F(1), m, F(1)).kind == "a2"
+    assert a3_dispatch(F(1), m).kind == "a2"
     counts = [1] * 250 + [3] * 6
     seq = gen_planted(m, counts=counts, denom=8, seed=11)
     rho = F(4, 3) + 1  # the dispatched family's claimed ratio at accuracy 1
@@ -280,7 +280,7 @@ def test_single_guess_wrapper():
     assert state.smallest_gamma() == seq.jobs[0].p  # single guess starts at p1
     for job in seq.jobs[1:]:
         state.step(job)
-    assert state.finish().n_jobs() == len(seq)
+    assert len(state.finish().assignment) == len(seq)
 
 
 class Scripted:
