@@ -94,51 +94,59 @@ class GuessLadder:
 class ScaledLane:
     """Job-stepping glue of a lane kept in integers in units of 1/_scale.
 
-    A subclass sets ``m``, calls ``_start`` and defines ``_rescale(k)``,
-    which multiplies its own size-valued state by k when a job's
-    denominator grows the scale k-fold.  A size's class is
-    bisect_left(_bounds, size), len(_bounds) meaning none.
+    A driver at scale S steps a job of size q/S by ``offer(job, q, S)``
+    and ``commit(machine)``; _scale stays a multiple of the guess's
+    ``scale()`` and of S, and grows, with the ratio _scale // S cached,
+    only when S changes.  ``propose``/``record`` step a Job at S = its
+    denominator; ``record`` checks its input.  A subclass sets ``m``,
+    calls ``_start`` and defines its choice ``_choose(cls, q)`` (a 0-based
+    machine), its commitment ``_put(cls, q, j)`` and ``_rescale(k)``,
+    which multiplies its state by k when _scale grows k-fold.  A size's
+    class is bisect_left(_bounds, size), len(_bounds) meaning none.
     """
 
-    _pending: tuple = (None, 0, 0)  # (job, class, size) last classified
-    _last = 0  # index of the last recorded job
+    _offered: tuple = (None, 0, 0)  # (job, class, size) of the last offer
+    _last = 0  # index of the last committed job
 
     def _start(self, guess: GuessLadder) -> None:
         """Start at the guess's scale, with its ladder as the class bounds."""
-        self._scale = guess.scale()
+        self._scale = self._ratio = guess.scale()
+        self._driver_scale = 1  # the driver's scale the ratio is for
         self._bounds = guess.rebind(self._scale, guess.ladder)
 
-    def _classify(self, job) -> tuple[int, int]:
-        num, den = job.p.as_integer_ratio()
-        scale = self._scale
-        if scale % den:
-            k = den // math.gcd(scale, den)
-            self._scale = scale = scale * k
-            self._bounds = [x * k for x in self._bounds]
-            self._rescale(k)
-        q = num * (scale // den)
+    def offer(self, job, q: int, scale: int) -> Optional[int]:
+        """Machine for ``job``, of size q/scale; None if it has no class."""
+        if scale != self._driver_scale:  # follow S; then no rescale until it changes
+            if self._scale % scale:
+                k = scale // math.gcd(self._scale, scale)
+                self._scale *= k
+                self._bounds = [x * k for x in self._bounds]
+                self._rescale(k)
+            self._ratio = self._scale // scale
+            self._driver_scale = scale
+        q *= self._ratio
         cls = bisect_left(self._bounds, q)
-        self._pending = (job, cls, q)
-        return cls, q
+        self._offered = (job, cls, q)
+        return None if cls == len(self._bounds) else self._choose(cls, q) + 1
 
-    def _take(self, job, machine: int) -> tuple[int, int]:
-        """Class and size of a job to record, reusing its proposal's.  Jobs
-        arrive in index order, so an index not above the last is a repeat."""
+    def commit(self, machine: int) -> None:
+        """Place the job last offered, which had a class, on ``machine``."""
+        job, cls, q = self._offered
+        self._last = job.index
+        self._put(cls, q, machine - 1)
+
+    def propose(self, job) -> Optional[int]:
+        return self.offer(job, *job.p.as_integer_ratio())
+
+    def record(self, job, machine: int) -> None:
+        """Commit ``job`` to ``machine`` after checking both.  Jobs arrive
+        in index order, so an index not above the last is a repeat."""
         if not 1 <= machine <= self.m:
             raise ValueError(f"machine {machine} out of range 1..{self.m}")
         if job.index <= self._last:
             raise ValueError(f"job {job.index} already recorded (last was {self._last})")
-        pending, cls, q = self._pending
-        if pending is not job:
-            cls, q = self._classify(job)
-        if cls == len(self._bounds):
+        if self._offered[0] is not job:
+            self.propose(job)
+        if self._offered[1] == len(self._bounds):
             raise ValueError("cannot record a job that has no class")
-        self._last = job.index
-        return cls, q
-
-    def step(self, job) -> Optional[int]:
-        """propose + record; None means the job had no class (not placed)."""
-        machine = self.propose(job)
-        if machine is not None:
-            self.record(job, machine)
-        return machine
+        self.commit(machine)

@@ -242,25 +242,20 @@ class A1State(ScaledLane):
     def loads(self) -> list[Fraction]:
         return [Fraction(x, self._scale) for x in self._current_loads()]
 
-    def propose(self, job: Job) -> Optional[int]:
-        cls, _ = self._classify(job)
+    def _choose(self, cls: int, q: int) -> int:
         if cls == SMALL:
-            return self._level.least() + 1
-        if cls == len(self._bounds):
-            return None
+            return self._level.least()
         slots, left = self.plan.slots[cls - 1], self._left[cls - 1]
         k = self._next_slot[cls - 1]
         while k < len(slots) and left[slots[k]] <= 0:
             k += 1
         self._next_slot[cls - 1] = k
         if k < len(slots):
-            return slots[k] + 1
+            return slots[k]
         # No machine wants this class any more: fall back to least loaded.
-        return self._fallback().least() + 1
+        return self._fallback().least()
 
-    def record(self, job: Job, machine: int) -> None:
-        cls, q = self._take(job, machine)
-        j = machine - 1
+    def _put(self, cls: int, q: int, j: int) -> None:
         if cls == SMALL:
             self._level.add(j, q)
         else:

@@ -17,7 +17,6 @@ from itertools import chain, groupby
 from typing import Optional, Sequence
 
 from ._scaling import GuessLadder, ScaledLane, common_scale, scale_values, stream_counts
-from .core import Job
 from .rational import ceil_log
 
 __all__ = [
@@ -500,6 +499,7 @@ class A2State(ScaledLane):
         params = config.params
         self._start(params)
         self.rule = A2Rule(params, config.c, *a2_rule_thresholds(params, self._scale)[1:])
+        self._choose, self._put = self.rule.choose, self.rule.put
         self.m = params.m
         self.params = params
         self.config = config
@@ -515,16 +515,6 @@ class A2State(ScaledLane):
     @property
     def fill_violations(self) -> int:
         return self.rule.fill_violations
-
-    def propose(self, job: Job) -> Optional[int]:
-        cls, q = self._classify(job)
-        if cls == len(self._bounds):
-            return None
-        return self.rule.choose(cls, q) + 1
-
-    def record(self, job: Job, machine: int) -> None:
-        cls, q = self._take(job, machine)
-        self.rule.put(cls, q, machine - 1)
 
 
 @dataclass(frozen=True)

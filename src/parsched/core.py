@@ -360,7 +360,10 @@ class OnlineScheduler(Protocol):
 
     An optional ``least_loaded`` true promises that it proposes its least
     loaded machine, lowest index on ties, for every job it is given; the
-    guess wrapper then places by that rule and never steps it.
+    guess wrapper then places by that rule and never steps it.  An optional
+    pair ``offer(job, q, S)``, the proposal for the job of size q in units
+    of 1/S for the driver's scale S, and ``commit(machine)``, which records
+    the job last offered unchecked, is how the guess wrapper steps a lane.
     """
 
     m: int

@@ -64,10 +64,6 @@ def astar_params(rho: Fraction, eps: Fraction) -> WrapperParams:
     return WrapperParams(rho, eps, eps_g, h)
 
 
-def _out_of_range(proposal: int, m: int) -> ValueError:
-    return ValueError(f"machine {proposal} out of range 1..{m}")
-
-
 class Epoch:
     """One epoch's virtual schedule: the virtual loads, the virtual machine
     of each job and the virtual machines in the order of their first use.
@@ -119,6 +115,22 @@ class Epoch:
         return self.put(self.least.least(), q)
 
 
+class _Stepped:
+    """``offer``/``commit`` over an inner that has only ``propose``/``record``."""
+
+    __slots__ = ("inner", "job")
+
+    def __init__(self, inner: OnlineScheduler):
+        self.inner, self.job = inner, None
+
+    def offer(self, job: Job, q: int, scale: int) -> Optional[int]:
+        self.job = job
+        return self.inner.propose(job)
+
+    def commit(self, machine: int) -> None:
+        self.inner.record(self.job, machine)
+
+
 class GuessLane:
     """One inner scheduler plus its virtual/physical bookkeeping.
 
@@ -129,6 +141,7 @@ class GuessLane:
     inner is *flagged* (``least_loaded``, see ``core.OnlineScheduler``)
     never steps it: it shares the epoch of every flagged lane opened at the
     same job, and tests its failure conditions on the machine Graham's rule picks.
+    A stepped lane binds its inner's ``offer``/``commit`` once per epoch.
 
     Physical machines are bound only when the epoch closes or a caller
     asks (``physical``, ``physical_loads``).  The rule is: the k-th
@@ -141,8 +154,8 @@ class GuessLane:
     """
 
     __slots__ = (
-        "m", "label", "jobs", "inner", "flagged", "failed", "fail_reason", "epoch", "prebound",
-        "placed", "loads",
+        "m", "label", "jobs", "inner", "_offer", "_commit", "flagged", "failed", "fail_reason",
+        "epoch", "prebound", "placed", "loads",
     )
 
     def __init__(self, m: int, label: int, jobs: list[Job],
@@ -157,6 +170,8 @@ class GuessLane:
     def reset_epoch(self, inner: Optional[OnlineScheduler], shared: Optional[Epoch] = None) -> None:
         """Open an epoch under a fresh inner; a flagged one takes ``shared``."""
         self.inner = inner
+        stepped = inner if hasattr(inner, "offer") else _Stepped(inner)
+        self._offer, self._commit = stepped.offer, stepped.commit
         self.flagged = getattr(inner, "least_loaded", False)
         self.epoch = shared if self.flagged and shared is not None else Epoch(self.m)
         self.failed = False
@@ -207,10 +222,10 @@ class GuessLane:
             schedule.assign(j + 1, job)
         return schedule
 
-    def restart(self, inner: OnlineScheduler, job: Job, q: int,
+    def restart(self, inner: OnlineScheduler, job: Job, q: int, scale: int,
                 shared: Optional[Epoch] = None) -> None:
         """Close the epoch and open one under a fresh inner whose first job
-        is ``job``, of scaled size q, the last one placed.
+        is ``job``, of size q in units of 1/scale, the last one placed.
 
         The job keeps its physical machine and becomes the epoch's first
         job, placed as any job is, which binds its virtual machine to that
@@ -222,19 +237,21 @@ class GuessLane:
         j = self.placed.pop()
         self.loads[j] -= q
         self.reset_epoch(inner, shared)
-        self.place(job, q, False, q)
+        self.place(job, q, scale, False, q)
         self.prebound = (self.epoch.vms[0], j)
 
-    def place(self, job: Job, q: int, bounds: bool, load_cap: int) -> Optional[str]:
-        """Place one job: follow the inner rule unless a failure condition applies.
+    def place(self, job: Job, q: int, scale: int, bounds: bool, load_cap: int) -> Optional[str]:
+        """Place one job, of size q at the run-wide scale S = ``scale``:
+        follow the inner rule unless a failure condition applies.
 
         The lane finds the job's virtual machine and that machine's load
-        before it: a stepped lane from its inner's proposal, a flagged one
-        from the least loaded machine.  It then fails, in this order, on
-        no rule (i), on ``bounds`` (iii), whether the job breaks the guess's
-        bounds (size or average load), or on an overload (ii), the load
-        passing ``load_cap`` = floor(rho*gamma*S).  A lane that fails, or
-        failed before, puts the job on its least loaded virtual machine.
+        before it: a stepped lane from its inner's ``offer(job, q, scale)``,
+        a flagged one from the least loaded machine.  It then fails, in
+        this order, on no rule (i), on ``bounds`` (iii), whether the job
+        breaks the guess's bounds (size or average load), or on an
+        overload (ii), the load passing ``load_cap`` = floor(rho*gamma*S).
+        A lane that fails, or failed before, puts the job on its least
+        loaded virtual machine; a stepped lane that passes ``commit``s it.
         Returns the reason when the lane fails on this job, else None.
         """
         epoch = self.epoch
@@ -244,18 +261,18 @@ class GuessLane:
         if self.flagged:
             load = epoch.place_least(job.index, q)
         else:
-            proposal = self.inner.propose(job)
+            proposal = self._offer(job, q, scale)
             if proposal is None:
                 return self._fail(FAIL_NO_RULE, job, q)
             if not 0 < proposal <= self.m:
-                raise _out_of_range(proposal, self.m)
+                raise ValueError(f"machine {proposal} out of range 1..{self.m}")
             load = epoch.loads[proposal - 1]
         if bounds:
             return self._fail(FAIL_BOUNDS, job, q)
         if load + q > load_cap:
             return self._fail(FAIL_OVERLOAD, job, q)
         if not self.flagged:
-            self.inner.record(job, proposal)
+            self._commit(proposal)
             epoch.put(proposal - 1, q)
         return None
 
@@ -388,7 +405,7 @@ class AStar:
         self.adjustments += 1
         for lane, inner in zip(group.lanes, self._inners(new_gamma, self.t)):
             self._past_violations += getattr(lane.inner, "fill_violations", 0)
-            lane.restart(inner, job, q, shared)
+            lane.restart(inner, job, q, self._scale, shared)
         group.live = sum(not lane.failed for lane in group.lanes)
 
     def _place(self, job: Job, q: int) -> int:
@@ -397,14 +414,14 @@ class AStar:
         Returns the position of the largest guess none of whose lanes is
         live any more, or -1 if every guess has a live lane.
         """
-        prefix = self._prefix
+        prefix, scale = self._prefix, self._scale
         self.jobs.append(job)
         i_star = -1
         for pos, group in enumerate(self.groups):
             gamma_cap, mean_cap, load_cap = group.caps
             bounds = q > gamma_cap or prefix > mean_cap  # test (iii), the same for every lane
             for lane in group.lanes:
-                reason = lane.place(job, q, bounds, load_cap)
+                reason = lane.place(job, q, scale, bounds, load_cap)
                 if reason is not None:
                     group.live -= 1
                     self._emit(t=self.t, event="fail", var=group.var_id,

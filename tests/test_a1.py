@@ -22,6 +22,8 @@ from parsched.core import Job, JobSequence, LaneRunner, select_best
 from parsched.harness import gen_planted
 from parsched.oracle import MultisetInstance, fit_multiset, lpt_multiset
 
+from helpers import check_offer_matches_propose, scale_jumps, step
+
 
 def test_partition_examples():
     p = a1_partition(F(1), F(1))
@@ -83,17 +85,17 @@ def test_step_follows_virtual_slots():
     plan = A1Plan.build(p, 2, (2, 0))
     assert plan.n_star[0] == (1, 1)
     lane = A1State(plan)
-    assert lane.step(Job(1, F(3, 5))) == 1
-    assert lane.step(Job(2, F(3, 5))) == 2
+    assert step(lane, Job(1, F(3, 5))) == 1
+    assert step(lane, Job(2, F(3, 5))) == 2
 
 
 def test_step_small_tie_and_fallback():
     p = a1_partition(F(1), F(1))
     small_only = A1State(A1Plan.build(p, 2, (0, 0)))
-    assert small_only.step(Job(1, F(1, 4))) == 1  # all keys equal: lowest index
+    assert step(small_only, Job(1, F(1, 4))) == 1  # all keys equal: lowest index
     lane = A1State(A1Plan.build(p, 2, (2, 0)))
-    lane.step(Job(1, F(1, 4)))  # small on machine 1
-    assert lane.step(Job(2, F(1))) == 2  # class 2 has no slots: least loaded
+    step(lane, Job(1, F(1, 4)))  # small on machine 1
+    assert step(lane, Job(2, F(1))) == 2  # class 2 has no slots: least loaded
 
 
 def test_small_rule_tracks_virtual_plus_small():
@@ -101,9 +103,9 @@ def test_small_rule_tracks_virtual_plus_small():
     plan = A1Plan.build(p, 2, (1, 0))  # one large slot on machine 1
     lane = A1State(plan)
     assert [F(x, p.unit) for x in plan.loads] == [F(3, 4), F(0)]
-    assert lane.step(Job(1, F(1, 2))) == 2  # ell*(1)=3/4 beats 0
-    assert lane.step(Job(2, F(1, 2))) == 2  # 3/4 still beats 1/2
-    assert lane.step(Job(3, F(1, 2))) == 1  # now 3/4 < 1
+    assert step(lane, Job(1, F(1, 2))) == 2  # ell*(1)=3/4 beats 0
+    assert step(lane, Job(2, F(1, 2))) == 2  # 3/4 still beats 1/2
+    assert step(lane, Job(3, F(1, 2))) == 1  # now 3/4 < 1
 
 
 def _simulate_true_lane(seq, eps, T):
@@ -115,7 +117,7 @@ def _simulate_true_lane(seq, eps, T):
     lane = A1State(plan)
     large = [F(0)] * seq.m
     for job in seq:
-        machine = lane.step(job)
+        machine = step(lane, job)
         assert machine is not None
         if job.p > partition.bounds[0]:  # a large job
             large[machine - 1] += job.p
@@ -275,6 +277,27 @@ def test_integer_lane_matches_fraction_reference(eps, m, T, rng):
         with pytest.raises(ValueError):
             lane.record(recorded, 1)
     assert lane.loads == ref.loads
+
+
+@given(
+    eps=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+    m=st.integers(min_value=1, max_value=6),
+    T=st.sampled_from([F(1), F(5, 4), F(7, 3), F(6, 5)]),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_offer_at_driver_scale_matches_propose_record(eps, m, T, rng):
+    """A census lane driven by offer(job, q, S), S the driver's growing lcm
+    of the denominators seen, proposes and loads exactly like its twin
+    driven by propose and record, whether S jumps by a factor the lane's
+    scale already holds or by one it does not, on jobs of every class and
+    above the top bound."""
+    partition = a1_partition(eps, T)
+    cap = a1_count_cap(m, partition.eps_prime)
+    vector = tuple(rng.randint(0, min(cap, 3)) for _ in range(partition.levels))
+    plan = A1Plan.build(partition, m, vector, exact=False)
+    sizes = scale_jumps(rng, partition.scale(), partition.bounds[-1], rng.randint(2, 40))
+    check_offer_matches_propose(A1State(plan), A1State(plan), sizes)
 
 
 def fraction_plan_reference(partition, m, vector, exact=True):

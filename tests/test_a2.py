@@ -25,6 +25,8 @@ from parsched.core import Job
 from parsched.fullsim import _prepare, a2_full_sweep
 from parsched.harness import gen_planted
 
+from helpers import check_offer_matches_propose, scale_jumps, step
+
 EPS_ONE = a2_params(F(1), 256, F(1))
 
 
@@ -126,26 +128,26 @@ def test_step_large_slots_then_reserve_best_fit():
     p = EPS_ONE
     cfg = TargetConfiguration(p, (2,) + (0,) * 230)
     lane = A2State(cfg)
-    assert lane.step(Job(1, F(1))) == 1  # admissible class-2 machine
-    assert lane.step(Job(2, F(1))) == 1  # medium classes hold two jobs
-    assert lane.step(Job(3, F(1))) == 232  # full: overflow to first reserve machine
-    assert lane.step(Job(4, F(1))) == 232  # best fit prefers the loaded machine (2 <= 7/3)
-    assert lane.step(Job(5, F(9, 8))) == 233  # 2 + 9/8 > 7/3: next reserve machine
+    assert step(lane, Job(1, F(1))) == 1  # admissible class-2 machine
+    assert step(lane, Job(2, F(1))) == 1  # medium classes hold two jobs
+    assert step(lane, Job(3, F(1))) == 232  # full: overflow to first reserve machine
+    assert step(lane, Job(4, F(1))) == 232  # best fit prefers the loaded machine (2 <= 7/3)
+    assert step(lane, Job(5, F(9, 8))) == 233  # 2 + 9/8 > 7/3: next reserve machine
 
 
 def test_step_small_rules():
     p = EPS_ONE
     cfg = TargetConfiguration(p, (1,) + (0,) * 230)
     lane = A2State(cfg)
-    assert lane.step(Job(1, F(1, 12))) == 2  # fresh: zero machine has smaller target
-    assert lane.step(Job(2, F(1, 12))) == 2  # now prefers the machine holding smalls
+    assert step(lane, Job(1, F(1, 12))) == 2  # fresh: zero machine has smaller target
+    assert step(lane, Job(2, F(1, 12))) == 2  # now prefers the machine holding smalls
     big_small = F(7, 12)
     filler = A2State(TargetConfiguration(p, (0,) * 231))
     t = 1
     for _ in range(4):  # 4 * 7/12 = 7/3 exactly: the cap is inclusive
-        assert filler.step(Job(t, big_small)) == 1
+        assert step(filler, Job(t, big_small)) == 1
         t += 1
-    assert filler.step(Job(t, big_small)) == 2
+    assert step(filler, Job(t, big_small)) == 2
 
 
 def test_dispatch_threshold():
@@ -179,7 +181,7 @@ def test_fill_line_property_on_random_lanes(data):
     n = data.draw(st.integers(min_value=1, max_value=40))
     for t in range(1, n + 1):
         p = data.draw(st.fractions(min_value=F(1, 50), max_value=F(1)))
-        lane.step(Job(t, p))
+        step(lane, Job(t, p))
     assert lane.fill_violations == 0
 
 
@@ -194,7 +196,7 @@ def test_valid_lane_guarantee_at_threshold():
         assert a2_is_valid(params, config, counts)
         lane = A2State(config)
         for job in seq:
-            assert lane.step(job) is not None
+            assert step(lane, job) is not None
         assert max(lane.loads) <= params.load_cap
         assert lane.fill_violations == 0
 
@@ -428,6 +430,26 @@ def test_integer_lane_matches_fraction_rule(eps, m, T, rng):
         with pytest.raises(ValueError):
             lane.record(recorded, 1)
     assert lane.loads == ref.loads
+
+
+@given(
+    eps=st.sampled_from([F(1), F(3, 4), F(1, 2)]),
+    m=st.integers(min_value=2, max_value=12) | st.integers(min_value=30, max_value=48),
+    T=st.sampled_from([F(1), F(5, 4), F(7, 3)]),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_offer_at_driver_scale_matches_propose_record(eps, m, T, rng):
+    """A configuration lane driven by offer(job, q, S), S the driver's
+    growing lcm of the denominators seen, proposes and loads exactly like
+    its twin driven by propose and record, whether S jumps by a factor the
+    lane's scale already holds or by one it does not, on jobs of every
+    class and above the top bound."""
+    params = a2_params(eps, m, T)
+    u = [rng.randint(0, min(3, params.kappa)) for _ in range(params.n_classes)]
+    config = a2_config_from_u(params, u)
+    sizes = scale_jumps(rng, params.scale(), params.bounds[-1], rng.randint(2, 60))
+    check_offer_matches_propose(A2State(config), A2State(config), sizes)
 
 
 def fraction_params_reference(eps, T):

@@ -8,6 +8,8 @@ from parsched.cli import main
 from parsched.core import JobSequence
 from parsched.rational import format_rational
 
+from helpers import step
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -121,7 +123,7 @@ def test_run_full_a2_without_reserve_machines(tmp_path, capsys):
     assert (params.mu, params.m0) == (8, 0)
     lane = A2State(a2_config_from_u(params, (0, 0, 0)))
     for job in JobSequence.load(seq_path):
-        lane.step(job)
+        step(lane, job)
     doc = json.loads(out)
     assert doc["lanes"] == 226_981 and doc["best_label"] == 0
     assert doc["makespan"] == format_rational(max(lane.loads))

@@ -21,6 +21,8 @@ from parsched.core import Job, JobSequence
 from parsched.harness import gen_planted
 from parsched.oracle import opt_exact
 
+from helpers import step
+
 
 def random_jobs(rng, n, denom, T):
     return [F(rng.randint(1, denom), denom) * T for _ in range(n)]
@@ -46,7 +48,7 @@ def test_sweep_matches_exact_reference():
     for lane in (0, 13, 49):
         state = A2State(a2_config_from_u(params, lane_index_to_u(params, lane)))
         for t, p in enumerate(jobs, start=1):
-            state.step(Job(t, p))
+            step(state, Job(t, p))
         assert max(state.loads) == sweep.makespan(lane)
 
 
@@ -81,7 +83,7 @@ def test_dedup_sweep_matches_per_lane_fraction_loop(eps, m, T, rng):
     for lane in range(lo, hi):
         state = A2State(a2_config_from_u(params, lane_index_to_u(params, lane)))
         for t, p in enumerate(jobs, start=1):
-            state.step(Job(t, p))
+            step(state, Job(t, p))
         makespans.append(max(state.loads))
         violations += state.fill_violations
     sweep = fullsim.a2_full_sweep(eps, m, T, jobs, lanes=(lo, hi))

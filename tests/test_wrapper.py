@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsched.a1 import A1State, a1_family
+from parsched.a2 import A2State
 from parsched.adversary import StackScheduler
 from parsched.core import Job, JobSequence, LeastLoaded, OnlineScheduler, select_best
 from parsched.harness import (
@@ -322,7 +323,7 @@ def test_bind_picks_least_loaded_unbound_machine(seed):
             v = rng.randrange(m)
             inner.next = v + 1
             phys = binding[lane.epoch.vms[-1]]
-            lane.restart(inner, job, q)
+            lane.restart(inner, job, q, 1)  # job is F(q): q at scale 1
             binding = {v: phys}
         for _ in range(rng.randint(0, 3 * m)):
             v = rng.randrange(m)
@@ -334,7 +335,7 @@ def test_bind_picks_least_loaded_unbound_machine(seed):
             job = Job(t, F(q))
             jobs.append(job)
             inner.next = v + 1
-            assert lane.place(job, q, False, 10**9) is None
+            assert lane.place(job, q, 1, False, 10**9) is None
             loads[binding[v]] += q
             expected.append(binding[v])
             if rng.random() < 0.3:  # ask mid-epoch: binding must not change
@@ -345,17 +346,16 @@ def test_bind_picks_least_loaded_unbound_machine(seed):
 
 def test_a3star_with_configuration_lanes_end_to_end(monkeypatch):
     """At m=1024 the inner accuracy 1/2 clears the configuration family's
-    machine threshold, so run_algorithm drives A2State lanes."""
-    from parsched.a2 import A2State
-
+    machine threshold, so run_algorithm drives A2State lanes, which the
+    wrapper steps by offer and commit."""
     recorded = []
-    record = A2State.record
+    commit = A2State.commit
 
-    def counting_record(self, job, machine):
+    def counting_commit(self, machine):
         recorded.append(machine)
-        record(self, job, machine)
+        commit(self, machine)
 
-    monkeypatch.setattr(A2State, "record", counting_record)
+    monkeypatch.setattr(A2State, "commit", counting_commit)
     seq = gen_planted(1024, counts=(1, 2), denom=24, seed=3)
     result = run_algorithm("a3star", seq, epsilon=F(1), check=True)
     assert recorded
@@ -559,11 +559,11 @@ def _check_lane_against_eager(seed, make_inner):
         lane.jobs.append(job)
         inner.next = None if rng.random() < 0.05 else rng.randint(1, m)
         bounds = q > caps[0] or prefix > caps[1]
-        assert lane.place(job, q, bounds, caps[2]) == ref.place(job, q, prefix, caps)
+        assert lane.place(job, q, 1, bounds, caps[2]) == ref.place(job, q, prefix, caps)
         assert (lane.failed, lane.fail_reason) == (ref.failed, ref.fail_reason)
         if rng.random() < 0.2:
             inner.next = None if rng.random() < 0.2 else rng.randint(1, m)
-            lane.restart(inner, job, q)
+            lane.restart(inner, job, q, 1)
             ref.restart(inner, job, q)
             assert (lane.failed, lane.fail_reason) == (ref.failed, ref.fail_reason)
             # Closed: every job but the restart job, which opens the new epoch.
@@ -644,6 +644,24 @@ def test_flagged_lanes_match_stepped_inners(seed, m, algo_eps, denom, order):
     algo, eps = algo_eps
     seq = gen_planted(m, counts=(1, 3), denom=denom, seed=seed, order=order)
     assert _run_wrapped(algo, eps, seq, proxy=False) == _run_wrapped(algo, eps, seq, proxy=True)
+
+
+@pytest.mark.parametrize("denom, order, seed", [
+    (30, "shuffle", 1),  # 11 adjustments; S grows after one
+    (60, "shuffle", 2),  # 5 adjustments; S grows after one
+    (60, "interleave", 0),  # no adjustment; S grows in the first epoch
+])
+def test_configuration_lanes_match_stepped_inners(denom, order, seed):
+    """At m=1024 a3star's inner accuracy 1/2 clears the configuration
+    family's machine threshold, so its lanes are A2States, which the
+    wrapper steps by offer and commit at the run-wide scale S.  The run
+    equals, event for event and machine for machine, the run whose inners
+    a proxy steps by propose and record, each lane at its own scale,
+    also when S grows in the middle of an epoch."""
+    seq = gen_planted(1024, counts=(1, 2), denom=denom, seed=seed, order=order)
+    assert isinstance(a3_targeted_factory(seq, F(1, 2))(F(1), 1)[0], A2State)
+    assert _run_wrapped("a3star", F(1), seq, proxy=False) == _run_wrapped("a3star", F(1), seq,
+                                                                          proxy=True)
 
 
 @given(
