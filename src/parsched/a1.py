@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from ._scaling import GuessLadder, ScaledLane, stream_counts
-from .core import Job, LaneCapExceeded, LeastLoaded, check_lane_cap
-from .oracle import MultisetInstance, _greedy_counts, fit_multiset
+from .core import Job, LaneCapExceeded, LeastLoaded, add_equal, check_lane_cap
+from .oracle import MultisetInstance, fit_multiset
 from .rational import ceil_log
 
 __all__ = [
@@ -106,31 +106,23 @@ class A1Plan:
 
     n_star[i][j] is the number of class-(i+1) slots on machine j+1 and
     loads[j] the virtual load of machine j+1, an integer in units of
-    T/partition.unit; slots[i] lists, ascending, the machine indices j
-    with n_star[i][j] > 0.  None of these depends on T, because the class
-    ceilings are T times a fixed ladder: ``build`` works at T = 1 over
-    integers and ``at`` rebinds a plan to another guess.  ``certified``
-    marks a greedy schedule with makespan within (1+eps')*T, which the
-    lane takes whether or not it is exact.  Plans are shareable across
-    runs; all mutable stepping state lives in A1State.
+    T/unit for the ``unit`` of the partitions of accuracy ``eps``; slots[i]
+    lists, ascending, the machine indices j with n_star[i][j] > 0.  None
+    of these depends on T, because the class ceilings are T times a fixed
+    ladder: ``build`` works at T = 1 over integers, and one plan serves
+    every guess of its accuracy.  ``certified`` marks a greedy schedule
+    with makespan within (1+eps')*T, which the lane takes whether or not
+    it is exact.  Plans are shareable across guesses and runs; all mutable
+    stepping state lives in A1State.
     """
 
-    partition: ClassPartition
+    eps: Fraction
     m: int
     vector: tuple[int, ...]
     n_star: tuple[tuple[int, ...], ...]
     loads: tuple[int, ...]
     slots: tuple[tuple[int, ...], ...]
     certified: bool = False
-
-    def at(self, partition: ClassPartition) -> "A1Plan":
-        """The same virtual schedule under another guess's partition."""
-        if partition is self.partition:
-            return self
-        if (partition.unit, partition.ladder) != (self.partition.unit, self.partition.ladder):
-            raise ValueError("a plan can only be rebound to a partition of the same accuracy")
-        return A1Plan(partition, self.m, self.vector, self.n_star, self.loads, self.slots,
-                      self.certified)
 
     @classmethod
     def build(cls, partition: ClassPartition, m: int, vector: tuple[int, ...],
@@ -150,7 +142,8 @@ class A1Plan:
         # and ascending: LPT takes the present classes from the top.
         present = [i for i in reversed(range(len(vector))) if vector[i] > 0]
         classes = tuple((partition.ladder[i + 1], vector[i]) for i in present)
-        rows, loads = _greedy_counts(classes, m)
+        loads = [0] * m
+        rows = add_equal(loads, classes)
         limit = partition.unit + partition.ladder[0]  # (1+eps')*T
         certified = max(loads) <= limit
         if exact and not certified:
@@ -161,14 +154,15 @@ class A1Plan:
         for i, row in zip(present, rows):
             n_star[i] = row
             slots[i] = tuple(itertools.compress(range(m), row))
-        return cls(partition, m, vector, tuple(n_star), loads, tuple(slots), certified)
+        return cls(partition.eps, m, vector, tuple(n_star), tuple(loads), tuple(slots), certified)
 
 
 class A1Plans:
     """One run's census plans: the plan of each (vector, exact) is built
-    once, by the first guess that asks for it, and rebound to every later
-    guess and epoch.  A certified plan, whose greedy schedule lies within
-    (1+eps')*T, is the plan of both values of exact and is built once."""
+    once, by the first guess that asks for it, and the same object serves
+    every later guess and epoch.  A certified plan, whose greedy schedule
+    lies within (1+eps')*T, is the plan of both values of exact and is
+    built once."""
 
     def __init__(self, m: int):
         self.m = m
@@ -183,11 +177,12 @@ class A1Plans:
             plan = self._built[vector, exact] = A1Plan.build(partition, self.m, vector, exact)
             if plan.certified:
                 self._built[vector, not exact] = plan
-        return plan.at(partition)
+        return plan
 
 
 class A1State(ScaledLane):
-    """Mutable lane state stepping one schedule under a fixed plan.
+    """Mutable lane state stepping one schedule under a fixed plan and the
+    guess's partition, which must be of the plan's accuracy.
 
     Sizes and loads are integers in units of a lane-local common
     denominator that starts at the partition's ``scale()``, which makes
@@ -202,15 +197,19 @@ class A1State(ScaledLane):
     with no slot and no virtual load, its least level is its least load.
     """
 
-    def __init__(self, plan: A1Plan, label: int = 0, least_loaded: bool = False):
+    def __init__(self, plan: A1Plan, partition: ClassPartition, label: int = 0,
+                 least_loaded: bool = False):
+        if partition.eps != plan.eps:
+            raise ValueError(f"a plan for eps = {plan.eps} cannot run at eps = {partition.eps}")
         if least_loaded and any(plan.vector):
             raise ValueError("only a lane of the all-zero vector can be least loaded")
         self._least_loaded = least_loaded
         self.plan = plan
+        self.partition = partition
         self.m = m = plan.m
         self.label = label
-        self._start(plan.partition)
-        self._level = LeastLoaded(plan.partition.rebind(self._scale, plan.loads))  # virtual + small
+        self._start(partition)
+        self._level = LeastLoaded(partition.rebind(self._scale, plan.loads))  # virtual + small
         self._large = [0] * m  # load of large jobs
         self._loads: Optional[LeastLoaded] = None  # built by _fallback
         self._left = [list(row) for row in plan.n_star]  # open virtual slots
@@ -229,7 +228,7 @@ class A1State(ScaledLane):
             self._loads.rescale(k)
 
     def _current_loads(self) -> list[int]:
-        virtual = self.plan.partition.rebind(self._scale, self.plan.loads)
+        virtual = self.partition.rebind(self._scale, self.plan.loads)
         return [level - base + large
                 for level, base, large in zip(self._level.loads, virtual, self._large)]
 
@@ -292,7 +291,7 @@ class A1Family:
         return self.plans.get(self.partition, vector)
 
     def lanes(self) -> list[A1State]:
-        return [A1State(self.plan(v), label=k) for k, v in enumerate(self.vectors)]
+        return [A1State(self.plan(v), self.partition, label=k) for k, v in enumerate(self.vectors)]
 
 
 def a1_family_size(eps: Fraction, m: int) -> int:

@@ -193,12 +193,6 @@ class TargetConfiguration:
         """m_i = number of class-i core machines, i = 1..2l-1."""
         return tuple(map(self.c.count, range(1, self.params.n_classes + 1)))
 
-    def mu1(self) -> int:
-        return sum(self.machine_counts()[: self.params.levels])
-
-    def mu2(self) -> int:
-        return sum(self.machine_counts()[self.params.levels :])
-
 
 def a2_block_lengths(params: A2Params, u: Sequence[int]) -> tuple[int, ...]:
     """Core machines each class claims under guess u, in class order.
@@ -247,8 +241,8 @@ def a2_is_valid(params: A2Params, config: TargetConfiguration, counts: Sequence[
     m_i = config.machine_counts()
     if any(params.slots_of(i) * m_i[i - 1] > counts[i - 1] for i in range(1, params.n_classes + 1)):
         return False
-    surplus_medium = sum(counts[: params.levels]) - 2 * config.mu1()
-    surplus_big = sum(counts[params.levels :]) - config.mu2()
+    surplus_medium = sum(counts[: params.levels]) - 2 * sum(m_i[: params.levels])
+    surplus_big = sum(counts[params.levels :]) - sum(m_i[params.levels :])
     return (surplus_medium + 1) // 2 + surplus_big <= params.m - params.mu
 
 

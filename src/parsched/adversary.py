@@ -13,6 +13,7 @@ emitted schedules are inspected.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,17 +123,16 @@ def lb2_universe(m_even: int, h: int) -> Iterator[tuple[int, ...]]:
     target = m_even * h
 
     def rec(pos: int, machines_left: int, jobs_left: int):
-        if pos == 2 * h:
-            if jobs_left % (4 * h) == 0 and jobs_left // (4 * h) == machines_left:
-                yield (machines_left,)
-            return
         w = weights[pos]
+        # Each machine left holds w to 4h jobs; outside that no profile completes.
+        if not w * machines_left <= jobs_left <= 4 * h * machines_left:
+            return
+        if pos == 2 * h:  # w = 4h: the machines left are full
+            yield (machines_left,)
+            return
         top = machines_left if w == 0 else min(machines_left, jobs_left // w)
         for k in range(0, top + 1):
-            rest_jobs = jobs_left - k * w
-            if rest_jobs < 0:
-                break
-            for tail in rec(pos + 1, machines_left - k, rest_jobs):
+            for tail in rec(pos + 1, machines_left - k, jobs_left - k * w):
                 yield (k,) + tail
 
     yield from rec(0, m_even, target)
@@ -249,7 +249,8 @@ def lb2_run(
     m_int = m - 1 if odd else m
     if m_int < 2:
         raise ValueError("construction needs at least 2 interior machines")
-    universe_size = sum(1 for _ in lb2_universe(m_int, h))
+    # Count only as far as the guarantee needs: one profile more than victims.
+    universe_size = sum(1 for _ in itertools.islice(lb2_universe(m_int, h), len(victims) + 1))
     if len(victims) >= universe_size:
         raise ValueError("too many schedules: the adversary guarantee is void")
     if not victims:

@@ -15,7 +15,7 @@ import sys
 from .a2 import a2_family_size, a2_params
 from .adversary import RandomScheduler, StackScheduler, lb1_run, lb2_run
 from .core import JobSequence
-from .harness import ExperimentConfig, gen_planted, run_algorithm, run_batch
+from .harness import ORDERS, ExperimentConfig, gen_planted, run_algorithm, run_batch
 from .oracle import ListScheduler, opt_exact
 from .rational import format_rational, parse_rational
 
@@ -29,9 +29,7 @@ def _add_gen(sub):
     p.add_argument("--count-max", type=int, default=3)
     p.add_argument("--denom", type=int, default=48)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", default="shuffle",
-                   choices=("shuffle", "largest_first", "smallest_first",
-                            "interleave", "as_planted"))
+    p.add_argument("--order", default="shuffle", choices=ORDERS)
     p.add_argument("--min-num", type=int, default=1)
     p.add_argument("--verify-cap", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Optional, Protocol
+from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from .rational import format_rational, parse_rational
 
@@ -26,6 +26,7 @@ __all__ = [
     "OnlineScheduler",
     "LaneRunner",
     "LeastLoaded",
+    "add_equal",
     "select_best",
     "default_lane_cap",
     "LaneCapExceeded",
@@ -241,31 +242,27 @@ class Schedule:
 class LeastLoaded:
     """Machine loads that only grow, and the least loaded machine.
 
-    Graham's least-loaded rule, the one copy every lane that falls back on
-    it uses.  ``loads`` is read freely and changed only through ``add`` and
-    ``add_equal``; loads may be of any one exact ordered number type.
-    ``least()`` returns the 0-based machine of least (load, index).
+    Graham's least-loaded rule for one job at a time, the one copy every
+    lane that falls back on it uses (``add_equal`` places many equal jobs
+    by the same rule).  ``loads`` is read freely and changed only through
+    ``add`` and ``rescale``; loads may be of any one exact ordered number
+    type.  ``least()`` returns the 0-based machine of least (load, index).
 
-    Two views of the loads serve the two kinds of step; an instance keeps
-    whichever it used last and rebuilds the other from ``loads`` when asked.
-    ``least`` and ``add`` keep a heap of (load, machine) entries, to which
-    ``add`` pushes each new load.  An entry whose load is no longer its
-    machine's lies below it, because loads only grow, and is dropped when
-    it reaches the top.  ``add_equal`` keeps the load levels: a heap of the
-    distinct loads and, for each, its machines in index order.
+    A heap of (load, machine) entries is built at the first ``least`` and
+    ``add`` pushes each new load to it.  An entry whose load is no longer
+    its machine's lies below it, because loads only grow, and is dropped
+    when it reaches the top.
     """
 
-    __slots__ = ("loads", "_heap", "_levels")
+    __slots__ = ("loads", "_heap")
 
     def __init__(self, loads: list):
         self.loads = loads
         self._heap: Optional[list] = None
-        self._levels: Optional[tuple[list, dict]] = None
 
     def least(self) -> int:
         heap, loads = self._heap, self.loads
         if heap is None:
-            self._levels = None
             heap = self._heap = [(x, j) for j, x in enumerate(loads)]
             heapify(heap)
         load, j = heap[0]
@@ -280,44 +277,50 @@ class LeastLoaded:
         loads[j] = load = loads[j] + q
         if self._heap is not None:
             heappush(self._heap, (load, j))
-        else:
-            self._levels = None
 
-    def add_equal(self, q, c: int) -> list[int]:
-        """Place c >= 0 jobs of size q > 0 by the rule, as c times
-        ``add(least(), q)`` would, and return how many each machine got.
+    def rescale(self, k: int) -> None:
+        """Multiply every load by k > 0; the order, so the heap, is kept."""
+        self.loads = [x * k for x in self.loads]
+        if self._heap is not None:
+            self._heap = [(x * k, j) for x, j in self._heap]
 
-        Machine j's keys (load_j + k*q, j), k >= 0, only grow, so the c
-        picks are the c least keys of all machines, taken in rounds over
-        load levels: every machine of the lowest level L takes the
-        ceil((L' - L)/q) keys it has below the next level L', and its new
-        load joins the levels.  Jobs too few for a full round split evenly,
-        the lower indices taking one more.
-        """
+
+def add_equal(loads: list, classes: Sequence[tuple]) -> tuple[tuple[int, ...], ...]:
+    """Place each (q, c) of ``classes`` in turn, c >= 0 jobs of size q > 0,
+    by Graham's rule, as c times ``add(least(), q)`` would: ``loads`` grow
+    in place, and each class's per-machine counts are returned.
+
+    Machine j's keys (load_j + k*q, j), k >= 0, only grow, so a class's c
+    picks are the c least keys of all machines, taken in rounds over load
+    levels (a heap of the distinct loads and, for each, its machines in
+    index order): every machine of the lowest level L takes the
+    ceil((L' - L)/q) keys it has below the next level L', and its new load
+    joins the levels.  Jobs too few for a full round split evenly, the
+    lower indices taking one more.
+    """
+    for q, c in classes:
         if q <= 0:
             raise ValueError(f"job size must be positive, got {q!r}")
         if c < 0:
             raise ValueError(f"job count must be nonnegative, got {c!r}")
-        loads = self.loads
+    members: dict = {}
+    for j, x in enumerate(loads):
+        members.setdefault(x, []).append(j)
+    order = sorted(members)  # a sorted list is a heap
+
+    def join(load, group) -> None:
+        for j in group:
+            loads[j] = load
+        have = members.get(load)
+        if have is None:
+            members[load] = group
+            heappush(order, load)
+        else:
+            members[load] = sorted(have + group)
+
+    placed = []
+    for q, c in classes:
         got = [0] * len(loads)
-        if self._levels is None:
-            self._heap = None
-            members: dict = {}
-            for j, x in enumerate(loads):
-                members.setdefault(x, []).append(j)
-            self._levels = (sorted(members), members)  # a sorted list is a heap
-        order, members = self._levels
-
-        def join(load, group) -> None:
-            for j in group:
-                loads[j] = load
-            have = members.get(load)
-            if have is None:
-                members[load] = group
-                heappush(order, load)
-            else:
-                members[load] = sorted(have + group)
-
         while c:
             low = heappop(order)
             group = members.pop(low)
@@ -339,15 +342,8 @@ class LeastLoaded:
                 if extra:
                     join(low + (r + 1) * q, group[:extra])
                 c = 0
-        return got
-
-    def rescale(self, k: int) -> None:
-        """Multiply every load by k > 0; the order, so the heap, is kept, and
-        the levels are rebuilt when next used."""
-        self.loads = [x * k for x in self.loads]
-        if self._heap is not None:
-            self._heap = [(x * k, j) for x, j in self._heap]
-        self._levels = None
+        placed.append(tuple(got))
+    return tuple(placed)
 
 
 class OnlineScheduler(Protocol):

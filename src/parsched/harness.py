@@ -214,7 +214,7 @@ def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
         partition = unit.at(T)
         vector, doomed = _a1_suffix_census(*census(start_t), scale, partition, seq.m, cap)
         plan = plans.get(partition, vector, exact=not doomed)
-        return [A1State(plan, least_loaded=not (doomed or any(vector)))]
+        return [A1State(plan, partition, least_loaded=not (doomed or any(vector)))]
 
     return make
 
@@ -266,7 +266,6 @@ class Composition:
     algo: str
     epsilon: Fraction
     m: int
-    kind: str  # "plain" or "wrapped"
     inner_algo: Optional[str]
     inner_eps: Optional[Fraction]
     wrapper: Optional[WrapperParams]
@@ -290,10 +289,10 @@ def compose(algo: str, epsilon: Fraction, m: int) -> Composition:
     """Resolve an algorithm id into wrapper parameters and lane accounting."""
     eps = Fraction(epsilon)
     if algo == "list":
-        return Composition(algo, eps, m, "plain", None, None, None, 1)
+        return Composition(algo, eps, m, None, None, None, 1)
     if algo in ("a1", "a2", "a3"):
         inner, inner_eps, lanes = _family_accounting(algo, eps, m)
-        return Composition(algo, eps, m, "plain", inner, inner_eps, None, lanes)
+        return Composition(algo, eps, m, inner, inner_eps, None, lanes)
     if algo in ("a1star", "a3star"):
         if not 0 < eps <= 1:  # the inner accuracy eps/2 alone would allow eps up to 2
             raise ValueError("eps must lie in (0, 1]")
@@ -305,7 +304,7 @@ def compose(algo: str, epsilon: Fraction, m: int) -> Composition:
             rho = Fraction(4, 3) + eps / 2
             inner, lane_eps, lanes = _family_accounting("a3", inner_eps, m)
         params = astar_params(rho, eps / 2)
-        return Composition(algo, eps, m, "wrapped", inner, lane_eps, params, params.h * lanes)
+        return Composition(algo, eps, m, inner, lane_eps, params, params.h * lanes)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule
+from .core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule, add_equal
 
 __all__ = [
     "MultisetInstance",
@@ -116,9 +116,9 @@ def opt_exact(seq: JobSequence, cap: int = 24) -> Fraction:
         if p == sizes[-1]:
             # Only jobs of size p remain, and for equal jobs Graham's rule
             # is optimal: each one on a least loaded machine.
-            tail = LeastLoaded(list(loads))
-            tail.add_equal(p, n - idx)
-            best = min(best, max(cur_max, *tail.loads))
+            tail = list(loads)
+            add_equal(tail, ((p, n - idx),))
+            best = min(best, max(cur_max, *tail))
             return
         seen: set[Fraction] = set()
         for j in range(m):
@@ -189,19 +189,12 @@ class MultisetSchedule:
         return max(loads) if loads else Fraction(0)
 
 
-def _greedy_counts(classes, m):
-    """Least-loaded placement of (size, count) classes, one class after
-    another in the given order (LPT: largest size first):
-    (per-class placement counts, per-machine loads)."""
-    loads = LeastLoaded([0] * m)
-    placed = tuple(tuple(loads.add_equal(size, c)) for size, c in classes)
-    return placed, tuple(loads.loads)
-
-
 def lpt_multiset(inst: MultisetInstance) -> MultisetSchedule:
     """LPT over the multiset; used as incumbent and as a fast fit test."""
     norm = inst.normalized()
-    return MultisetSchedule(inst, tuple(s for s, _ in norm), *_greedy_counts(norm, inst.m))
+    loads = [0] * inst.m
+    counts = add_equal(loads, norm)
+    return MultisetSchedule(inst, tuple(s for s, _ in norm), counts, tuple(loads))
 
 
 def _ffd_fits(sizes, counts, m, limit):

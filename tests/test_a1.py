@@ -84,16 +84,16 @@ def test_step_follows_virtual_slots():
     p = a1_partition(F(1), F(1))
     plan = A1Plan.build(p, 2, (2, 0))
     assert plan.n_star[0] == (1, 1)
-    lane = A1State(plan)
+    lane = A1State(plan, p)
     assert step(lane, Job(1, F(3, 5))) == 1
     assert step(lane, Job(2, F(3, 5))) == 2
 
 
 def test_step_small_tie_and_fallback():
     p = a1_partition(F(1), F(1))
-    small_only = A1State(A1Plan.build(p, 2, (0, 0)))
+    small_only = A1State(A1Plan.build(p, 2, (0, 0)), p)
     assert step(small_only, Job(1, F(1, 4))) == 1  # all keys equal: lowest index
-    lane = A1State(A1Plan.build(p, 2, (2, 0)))
+    lane = A1State(A1Plan.build(p, 2, (2, 0)), p)
     step(lane, Job(1, F(1, 4)))  # small on machine 1
     assert step(lane, Job(2, F(1))) == 2  # class 2 has no slots: least loaded
 
@@ -101,7 +101,7 @@ def test_step_small_tie_and_fallback():
 def test_small_rule_tracks_virtual_plus_small():
     p = a1_partition(F(1), F(1))
     plan = A1Plan.build(p, 2, (1, 0))  # one large slot on machine 1
-    lane = A1State(plan)
+    lane = A1State(plan, p)
     assert [F(x, p.unit) for x in plan.loads] == [F(3, 4), F(0)]
     assert step(lane, Job(1, F(1, 2))) == 2  # ell*(1)=3/4 beats 0
     assert step(lane, Job(2, F(1, 2))) == 2  # 3/4 still beats 1/2
@@ -114,7 +114,7 @@ def _simulate_true_lane(seq, eps, T):
     partition = a1_partition(eps, T)
     vector = a1_true_vector(seq.jobs, partition, seq.m)
     plan = A1Plan.build(partition, seq.m, vector)
-    lane = A1State(plan)
+    lane = A1State(plan, partition)
     large = [F(0)] * seq.m
     for job in seq:
         machine = step(lane, job)
@@ -132,7 +132,7 @@ def test_true_lane_guarantee_on_planted(m, seed):
         lane, large = _simulate_true_lane(seq, eps, F(1))
         assert max(lane.loads) <= (1 + eps) * 1
         # Large jobs never push a machine past its virtual allocation.
-        unit = lane.plan.partition.unit
+        unit = lane.partition.unit
         for j in range(m):
             assert large[j] <= F(lane.plan.loads[j], unit)
 
@@ -243,7 +243,7 @@ def test_integer_lane_matches_fraction_reference(eps, m, T, rng):
     plan = A1Plan.build(partition, m, vector, exact=False)
     n_star, ell_star = fraction_plan_reference(partition, m, vector, exact=False)
     assert plan.n_star == n_star
-    lane = A1State(plan)
+    lane = A1State(plan, partition)
     ref = FractionA1Lane(SimpleNamespace(m=m, partition=partition, n_star=n_star,
                                          ell_star=ell_star))
     top = partition.bounds[-1]
@@ -297,7 +297,7 @@ def test_offer_at_driver_scale_matches_propose_record(eps, m, T, rng):
     vector = tuple(rng.randint(0, min(cap, 3)) for _ in range(partition.levels))
     plan = A1Plan.build(partition, m, vector, exact=False)
     sizes = scale_jumps(rng, partition.scale(), partition.bounds[-1], rng.randint(2, 40))
-    check_offer_matches_propose(A1State(plan), A1State(plan), sizes)
+    check_offer_matches_propose(A1State(plan, partition), A1State(plan, partition), sizes)
 
 
 def fraction_plan_reference(partition, m, vector, exact=True):
@@ -357,7 +357,7 @@ def test_cached_integer_plan_matches_fraction_reference(eps, m, data):
             for exact in (True, False):
                 plan = plans.get(partition, vector, exact)
                 n_star, ell_star = fraction_plan_reference(partition, m, vector, exact)
-                assert (plan.partition, plan.vector) == (partition, vector)
+                assert (plan.eps, plan.vector) == (eps, vector)
                 assert plan.n_star == n_star
                 unit = partition.unit
                 assert tuple(F(x * T.numerator, unit * T.denominator) for x in plan.loads) == ell_star
@@ -367,7 +367,7 @@ def test_cached_integer_plan_matches_fraction_reference(eps, m, data):
     vector, exact = data.draw(st.sampled_from(vectors)), data.draw(st.booleans())
     plan = plans.get(partition, vector, exact)
     n_star, ell_star = fraction_plan_reference(partition, m, vector, exact)
-    lane = A1State(plan)
+    lane = A1State(plan, partition)
     ref = FractionA1Lane(SimpleNamespace(m=m, partition=partition, n_star=n_star,
                                          ell_star=ell_star))
     rng = data.draw(st.randoms(use_true_random=False))
@@ -421,7 +421,7 @@ def test_lazy_fallback_loads_match_eager_reference(eps, m, T, rng):
     sizes += [bounds[0] / 97, bounds[over + 1] - bounds[over + 1] / 89]
     plan = A1Plan.build(partition, m, vector, exact=False)
     n_star, ell_star = fraction_plan_reference(partition, m, vector, exact=False)
-    lane = A1State(plan)
+    lane = A1State(plan, partition)
     ref = FractionA1Lane(SimpleNamespace(m=m, partition=partition, n_star=n_star,
                                          ell_star=ell_star))
     for t, p in enumerate(sizes, 1):
@@ -491,7 +491,7 @@ def test_rebound_lane_matches_lane_built_at_each_guess(eps, m, p1, data):
         ref_plan = A1Plan.build(fresh, m, vector, exact)
         assert (plan.n_star, plan.loads, plan.slots) == (ref_plan.n_star, ref_plan.loads,
                                                           ref_plan.slots)
-        lane, ref = A1State(plan), A1State(ref_plan)
+        lane, ref = A1State(plan, rebound), A1State(ref_plan, fresh)
         assert lane._scale == rebound.scale()
         top = fresh.bounds[-1]
         for t in range(1, 25):
@@ -530,3 +530,23 @@ def test_certified_greedy_plan_is_built_once_for_both_exact_values(eps, m, data)
     for exact, got in ((first, plan), (not first, other)):
         n_star, _ = fraction_plan_reference(partition, m, vector, exact)
         assert got.n_star == n_star
+
+
+def test_plans_share_one_object_across_guesses():
+    """A1Plans builds a plan once and hands the same object to every guess."""
+    unit = a1_partition(F(1))
+    plans = A1Plans(3)
+    plan = plans.get(unit.at(F(1)), (2, 1))
+    assert plans.get(unit.at(F(7, 5)), (2, 1)) is plan
+    assert plans.get(unit.at(F(3)), (2, 1), exact=False) is plans.get(unit.at(F(2)), (2, 1), False)
+    assert len(plans) == 2  # (vector, exact) keys: one build, or one per value of exact
+
+
+def test_lane_rejects_plan_of_another_accuracy():
+    """A plan's integer loads are in units of its own accuracy's ladder, so a
+    lane refuses a partition of another accuracy, at any guess."""
+    plan = A1Plan.build(a1_partition(F(1)), 2, (1, 0))
+    for T in (F(1), F(3, 2)):
+        with pytest.raises(ValueError, match="eps"):
+            A1State(plan, a1_partition(F(1, 2), T))
+        assert A1State(plan, a1_partition(F(1), T)).plan is plan

@@ -66,7 +66,7 @@ def test_criterion_1_census_family_guarantee():
                 if plan is None:
                     plan = A1Plan.build(partition, m, vector)
                     plan_cache[(m, vector)] = plan
-                lane = A1State(plan)
+                lane = A1State(plan, partition)
                 for job in seq:
                     assert step(lane, job) is not None
                 assert max(lane.loads) <= bound, (m, k)

@@ -1,4 +1,5 @@
 import itertools
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -78,13 +79,34 @@ def test_universes():
     assert list(lb1_universe(6)) == [(0, 2), (3, 1), (6, 0)]
     assert list(lb2_universe(4, 1)) == [(0, 4, 0), (3, 0, 1)]
     for m_even, h in [(4, 1), (6, 1), (8, 1), (4, 2)]:
-        direct = sorted(
+        direct = [  # product order is ascending lexicographic order
             v
             for v in itertools.product(range(m_even + 1), repeat=2 * h + 1)
             if sum(v) == m_even
             and sum(i * v[i] for i in range(2 * h)) + 4 * h * v[2 * h] == m_even * h
-        )
-        assert sorted(lb2_universe(m_even, h)) == direct
+        ]
+        assert list(lb2_universe(m_even, h)) == direct
+    for m_even, h in [(10, 3), (12, 3), (8, 4), (16, 3)]:
+        assert list(lb2_universe(m_even, h)) == list(unpruned_lb2_universe(m_even, h))
+
+
+def unpruned_lb2_universe(m_even, h):
+    """Test-local copy of the profile recursion that explores every branch,
+    complete or not, in the same order."""
+    weights = list(range(2 * h)) + [4 * h]
+
+    def rec(pos, machines_left, jobs_left):
+        if pos == 2 * h:
+            if jobs_left == 4 * h * machines_left:
+                yield (machines_left,)
+            return
+        w = weights[pos]
+        for k in range(machines_left + 1):
+            if jobs_left - k * w >= 0:
+                for tail in rec(pos + 1, machines_left - k, jobs_left - k * w):
+                    yield (k,) + tail
+
+    return rec(0, m_even, m_even * h)
 
 
 def test_enumerate_missing():
@@ -124,7 +146,7 @@ def test_lb1_refuses_too_many_lanes():
 def test_lb1_against_own_lane_families():
     m = 6
     partition = a1_partition(F(1), F(1))
-    census_lane = A1State(A1Plan.build(partition, m, (0, 0)))
+    census_lane = A1State(A1Plan.build(partition, m, (0, 0)), partition)
     params = a2_params(F(1), m, F(1))
     config_lane = A2State(TargetConfiguration(params, (0,) * params.mu))
     report = lb1_run(m, [census_lane, config_lane])
@@ -169,6 +191,25 @@ def test_lb2_sigma2_sizes_non_increasing():
     tail = [j.p for j in report.sigma.jobs[8 * 2 :]]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
     assert all(p >= F(1, 2) + F(1, 8) for p in tail)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_lb2_runs_at_moderate_m():
+    """m = 24 at eps = 1/24 has a universe too large to walk whole and a
+    profile recursion with many branches that cannot complete; the run
+    counts only as far as its one victim needs and finishes at once."""
+
+    def stop(signum, frame):
+        raise TimeoutError("lb2_run did not finish")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        report = lb2_run(24, F(1, 24), [ListScheduler(24)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert report.forced_makespan == F(25, 24)
 
 
 def test_lb2_refuses_saturated_victims():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsched.core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule, select_best
+from parsched.core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule, add_equal, select_best
 
 from helpers import check_loads
 
@@ -133,15 +133,14 @@ def test_integer_loads_match_fraction_sums_as_scale_grows(m, dens, data):
 
 # (numerator, denominator): few values, many ties.
 _amount = st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=3))
-# (kind, amount, count).  Kind -1 rescales by numerator + 1; -2 places
-# count % (3m + 1) jobs of size (numerator + 1)/denominator by add_equal;
-# any other kind adds the amount to machine kind % m.
-_op = st.tuples(st.one_of(st.just(-1), st.just(-2), st.integers(min_value=0, max_value=299)),
-                _amount, st.integers(min_value=0, max_value=900))
+# (kind, amount).  Kind -1 rescales by numerator + 1; any other kind adds
+# the amount to machine kind % m.
+_op = st.tuples(st.one_of(st.just(-1), st.integers(min_value=0, max_value=299)), _amount)
+_machines = st.one_of(st.integers(min_value=1, max_value=5), st.integers(min_value=6, max_value=300))
 
 
 @given(
-    m=st.one_of(st.integers(min_value=1, max_value=5), st.integers(min_value=6, max_value=300)),
+    m=_machines,
     fractions=st.booleans(),
     start=st.lists(_amount, min_size=1, max_size=8),
     ops=st.lists(_op, max_size=30),
@@ -151,36 +150,55 @@ _op = st.tuples(st.one_of(st.just(-1), st.just(-2), st.integers(min_value=0, max
 def test_least_loaded_matches_scan(m, fractions, start, ops, first_ask):
     """LeastLoaded returns the least (load, index) of a plain scan after
     every step: adds (zero ones included), rescales, equal loads, with
-    least() first asked early, late or never, over ints and Fractions.
-    add_equal(q, c), interleaved with them, gives the counts and loads of
-    c steps of the scan, c = 0 included, from uneven loads with ties."""
+    least() first asked early, late or never, over ints and Fractions."""
 
     def value(num, den):
         return F(num, den) if fractions else num
 
-    def scan():
-        return min(range(m), key=ref.__getitem__)  # the first of least load
-
     ref = [value(*start[j % len(start)]) for j in range(m)]
     loads = LeastLoaded(list(ref))
-    for step, (kind, (num, den), count) in enumerate(ops):
+    for step, (kind, (num, den)) in enumerate(ops):
         if kind == -1:
             loads.rescale(num + 1)
             ref = [x * (num + 1) for x in ref]
-        elif kind == -2:
-            q, c = value(num + 1, den), count % (3 * m + 1)
-            want = [0] * m
-            for _ in range(c):
-                j = scan()
-                ref[j] += q
-                want[j] += 1
-            assert loads.add_equal(q, c) == want
         else:
             loads.add(kind % m, value(num, den))
             ref[kind % m] += value(num, den)
         if step >= first_ask:
-            assert loads.least() == scan()
+            assert loads.least() == min(range(m), key=ref.__getitem__)  # the first of least load
         assert loads.loads == ref
+
+
+@given(
+    m=_machines,
+    fractions=st.booleans(),
+    start=st.lists(_amount, min_size=1, max_size=8),
+    # (size numerator - 1, size denominator, count); counts of 0 included.
+    classes=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3), st.integers(0, 900)),
+                     max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_add_equal_matches_one_add_per_job(m, fractions, start, classes):
+    """add_equal over several classes in one call gives the per-class
+    counts and the loads of one add(least(), q) per job, class after
+    class, from uneven start loads with ties, over ints and Fractions."""
+
+    def value(num, den):
+        return F(num, den) if fractions else num
+
+    ref = LeastLoaded([value(*start[j % len(start)]) for j in range(m)])
+    loads = list(ref.loads)
+    classes = [(value(num + 1, den), count % (3 * m + 1)) for num, den, count in classes]
+    want = []
+    for q, c in classes:
+        got = [0] * m
+        for _ in range(c):
+            j = ref.least()
+            ref.add(j, q)
+            got[j] += 1
+        want.append(tuple(got))
+    assert add_equal(loads, classes) == tuple(want)
+    assert loads == ref.loads
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
@@ -195,10 +213,11 @@ def test_least_loaded_add_equal_rounds_pass_the_next_level():
     old = signal.signal(signal.SIGALRM, stop)
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
-        loads = LeastLoaded([0, 5])
-        assert loads.add_equal(2, 3) == [3, 0] and loads.loads == [6, 5]
-        loads = LeastLoaded([F(1, 3), 0, F(7, 3)])
-        assert loads.add_equal(F(1, 2), 9) == [4, 5, 0] and loads.loads == [F(7, 3), F(5, 2), F(7, 3)]
+        loads = [0, 5]
+        assert add_equal(loads, [(2, 3)]) == ((3, 0),) and loads == [6, 5]
+        loads = [F(1, 3), 0, F(7, 3)]
+        assert add_equal(loads, [(F(1, 2), 9)]) == ((4, 5, 0),)
+        assert loads == [F(7, 3), F(5, 2), F(7, 3)]
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
@@ -206,10 +225,12 @@ def test_least_loaded_add_equal_rounds_pass_the_next_level():
 
 @pytest.mark.parametrize("q, c", [(0, 1), (-1, 1), (F(-1, 2), 0), (1, -1), (F(1, 2), -3)])
 def test_least_loaded_add_equal_rejects_bad_arguments(q, c):
-    loads = LeastLoaded([0, 1])
-    with pytest.raises(ValueError):
-        loads.add_equal(q, c)
-    assert loads.loads == [0, 1] and loads.least() == 0
+    """A bad class raises before any class is placed, alone, first or last."""
+    for classes in ([(q, c)], [(q, c), (1, 2)], [(1, 2), (q, c)]):
+        loads = [0, 1]
+        with pytest.raises(ValueError):
+            add_equal(loads, classes)
+        assert loads == [0, 1]
 
 
 _BROKEN_CHECK = """

@@ -326,7 +326,7 @@ def test_targeted_factory_flags_only_small_suffixes_that_are_not_doomed(sizes, f
     with pytest.raises(AttributeError):
         lane.least_loaded = not flagged
     if not any(lane.plan.vector):
-        assert A1State(lane.plan, least_loaded=True).least_loaded
+        assert A1State(lane.plan, lane.partition, least_loaded=True).least_loaded
     else:
         with pytest.raises(ValueError, match="all-zero vector"):
-            A1State(lane.plan, least_loaded=True)
+            A1State(lane.plan, lane.partition, least_loaded=True)

@@ -839,10 +839,11 @@ def _family_and_stacker(m):
     @functools.lru_cache(maxsize=None)
     def plans(T):
         family = a1_family(F(1), m, T)
-        return [family.plan(v) for v in family.vectors]
+        return family.partition, [family.plan(v) for v in family.vectors]
 
     def make(T, start_t):
-        return [A1State(plan, label=k) for k, plan in enumerate(plans(T))] + [StackScheduler(m)]
+        partition, built = plans(T)
+        return [A1State(plan, partition, label=k) for k, plan in enumerate(built)] + [StackScheduler(m)]
 
     return make
 
