@@ -47,7 +47,7 @@ from .a2 import (
     a3_dispatch,
     u_to_lane_index,
 )
-from .core import InvariantViolation, JobSequence, LaneRunner, default_lane_cap, select_best
+from .core import InvariantViolation, Job, JobSequence, LaneRunner, default_lane_cap, select_best
 from .fullsim import a2_full_sweep, a2_lane_makespan
 from .oracle import list_schedule, opt_exact
 from .rational import format_rational
@@ -94,6 +94,12 @@ def gen_planted_with_witness(
     Per machine, `counts` jobs are drawn as multiples of 1/denom summing
     to exactly 1.  The returned witness lists, per arrival position, the
     machine of the hidden makespan-1 schedule.
+
+    The draws, the arrival order and the witness work on integer
+    numerators over denom; each job gets its one Fraction when it is
+    built, and the volume check sums the built sizes as integers over
+    their common denominator.  A count range is checked before anything
+    is drawn, so whether it is feasible does not depend on the seed.
     """
     if denom < 2:
         raise ValueError("denominator must be at least 2")
@@ -110,17 +116,20 @@ def gen_planted_with_witness(
         lo, hi = counts
         if lo > hi:
             raise ValueError(f"empty count range {lo}..{hi}: the least count exceeds the largest")
+        if lo < 1 or hi * min_num > denom:
+            raise ValueError(f"count range {lo}..{hi} (--count-min..--count-max) must lie in "
+                             f"1..{denom // min_num} for jobs of >= {min_num}/{denom}")
         per_machine = [rng.randint(lo, hi) for _ in range(m)]
     else:
         per_machine = [int(c) for c in counts]
         if len(per_machine) != m:
             raise ValueError("per-machine counts must have length m")
-    items: list[tuple[Fraction, int]] = []
+    items: list[tuple[int, int]] = []  # (numerator over denom, machine)
     for machine, c in enumerate(per_machine, start=1):
         if c < 1 or c * min_num > denom:
             raise ValueError(f"infeasible profile: {c} jobs of >= {min_num}/{denom} on one machine")
         for num in _composition_parts(rng, denom, c, min_num):
-            items.append((Fraction(num, denom), machine))
+            items.append((num, machine))
     if order == "shuffle":
         rng.shuffle(items)
     elif order == "largest_first":
@@ -138,9 +147,12 @@ def gen_planted_with_witness(
             lo += 1
             hi -= 1
         items = woven
-    seq = JobSequence.from_sizes(m, [p for p, _ in items], planted_opt=Fraction(1))
+    jobs = [Job(t, Fraction(num, denom)) for t, (num, _) in enumerate(items, start=1)]
+    seq = JobSequence(m, jobs, planted_opt=Fraction(1))
     witness = [machine for _, machine in items]
-    if seq.total() != m:
+    ps = [job.p for job in jobs]
+    scale = common_scale(ps)
+    if sum(scale_values(ps, scale)) != m * scale:
         raise InvariantViolation("planted volume must equal the machine count")
     if verify_cap and len(seq) <= verify_cap and opt_exact(seq) != 1:
         raise InvariantViolation("planted optimum failed verification")

@@ -2,11 +2,43 @@
 
 import math
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from parsched.core import Job, JobSequence, Schedule
-from parsched.oracle import MultisetSchedule
+from parsched.core import InvariantViolation, Job, JobSequence, Schedule
+from parsched.oracle import MultisetSchedule, opt_exact
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past its time limit.  Not an Exception, so Hypothesis
+    does not catch it and shrink: the test fails at once."""
+
+
+@contextmanager
+def time_limit(seconds: float, what: str = "the test"):
+    """Raise TimeLimitExceeded in the body after ``seconds`` of wall time.
+
+    An outer limit already armed (the per-test one) is saved and armed
+    again on exit with the time it had left, or fires at once if that
+    time has passed.  Needs ``signal.setitimer``."""
+    def stop(signum, frame):
+        raise TimeLimitExceeded(f"{what} did not finish within {seconds} s")
+
+    outer_left, _ = signal.getitimer(signal.ITIMER_REAL)
+    start = time.monotonic()
+    outer = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, outer)
+        if outer_left:
+            signal.setitimer(signal.ITIMER_REAL,
+                             max(outer_left - (time.monotonic() - start), 1e-3))
 
 
 def multiset_sequence(ms: MultisetSchedule) -> JobSequence:
@@ -68,3 +100,67 @@ def check_offer_matches_propose(lane, twin, sizes: Sequence[Fraction]) -> None:
             lane.commit(proposal)
             twin.record(job, proposal)
             assert lane.loads == twin.loads
+
+
+def _reference_parts(rng: random.Random, total: int, parts: int, floor: int) -> list[int]:
+    rem = total - parts * floor
+    cuts = sorted(rng.randint(0, rem) for _ in range(parts - 1))
+    edges = [0] + cuts + [rem]
+    return [floor + b - a for a, b in zip(edges, edges[1:])]
+
+
+def gen_planted_reference(m, counts=2, denom=48, seed=0, order="shuffle", min_num=1,
+                          verify_cap=0) -> tuple[JobSequence, list[int]]:
+    """The planted generator as it was written over Fractions: a Fraction per
+    draw, orders by Fraction comparison, sizes copied by ``from_sizes`` and
+    the volume summed as a Fraction.  The reference for the integer one."""
+    if denom < 2:
+        raise ValueError("denominator must be at least 2")
+    if min_num < 1:
+        raise ValueError(f"least numerator (--min-num) must be at least 1, got {min_num}")
+    if verify_cap < 0:
+        raise ValueError(f"verification cap (--verify-cap) must be nonnegative, got {verify_cap}")
+    if order not in ("shuffle", "largest_first", "smallest_first", "interleave", "as_planted"):
+        raise ValueError(f"unknown arrival order {order!r}")
+    rng = random.Random(seed)
+    if isinstance(counts, int):
+        per_machine = [counts] * m
+    elif isinstance(counts, tuple) and len(counts) == 2:
+        lo, hi = counts
+        if lo > hi:
+            raise ValueError(f"empty count range {lo}..{hi}: the least count exceeds the largest")
+        per_machine = [rng.randint(lo, hi) for _ in range(m)]
+    else:
+        per_machine = [int(c) for c in counts]
+        if len(per_machine) != m:
+            raise ValueError("per-machine counts must have length m")
+    items: list[tuple[Fraction, int]] = []
+    for machine, c in enumerate(per_machine, start=1):
+        if c < 1 or c * min_num > denom:
+            raise ValueError(f"infeasible profile: {c} jobs of >= {min_num}/{denom} on one machine")
+        for num in _reference_parts(rng, denom, c, min_num):
+            items.append((Fraction(num, denom), machine))
+    if order == "shuffle":
+        rng.shuffle(items)
+    elif order == "largest_first":
+        items.sort(key=lambda it: -it[0])
+    elif order == "smallest_first":
+        items.sort(key=lambda it: it[0])
+    elif order == "interleave":
+        items.sort(key=lambda it: -it[0])
+        woven = []
+        lo, hi = 0, len(items) - 1
+        while lo <= hi:
+            woven.append(items[lo])
+            if lo != hi:
+                woven.append(items[hi])
+            lo += 1
+            hi -= 1
+        items = woven
+    seq = JobSequence.from_sizes(m, [p for p, _ in items], planted_opt=Fraction(1))
+    witness = [machine for _, machine in items]
+    if seq.total() != m:
+        raise InvariantViolation("planted volume must equal the machine count")
+    if verify_cap and len(seq) <= verify_cap and opt_exact(seq) != 1:
+        raise InvariantViolation("planted optimum failed verification")
+    return seq, witness

@@ -20,6 +20,8 @@ from parsched.adversary import (
 from parsched.core import Job, Schedule
 from parsched.oracle import ListScheduler, opt_exact
 
+from helpers import time_limit
+
 
 def test_classify_lb1():
     s = Schedule(3)
@@ -199,16 +201,8 @@ def test_lb2_runs_at_moderate_m():
     profile recursion with many branches that cannot complete; the run
     counts only as far as its one victim needs and finishes at once."""
 
-    def stop(signum, frame):
-        raise TimeoutError("lb2_run did not finish")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
+    with time_limit(10, "lb2_run"):
         report = lb2_run(24, F(1, 24), [ListScheduler(24)])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
     assert report.forced_makespan == F(25, 24)
 
 

@@ -242,6 +242,13 @@ def test_malformed_sequence_files_fail_cleanly(tmp_path, capsys, name, text, rea
        "(--min-num) must be at least 1, got 0") for seed in range(4)),
     ("gen --m 3 --denom 4 --min-num -1 --out {out}", "(--min-num) must be at least 1, got -1"),
     ("gen --m 3 --verify-cap -1 --out {out}", "(--verify-cap) must be nonnegative, got -1"),
+    # Whether a count range draws an infeasible count depends on the seed.
+    *((f"gen --m 2 --count-min 0 --count-max 3 --seed {seed} --out {{out}}",
+       "count range 0..3 (--count-min..--count-max)") for seed in range(6)),
+    *((f"gen --m 4 --count-min 1 --count-max 60 --denom 48 --seed {seed} --out {{out}}",
+       "count range 1..60 (--count-min..--count-max)") for seed in range(3)),
+    ("batch --algo list --m 2 --count-min 0 --count-max 3 --jsonl {out}",
+     "count range 0..3 (--count-min..--count-max)"),
 ])
 def test_bad_input_fails_cleanly_for_every_command(tmp_path, capsys, argv, reason):
     """Bad input to any command is `error: ...` with exit 2, not a traceback."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from parsched.core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule, add_equal, select_best
 
-from helpers import check_loads
+from helpers import check_loads, time_limit
 
 
 def test_job_validation():
@@ -207,20 +207,12 @@ def test_least_loaded_add_equal_rounds_pass_the_next_level():
     = 3 jobs here, so the rounds end; a round that stopped below the next
     level would be the lowest again with no job left to take."""
 
-    def stop(signum, frame):
-        raise TimeoutError("add_equal did not finish")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
+    with time_limit(10, "add_equal"):
         loads = [0, 5]
         assert add_equal(loads, [(2, 3)]) == ((3, 0),) and loads == [6, 5]
         loads = [F(1, 3), 0, F(7, 3)]
         assert add_equal(loads, [(F(1, 2), 9)]) == ((4, 5, 0),)
         assert loads == [F(7, 3), F(5, 2), F(7, 3)]
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize("q, c", [(0, 1), (-1, 1), (F(-1, 2), 0), (1, -1), (F(1, 2), -3)])

@@ -8,6 +8,12 @@ named ``batch-ALGO[-epsEPS]-mM[-MODE].jsonl`` (``1_2`` for ``1/2``).  A change t
 is meant to keep every output must leave these bytes as they are; one
 that changes outputs on purpose regenerates the files with the command
 above and says which rows changed, and why.
+
+The ``gen-m8-order-ORDER.json`` files are the instance files of
+
+    parsched gen --m 8 --count-min 1 --count-max 4 --denom 48 --seed 3 --order ORDER --out FILE
+
+one per arrival order, held to the same rule.
 """
 
 from pathlib import Path
@@ -15,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from parsched.cli import main
+from parsched.harness import ORDERS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,8 +42,13 @@ def golden_name(algo, eps, m, mode=None):
     return f"batch-{algo}{tag}-m{m}{'' if mode is None else '-' + mode}.jsonl"
 
 
+def gen_golden_name(order):
+    return f"gen-m8-order-{order}.json"
+
+
 def test_golden_files_are_the_cases():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(golden_name(*case) for case in CASES)
+    want = [golden_name(*case) for case in CASES] + [gen_golden_name(order) for order in ORDERS]
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(want)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: "-".join(map(str, case)))
@@ -51,3 +63,13 @@ def test_batch_jsonl_matches_golden_bytes(tmp_path, capsys, case):
     assert main(argv) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / golden_name(*case)).read_bytes()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_gen_file_matches_golden_bytes(tmp_path, capsys, order):
+    out = tmp_path / "seq.json"
+    argv = ["gen", "--m", "8", "--count-min", "1", "--count-max", "4", "--denom", "48",
+            "--seed", "3", "--order", order, "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / gen_golden_name(order)).read_bytes()

@@ -10,8 +10,10 @@ from parsched.a1 import (
     A1State, a1_count_cap, a1_family, a1_family_size, a1_partition, a1_true_vector,
 )
 from parsched.a2 import a2_class_counts, a2_config_from_u, a2_family_size, a2_params, a2_valid_u
-from parsched.core import JobSequence
+from parsched import harness
+from parsched.core import InvariantViolation, Job, JobSequence
 from parsched.harness import (
+    ORDERS,
     BATCH_ORDERS,
     CSV_COLUMNS,
     ExperimentConfig,
@@ -27,6 +29,8 @@ from parsched.harness import (
 )
 from parsched.oracle import opt_exact
 from parsched.rational import ceil_log
+
+from helpers import gen_planted_reference
 
 
 def test_generator_certificates():
@@ -67,6 +71,76 @@ def test_generator_determinism():
     assert a.sizes() == b.sizes()
     c = gen_planted(5, counts=(1, 3), denom=48, seed=43)
     assert a.sizes() != c.sizes()
+
+
+def _generated(gen, *args):
+    """(sequence, witness) of a generator call, or the type of its error."""
+    try:
+        return gen(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+@given(
+    m=st.integers(1, 12),
+    form=st.sampled_from(("int", "range", "per_machine")),
+    data=st.data(),
+    denom=st.integers(2, 60),
+    min_num=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from(ORDERS),
+)
+@settings(max_examples=300, deadline=None)
+def test_generator_matches_fraction_reference(m, form, data, denom, min_num, seed, order):
+    """The integer generator builds the sizes, Fraction for Fraction, and the
+    witness of the Fraction one, and fails where it fails with the same
+    error type; a count range that is infeasible for some draw is refused
+    before any draw, whatever the seed."""
+    counts_of = st.integers(0, 8)
+    if form == "int":
+        counts = data.draw(counts_of)
+    elif form == "range":
+        counts = (data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8)))
+    else:
+        counts = data.draw(st.lists(counts_of, min_size=m, max_size=m))
+    args = (m, counts, denom, seed, order, min_num)
+    if form == "range" and counts[0] <= counts[1] and (counts[0] < 1 or counts[1] * min_num > denom):
+        with pytest.raises(ValueError, match=re.escape("(--count-min..--count-max)")):
+            gen_planted_with_witness(*args)
+        return
+    got = _generated(gen_planted_with_witness, *args)
+    want = _generated(gen_planted_reference, *args)
+    assert got == want
+    if not isinstance(got, type):
+        assert all(type(job.p) is F for job in got[0].jobs)
+
+
+def test_generator_volume_check_reads_the_built_sizes(monkeypatch):
+    """A job built with another size than its drawn numerator says breaks
+    the volume, and the check sees it: it sums the sizes, not the draws."""
+    def misbuilt(t, p):
+        return Job(t, p + F(1, 97) if t == 1 else p)
+
+    monkeypatch.setattr(harness, "Job", misbuilt)
+    with pytest.raises(InvariantViolation, match="planted volume"):
+        gen_planted(3, counts=2, denom=12, seed=5)
+
+
+@pytest.mark.parametrize("counts, denom, min_num", [
+    ((0, 3), 48, 1), ((-2, 1), 48, 1), ((1, 60), 48, 1), ((2, 7), 12, 2), ((1, 1), 4, 5),
+])
+def test_generator_refuses_infeasible_count_range_for_every_seed(counts, denom, min_num):
+    for seed in range(8):
+        with pytest.raises(ValueError, match=re.escape("(--count-min..--count-max)")):
+            gen_planted(2, counts, denom, seed=seed, min_num=min_num)
+
+
+def test_generator_feasible_count_range_keeps_its_draws():
+    """The range check draws nothing: the full range 1..denom/min_num gives
+    the reference's instance."""
+    for seed in range(8):
+        args = (5, (1, 12), 24, seed, "as_planted", 2)
+        assert gen_planted_with_witness(*args) == gen_planted_reference(*args)
 
 
 def test_compose_accounting():
