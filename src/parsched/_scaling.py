@@ -13,8 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-__all__ = ["common_scale", "scale_values", "class_counts", "stream_counts", "GuessLadder",
-           "ScaledLane"]
+__all__ = ["common_scale", "scale_values", "stream_counts", "GuessLadder", "ScaledLane"]
 
 
 def common_scale(values: Iterable[Fraction]) -> int:
@@ -31,17 +30,6 @@ def scale_values(values: Sequence[Fraction], scale: int) -> list[int]:
             raise ValueError("scale is not a common denominator of the values")
         out.append(v.numerator * k)
     return out
-
-
-def class_counts(sizes: Sequence[int], edges: Sequence[int]) -> list[int]:
-    """Counts of the sorted integers ``sizes`` in (edges[i-1], edges[i]] for
-    i = 1..len(edges)-1.
-
-    A size q/S is at most a bound b exactly when q <= floor(b*S), because
-    q is an integer; so the edges floor(b*S) count sizes in units of 1/S
-    against the bounds b exactly."""
-    cuts = [bisect_right(sizes, e) for e in edges]
-    return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
 
 
 def stream_counts(jobs, census: Callable[[list[int], int], list[int]], top: Fraction) -> list[int]:
@@ -84,11 +72,32 @@ class GuessLadder:
             raise ValueError("scale is not a common denominator of the thresholds")
         return [x * k for x in values]
 
-    def census(self, sizes: Sequence[int], scale: int) -> list[int]:
-        """Per-class counts of sorted sizes in units of 1/scale, against the
-        edges floor(bound*scale) read off the ladder."""
+    def census(self, sizes: Sequence[int], scale: int, cap: Optional[int] = None) -> list[int]:
+        """Per-class counts, each at most ``cap`` if given, of sorted sizes in
+        units of 1/scale.  With num/den = T*scale/unit, a size q is at most
+        bound i iff ladder[i] >= ceil(q*den/num) iff q <= floor(ladder[i]*num/den):
+        one division per size if they are fewer than the ladder, else one per edge."""
         num, den = self.T.numerator * scale, self.T.denominator * self.unit
-        return class_counts(sizes, [x * num // den for x in self.ladder])
+        ladder, n = self.ladder, len(sizes)
+        cap = n if cap is None else cap
+        counts = [0] * (len(ladder) - 1)
+        if n < len(ladder):
+            i = 0
+            for q in sizes:
+                i = bisect_left(ladder, -(-q * den // num), i)
+                if i == len(ladder):  # above the top bound, as are the rest
+                    break
+                if i and counts[i - 1] < cap:
+                    counts[i - 1] += 1
+        else:
+            lo = bisect_right(sizes, ladder[0] * num // den)
+            for i in range(1, len(ladder)):
+                hi = bisect_right(sizes, ladder[i] * num // den, lo)
+                counts[i - 1] = min(hi - lo, cap)
+                if hi == n:
+                    break
+                lo = hi
+        return counts
 
 
 class ScaledLane:

@@ -199,9 +199,10 @@ class A1State(ScaledLane):
 
     def __init__(self, plan: A1Plan, partition: ClassPartition, label: int = 0,
                  least_loaded: bool = False):
-        if partition.eps != plan.eps:
+        if partition.eps is not plan.eps and partition.eps != plan.eps:
             raise ValueError(f"a plan for eps = {plan.eps} cannot run at eps = {partition.eps}")
-        if least_loaded and any(plan.vector):
+        zero = not any(plan.vector)
+        if least_loaded and not zero:
             raise ValueError("only a lane of the all-zero vector can be least loaded")
         self._least_loaded = least_loaded
         self.plan = plan
@@ -209,10 +210,11 @@ class A1State(ScaledLane):
         self.m = m = plan.m
         self.label = label
         self._start(partition)
-        self._level = LeastLoaded(partition.rebind(self._scale, plan.loads))  # virtual + small
+        # Virtual plus small load per machine: a zero plan has no virtual load.
+        self._level = LeastLoaded([0] * m if zero else partition.rebind(self._scale, plan.loads))
         self._large = [0] * m  # load of large jobs
         self._loads: Optional[LeastLoaded] = None  # built by _fallback
-        self._left = [list(row) for row in plan.n_star]  # open virtual slots
+        self._left = [None] * len(plan.n_star)  # open slots: n_star rows, copied on first use
         # Per class, the position in plan.slots of the lowest machine that
         # may still have an open slot: open slots only ever close.
         self._next_slot = [0] * len(plan.slots)
@@ -245,6 +247,8 @@ class A1State(ScaledLane):
         if cls == SMALL:
             return self._level.least()
         slots, left = self.plan.slots[cls - 1], self._left[cls - 1]
+        if left is None:
+            left = self._left[cls - 1] = list(self.plan.n_star[cls - 1])
         k = self._next_slot[cls - 1]
         while k < len(slots) and left[slots[k]] <= 0:
             k += 1

@@ -98,8 +98,9 @@ def gen_planted_with_witness(
     The draws, the arrival order and the witness work on integer
     numerators over denom; each job gets its one Fraction when it is
     built, and the volume check sums the built sizes as integers over
-    their common denominator.  A count range is checked before anything
-    is drawn, so whether it is feasible does not depend on the seed.
+    their common denominator.  One count, or a count range, is checked
+    before anything is drawn, so whether it is feasible does not depend
+    on the seed; one count c fails as the range c..c.
     """
     if denom < 2:
         raise ValueError("denominator must be at least 2")
@@ -110,16 +111,15 @@ def gen_planted_with_witness(
     if order not in ORDERS:
         raise ValueError(f"unknown arrival order {order!r}")
     rng = random.Random(seed)
-    if isinstance(counts, int):
-        per_machine = [counts] * m
-    elif isinstance(counts, tuple) and len(counts) == 2:
-        lo, hi = counts
+    if isinstance(counts, int) or isinstance(counts, tuple) and len(counts) == 2:
+        lo, hi = (counts, counts) if isinstance(counts, int) else counts
         if lo > hi:
             raise ValueError(f"empty count range {lo}..{hi}: the least count exceeds the largest")
         if lo < 1 or hi * min_num > denom:
             raise ValueError(f"count range {lo}..{hi} (--count-min..--count-max) must lie in "
                              f"1..{denom // min_num} for jobs of >= {min_num}/{denom}")
-        per_machine = [rng.randint(lo, hi) for _ in range(m)]
+        per_machine = ([lo] * m if isinstance(counts, int)
+                       else [rng.randint(lo, hi) for _ in range(m)])
     else:
         per_machine = [int(c) for c in counts]
         if len(per_machine) != m:
@@ -205,7 +205,7 @@ def _a1_suffix_census(
     """
     T = partition.T
     num, den = T.numerator * scale, T.denominator
-    vector = tuple(min(c, cap) for c in partition.census(sizes, scale))
+    vector = tuple(partition.census(sizes, scale, cap))
     return vector, (bool(sizes) and sizes[-1] * den > num) or total * den > m * num
 
 

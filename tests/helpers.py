@@ -4,6 +4,7 @@ import math
 import random
 import signal
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -100,6 +101,18 @@ def check_offer_matches_propose(lane, twin, sizes: Sequence[Fraction]) -> None:
             lane.commit(proposal)
             twin.record(job, proposal)
             assert lane.loads == twin.loads
+
+
+def census_reference(guess, sizes: Sequence[int], scale: int,
+                     cap: Optional[int] = None) -> list[int]:
+    """``GuessLadder.census`` as it was first written: every edge
+    floor(bound*scale) computed, one cut per edge, the counts between
+    neighbouring cuts, then each count capped.  The reference for the
+    census counted from the shorter side."""
+    num, den = guess.T.numerator * scale, guess.T.denominator * guess.unit
+    cuts = [bisect_right(sizes, x * num // den) for x in guess.ladder]
+    counts = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+    return counts if cap is None else [min(c, cap) for c in counts]
 
 
 def _reference_parts(rng: random.Random, total: int, parts: int, floor: int) -> list[int]:

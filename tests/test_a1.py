@@ -1,5 +1,6 @@
 import heapq
 import math
+import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -550,3 +551,52 @@ def test_lane_rejects_plan_of_another_accuracy():
         with pytest.raises(ValueError, match="eps"):
             A1State(plan, a1_partition(F(1, 2), T))
         assert A1State(plan, a1_partition(F(1), T)).plan is plan
+
+
+class Forward:
+    """A lane seen only through propose and record, as a wrapper or a
+    timing proxy sees an inner it does not know."""
+
+    def __init__(self, lane):
+        self.propose, self.record = lane.propose, lane.record
+
+
+def test_lanes_on_one_plan_copy_slot_rows_on_first_use():
+    """Two lanes share a plan.  The first, stepped through large jobs of
+    every class past each class's slots into the least-loaded fallback,
+    proposes as the Fraction reference does, and plan.n_star is unchanged
+    after it; the second then proposes what a lane built fresh proposes.
+    A flagged lane of the zero plan, stepped through a forwarding proxy,
+    takes the least loaded machine, lowest index on ties, every time."""
+    rng = random.Random(5)
+    m, partition = 3, a1_partition(F(1, 2), F(7, 5))
+    vector = tuple(rng.randint(1, 3) for _ in range(partition.levels))
+    plan = A1Plans(m).get(partition, vector, exact=False)
+    rows = [list(row) for row in plan.n_star]
+    first, second = A1State(plan, partition), A1State(plan, partition)
+    n_star, ell_star = fraction_plan_reference(partition, m, vector, exact=False)
+    ref = FractionA1Lane(SimpleNamespace(m=m, partition=partition, n_star=n_star,
+                                         ell_star=ell_star))
+    jobs = [partition.bounds[i] for i, c in enumerate(vector, 1) for _ in range(c + 2)]
+    rng.shuffle(jobs)
+    jobs = [Job(t, p) for t, p in enumerate(jobs + [partition.bounds[0]] * 4, 1)]
+    for job in jobs:
+        assert step(first, job) == ref.propose(job)
+        ref.record(job, ref.propose(job))
+    assert first._loads is not None  # the fallback placed some job
+    assert [list(row) for row in plan.n_star] == rows
+    fresh = A1State(plan, partition)
+    for job in reversed(jobs):
+        job = Job(len(jobs) + 1 - job.index, job.p)
+        assert step(second, job) == step(fresh, job)
+    assert second.loads == fresh.loads
+
+    zero = A1Plans(m).get(partition, (0,) * partition.levels)
+    lane = Forward(A1State(zero, partition, least_loaded=True))
+    loads = [F(0)] * m
+    for t in range(1, 13):
+        p = partition.bounds[0] * F(rng.randint(1, 6), 6)
+        machine = lane.propose(Job(t, p))
+        assert machine == min(range(m), key=lambda j: (loads[j], j)) + 1
+        lane.record(Job(t, p), machine)
+        loads[machine - 1] += p

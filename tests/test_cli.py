@@ -6,6 +6,7 @@ import pytest
 from parsched.a2 import A2State, a2_config_from_u, a2_params
 from parsched.cli import main
 from parsched.core import JobSequence
+from parsched.harness import gen_planted
 from parsched.rational import format_rational
 
 from helpers import step
@@ -29,6 +30,18 @@ def test_gen_and_oracle(tmp_path, capsys):
     code, out = run_cli(capsys, "oracle", "--input", str(seq_path))
     assert code == 0
     assert json.loads(out) == {"opt": "1/1"}
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_gen_equal_count_bounds_draw_one_count(tmp_path, capsys, count):
+    """Equal --count-min and --count-max give every machine that count and
+    draw no count, so the file is the one of the count passed on its own."""
+    seq_path = tmp_path / "seq.json"
+    assert main(["gen", "--m", "3", "--count-min", str(count), "--count-max", str(count),
+                 "--denom", "12", "--seed", "7", "--out", str(seq_path)]) == 0
+    capsys.readouterr()
+    gen_planted(3, count, 12, seed=7).save(tmp_path / "want.json")
+    assert seq_path.read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def test_run_subcommand(tmp_path, capsys):
@@ -249,6 +262,11 @@ def test_malformed_sequence_files_fail_cleanly(tmp_path, capsys, name, text, rea
        "count range 1..60 (--count-min..--count-max)") for seed in range(3)),
     ("batch --algo list --m 2 --count-min 0 --count-max 3 --jsonl {out}",
      "count range 0..3 (--count-min..--count-max)"),
+    # Equal bounds are one count, refused as the range c..c whatever the seed.
+    *((f"gen --m 2 --count-min {c} --count-max {c} --denom 48 --seed {seed} --out {{out}}",
+       f"count range {c}..{c} (--count-min..--count-max)") for c in (0, 60) for seed in range(3)),
+    *((f"batch --algo list --m 2 --count-min {c} --count-max {c} --seed {seed} --jsonl {{out}}",
+       f"count range {c}..{c} (--count-min..--count-max)") for c in (0, 60) for seed in range(2)),
 ])
 def test_bad_input_fails_cleanly_for_every_command(tmp_path, capsys, argv, reason):
     """Bad input to any command is `error: ...` with exit 2, not a traceback."""

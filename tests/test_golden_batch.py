@@ -31,6 +31,7 @@ CASES = [
     ("a3", "1", 8), ("a3", "1", 256), ("a3", "1/2", 8), ("a3", "1/2", 256),
     ("a1star", "1", 8), ("a1star", "1", 256), ("a1star", "1/2", 8), ("a1star", "1/2", 256),
     ("a1star", "1/3", 8),  # eps' = 1/12: most wrapped census lanes start below unit*T.denominator
+    ("a1star", "1/16", 8),  # small eps: 269 census classes (inner 1/32), suffixes of <= 16 jobs
     ("a3star", "1", 8), ("a3star", "1", 256), ("a3star", "1/2", 8), ("a3star", "1/2", 256),
     ("a3star", "1", 1024),  # wrapped configuration lanes: m=1024 clears the inner threshold
     ("a1", "1", 8, "full"),  # all 289 census vectors, each with an LPT plan
