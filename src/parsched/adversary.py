@@ -1,11 +1,13 @@
 """Adaptive adversaries that force the known lower bounds.
 
-Both constructions play the same game: feed a first wave of equal jobs,
-look at every schedule the victim built, pick a load profile that none
-of them realized, and finish with jobs that top the *missing* profile's
-machines up to load exactly 1.  The victim, lacking that profile
-everywhere, must push some machine past the bound; the report carries
-an explicit witness schedule of makespan 1 as proof of the optimum.
+Both theorems play one game (``_play``): feed a prefix and a wave of
+equal jobs, look at every schedule the victims built, pick the first
+load profile that none of them realized, and top each of its machines
+holding c wave jobs of size s up to load exactly 1 with one job of size
+1 - c*s (where c*s < 1), largest first.  The victim, lacking that
+profile everywhere, must push some machine past the bound; the report
+carries an explicit witness schedule of makespan 1 as proof of the
+optimum.
 
 Victims are adaptive black boxes behind the lane interface; only their
 emitted schedules are inspected.
@@ -17,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import InvariantViolation, Job, JobSequence, LaneRunner, OnlineScheduler, Schedule
 
@@ -30,6 +32,8 @@ __all__ = [
     "lb1_universe",
     "lb2_universe",
     "enumerate_missing",
+    "lb1_check",
+    "lb2_check",
     "lb1_run",
     "lb2_run",
 ]
@@ -162,14 +166,86 @@ class AdversaryReport:
         return self.forced_makespan / self.opt
 
 
-def _feed(runners: list[LaneRunner], jobs: list[Job]) -> None:
-    for job in jobs:
-        for runner in runners:
-            runner.step(job)
+def _check_count(k: int, limit: int) -> None:
+    if k > limit:
+        raise ValueError("too many schedules: the adversary guarantee is void")
+    if not k:
+        raise ValueError("need at least one victim schedule")
 
 
-def _min_makespan(runners: list[LaneRunner]) -> Fraction:
-    return min(r.schedule.makespan() for r in runners)
+def lb1_check(m: int, k: int) -> None:
+    """Refuse what lb1 does not cover: m < 3, or k victims outside 1..floor(m/3)."""
+    if m < 3:
+        raise ValueError("construction needs at least 3 machines")
+    _check_count(k, m // 3)
+
+
+def lb2_check(m: int, eps: Fraction, k: int) -> int:
+    """h = floor(1/(4 eps)), after refusing what lb2 does not cover: eps
+    outside (0, 1/4], fewer than 2 interior machines, or k victims outside
+    1..(profiles - 1), the profiles counted only as far as k + 1."""
+    eps = Fraction(eps)
+    if not 0 < eps <= Fraction(1, 4):
+        raise ValueError("eps must lie in (0, 1/4]")
+    h = int(1 / (4 * eps))
+    if m - m % 2 < 2:
+        raise ValueError("construction needs at least 2 interior machines")
+    _check_count(k, sum(1 for _ in itertools.islice(lb2_universe(m - m % 2, h), k + 1)) - 1)
+    return h
+
+
+def _play(
+    m: int,
+    victims: Sequence[OnlineScheduler],
+    prefix: Sequence[Fraction],
+    size: Fraction,
+    n: int,
+    bound: Fraction,
+    classify: Callable[[Schedule], Optional[tuple]],
+    universe: Iterator[tuple],
+    counts: Callable[[tuple], list[int]],
+    stop_early: bool,
+) -> AdversaryReport:
+    """The game, given a theorem's prefix, wave of n jobs of ``size``,
+    bound, classifier, universe and map from a profile to its ascending
+    per-machine wave counts.  With ``stop_early`` and every victim at the
+    bound after the wave, the witness holds the prefix on machine m and
+    the wave dealt round-robin over the other machines."""
+    runners = [LaneRunner(v, label=k) for k, v in enumerate(victims)]
+    sigma: list[Job] = []
+
+    def feed(sizes: Iterable[Fraction]) -> list[Job]:
+        jobs = [Job(len(sigma) + k, p) for k, p in enumerate(sizes, start=1)]
+        for job in jobs:
+            for runner in runners:
+                runner.step(job)
+        sigma.extend(jobs)
+        return jobs
+
+    witness = Schedule(m)
+    for job in feed(prefix):
+        witness.assign(m, job)
+    wave = feed([size] * n)
+    profile = None
+    stopped = stop_early and min(r.schedule.makespan() for r in runners) >= bound
+    if stopped:
+        for k, job in enumerate(wave):
+            witness.assign(1 + k % (m - len(prefix)), job)
+    else:
+        realized = (p for p in (classify(r.schedule) for r in runners) if p is not None)
+        profile = enumerate_missing(realized, universe)
+        c = counts(profile)
+        jobs = iter(wave)
+        for j, cj in enumerate(c, start=1):
+            for _ in range(cj):
+                witness.assign(j, next(jobs))
+        for j, job in enumerate(feed([1 - cj * size for cj in c if cj * size < 1]), start=1):
+            witness.assign(j, job)
+        if witness.makespan() != 1:
+            raise InvariantViolation("witness schedule must have makespan exactly 1")
+    return AdversaryReport(JobSequence(m, sigma), witness.makespan(), witness,
+                           min(r.schedule.makespan() for r in runners), profile,
+                           [r.schedule for r in runners], stopped_early=stopped)
 
 
 def lb1_run(
@@ -179,54 +255,14 @@ def lb1_run(
 ) -> AdversaryReport:
     """Force makespan >= 4/3 against at most floor(m/3) schedules.
 
-    First wave: m jobs of size 1/3.  Second wave: unit jobs for the
-    missing profile's empty machines, then 2/3-jobs for its one-job
-    machines, in non-increasing size order.
+    Wave: m jobs of size 1/3.  The missing profile (m1, m3) leaves
+    m - m1 - m3 machines empty, topped up by unit jobs, and m1 machines
+    with one job, topped up by 2/3-jobs.
     """
-    if m < 3:
-        raise ValueError("construction needs at least 3 machines")
-    if len(victims) > m // 3:
-        raise ValueError("too many schedules: the adversary guarantee is void")
-    if not victims:
-        raise ValueError("need at least one victim schedule")
-    runners = [LaneRunner(v, label=k) for k, v in enumerate(victims)]
-    third = Fraction(1, 3)
-    sigma1 = [Job(t, third) for t in range(1, m + 1)]
-    _feed(runners, sigma1)
-
-    if stop_early and _min_makespan(runners) >= Fraction(4, 3):
-        seq = JobSequence(m, sigma1)
-        witness = Schedule(m)
-        for t, job in enumerate(sigma1):
-            witness.assign(t + 1, job)
-        return AdversaryReport(seq, third, witness, _min_makespan(runners), None,
-                               [r.schedule for r in runners], stopped_early=True)
-
-    realized = {p for p in (classify_lb1(r.schedule) for r in runners) if p is not None}
-    m1s, m3s = enumerate_missing(realized, lb1_universe(m))
-    sizes2 = [Fraction(1)] * (m - m1s - m3s) + [Fraction(2, 3)] * m1s
-    sigma2 = [Job(m + k, p) for k, p in enumerate(sizes2, start=1)]
-    _feed(runners, sigma2)
-
-    seq = JobSequence(m, sigma1 + sigma2)
-    # Witness: machines sorted by non-decreasing load of the missing
-    # profile; empty ones first, then one-job, then three-job machines.
-    witness = Schedule(m)
-    empty = m - m1s - m3s
-    t = 0
-    for j in range(empty + 1, empty + m1s + 1):  # one 1/3-job each
-        witness.assign(j, sigma1[t])
-        t += 1
-    for j in range(empty + m1s + 1, m + 1):  # three 1/3-jobs each
-        for _ in range(3):
-            witness.assign(j, sigma1[t])
-            t += 1
-    for j, job in enumerate(sigma2, start=1):  # top up to load 1
-        witness.assign(j, job)
-    if witness.makespan() != 1:
-        raise InvariantViolation("witness schedule must have makespan exactly 1")
-    return AdversaryReport(seq, Fraction(1), witness, _min_makespan(runners),
-                           (m1s, m3s), [r.schedule for r in runners])
+    lb1_check(m, len(victims))
+    return _play(m, victims, (), Fraction(1, 3), m, Fraction(4, 3), classify_lb1,
+                 lb1_universe(m), lambda p: [0] * (m - p[0] - p[1]) + [1] * p[0] + [3] * p[1],
+                 stop_early)
 
 
 def lb2_run(
@@ -238,85 +274,22 @@ def lb2_run(
     """Force makespan >= 1 + eps' > 1 + eps against few schedules.
 
     eps' = 1/(4*floor(1/(4 eps))) >= eps.  Odd machine counts get one
-    unit job first; the wave construction then runs on m-1 machines.
+    unit job first; the wave construction then runs on m-1 machines, and
+    a schedule whose unit job shares its machine is beaten already.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= Fraction(1, 4):
-        raise ValueError("eps must lie in (0, 1/4]")
-    h = int(1 / (4 * eps))
+    h = lb2_check(m, eps, len(victims))
     eps_prime = Fraction(1, 4 * h)
-    odd = m % 2 == 1
-    m_int = m - 1 if odd else m
-    if m_int < 2:
-        raise ValueError("construction needs at least 2 interior machines")
-    # Count only as far as the guarantee needs: one profile more than victims.
-    universe_size = sum(1 for _ in itertools.islice(lb2_universe(m_int, h), len(victims) + 1))
-    if len(victims) >= universe_size:
-        raise ValueError("too many schedules: the adversary guarantee is void")
-    if not victims:
-        raise ValueError("need at least one victim schedule")
-    runners = [LaneRunner(v, label=k) for k, v in enumerate(victims)]
+    odd = m % 2
+    weights = list(range(2 * h)) + [4 * h]
 
-    prefix: list[Job] = []
-    t = 1
-    if odd:
-        prefix.append(Job(t, Fraction(1)))
-        t += 1
-    sigma1 = [Job(t + k, eps_prime) for k in range(m_int * h)]
-    t += len(sigma1)
-    _feed(runners, prefix + sigma1)
+    def classify(schedule: Schedule) -> Optional[tuple[int, ...]]:
+        if not odd:
+            return classify_lb2(schedule, h, eps_prime)
+        uj = schedule.assignment[1]
+        if schedule.job_count(uj) != 1:
+            return None
+        return classify_lb2(schedule, h, eps_prime, [j for j in range(1, m + 1) if j != uj])
 
-    bound = 1 + eps_prime
-    if stop_early and _min_makespan(runners) >= bound:
-        seq = JobSequence(m, prefix + sigma1)
-        witness = Schedule(m)
-        unit_machine = m
-        for job in prefix:
-            witness.assign(unit_machine, job)
-        for k, job in enumerate(sigma1):
-            witness.assign(1 + k % m_int, job)
-        return AdversaryReport(seq, witness.makespan(), witness,
-                               _min_makespan(runners), None,
-                               [r.schedule for r in runners], stopped_early=True)
-
-    realized = set()
-    for runner in runners:
-        if odd:
-            uj = runner.schedule.assignment[1]
-            if runner.schedule.job_count(uj) != 1:
-                continue  # unit job shares a machine: that lane is already beaten
-            rest = [j for j in range(1, m + 1) if j != uj]
-            profile = classify_lb2(runner.schedule, h, eps_prime, machines=rest)
-        else:
-            profile = classify_lb2(runner.schedule, h, eps_prime)
-        if profile is not None:
-            realized.add(profile)
-    missing = enumerate_missing(realized, lb2_universe(m_int, h))
-
-    sizes2: list[Fraction] = []
-    for i in range(2 * h):  # ascending i means non-increasing job size
-        sizes2.extend([1 - i * eps_prime] * missing[i])
-    sigma2 = [Job(t + k, p) for k, p in enumerate(sizes2)]
-    _feed(runners, sigma2)
-
-    seq = JobSequence(m, prefix + sigma1 + sigma2)
-    witness = Schedule(m)
-    if odd:
-        witness.assign(m, prefix[0])  # the unit job sits alone on the last machine
-    # Interior machines in non-decreasing profile load: m_0 empty, then
-    # i-job machines, finally full machines of load 1.
-    order: list[int] = []
-    for i in range(2 * h + 1):
-        order.extend([i] * missing[i])
-    k = 0
-    for j, i in enumerate(order, start=1):
-        jobs_here = 4 * h if i == 2 * h else i
-        for _ in range(jobs_here):
-            witness.assign(j, sigma1[k])
-            k += 1
-    for j, job in enumerate(sigma2, start=1):
-        witness.assign(j, job)
-    if witness.makespan() != 1:
-        raise InvariantViolation("witness schedule must have makespan exactly 1")
-    return AdversaryReport(seq, Fraction(1), witness, _min_makespan(runners),
-                           missing, [r.schedule for r in runners])
+    return _play(m, victims, [Fraction(1)] * odd, eps_prime, (m - odd) * h, 1 + eps_prime,
+                 classify, lb2_universe(m - odd, h),
+                 lambda p: [w for w, k in zip(weights, p) for _ in range(k)], stop_early)

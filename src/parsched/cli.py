@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .a2 import a2_family_size, a2_params
-from .adversary import RandomScheduler, StackScheduler, lb1_run, lb2_run
+from .adversary import RandomScheduler, StackScheduler, lb1_check, lb1_run, lb2_check, lb2_run
 from .core import JobSequence
 from .harness import ORDERS, ExperimentConfig, gen_planted, run_algorithm, run_batch
 from .oracle import ListScheduler, opt_exact
@@ -111,16 +112,14 @@ def _load(path: str) -> JobSequence:
 
 
 def _victims(descriptor: str, m: int):
+    """One constructor per victim, so that a victim count can be refused
+    before any victim is built."""
     if descriptor.startswith("list:"):
         count = descriptor.split(":", 1)[1]
         if not count.isdecimal():
             raise ValueError(f"victim list:K needs a whole number K, got {count!r}")
-        k = int(count)
-        perms = []
-        base = list(range(1, m + 1))
-        for i in range(k):
-            perms.append(base[i:] + base[:i])  # k distinct tie-breaking rotations
-        return [ListScheduler(m, perm) for perm in perms]
+        base = list(range(1, m + 1))  # K distinct tie-breaking rotations, each made when built
+        return [lambda i=i: ListScheduler(m, base[i:] + base[:i]) for i in range(int(count))]
     if descriptor.startswith("file:"):
         return _file_victims(descriptor.split(":", 1)[1], m)
     raise ValueError(f"unknown victim descriptor {descriptor!r}")
@@ -134,7 +133,7 @@ def _int_field(lane: dict, key: str, default: int, where: str) -> int:
 
 
 def _file_victims(path: str, m: int):
-    """Victims from a strategy file {"lanes": [{"kind": ..., ...}, ...]}."""
+    """Victim constructors from a strategy file {"lanes": [{"kind": ..., ...}, ...]}."""
     with open(path) as fh:
         doc = json.load(fh)
     lanes = doc.get("lanes") if isinstance(doc, dict) else None
@@ -151,11 +150,11 @@ def _file_victims(path: str, m: int):
             if perm is not None and not (isinstance(perm, list)
                                          and all(type(x) is int for x in perm)):
                 raise ValueError(f"{where}.perm: expected a list of machine numbers")
-            victims.append(ListScheduler(m, perm))
+            victims.append(partial(ListScheduler, m, perm))
         elif kind == "stack":
-            victims.append(StackScheduler(m, _int_field(lane, "machine", 1, where)))
+            victims.append(partial(StackScheduler, m, _int_field(lane, "machine", 1, where)))
         elif kind == "random":
-            victims.append(RandomScheduler(m, _int_field(lane, "seed", 0, where)))
+            victims.append(partial(RandomScheduler, m, _int_field(lane, "seed", 0, where)))
         else:
             raise ValueError(f"{where}: unknown victim kind {kind!r}")
     return victims
@@ -231,11 +230,14 @@ def _command(args) -> int:
         return 0
 
     if args.command == "adversary":
-        victims = _victims(args.victim, args.m)
+        makers = _victims(args.victim, args.m)
         if args.theorem == "lb1":
-            report = lb1_run(args.m, victims, stop_early=args.stop_early)
+            lb1_check(args.m, len(makers))
+            report = lb1_run(args.m, [make() for make in makers], stop_early=args.stop_early)
         else:
-            report = lb2_run(args.m, _rot(args.epsilon), victims, stop_early=args.stop_early)
+            eps = _rot(args.epsilon)
+            lb2_check(args.m, eps, len(makers))
+            report = lb2_run(args.m, eps, [make() for make in makers], stop_early=args.stop_early)
         doc = {
             "theorem": args.theorem,
             "m": args.m,

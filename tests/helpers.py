@@ -1,5 +1,6 @@
 """Helpers that only the tests use, kept out of the package."""
 
+import itertools
 import math
 import random
 import signal
@@ -9,7 +10,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from parsched.core import InvariantViolation, Job, JobSequence, Schedule
+from parsched.adversary import (
+    AdversaryReport,
+    classify_lb1,
+    classify_lb2,
+    enumerate_missing,
+    lb1_universe,
+    lb2_universe,
+)
+from parsched.core import InvariantViolation, Job, JobSequence, LaneRunner, OnlineScheduler, Schedule
 from parsched.oracle import MultisetSchedule, opt_exact
 
 
@@ -177,3 +186,167 @@ def gen_planted_reference(m, counts=2, denom=48, seed=0, order="shuffle", min_nu
     if verify_cap and len(seq) <= verify_cap and opt_exact(seq) != 1:
         raise InvariantViolation("planted optimum failed verification")
     return seq, witness
+
+
+# The two adversaries as each was first written, with its own wave, top-up,
+# witness and early stop: the reference for the one game both now play.
+
+
+def _reference_feed(runners: list[LaneRunner], jobs: list[Job]) -> None:
+    for job in jobs:
+        for runner in runners:
+            runner.step(job)
+
+
+def _reference_min_makespan(runners: list[LaneRunner]) -> Fraction:
+    return min(r.schedule.makespan() for r in runners)
+
+
+def lb1_run_reference(
+    m: int,
+    victims: Sequence[OnlineScheduler],
+    stop_early: bool = False,
+) -> AdversaryReport:
+    """Force makespan >= 4/3 against at most floor(m/3) schedules.
+
+    First wave: m jobs of size 1/3.  Second wave: unit jobs for the
+    missing profile's empty machines, then 2/3-jobs for its one-job
+    machines, in non-increasing size order.
+    """
+    if m < 3:
+        raise ValueError("construction needs at least 3 machines")
+    if len(victims) > m // 3:
+        raise ValueError("too many schedules: the adversary guarantee is void")
+    if not victims:
+        raise ValueError("need at least one victim schedule")
+    runners = [LaneRunner(v, label=k) for k, v in enumerate(victims)]
+    third = Fraction(1, 3)
+    sigma1 = [Job(t, third) for t in range(1, m + 1)]
+    _reference_feed(runners, sigma1)
+
+    if stop_early and _reference_min_makespan(runners) >= Fraction(4, 3):
+        seq = JobSequence(m, sigma1)
+        witness = Schedule(m)
+        for t, job in enumerate(sigma1):
+            witness.assign(t + 1, job)
+        return AdversaryReport(seq, third, witness, _reference_min_makespan(runners), None,
+                               [r.schedule for r in runners], stopped_early=True)
+
+    realized = {p for p in (classify_lb1(r.schedule) for r in runners) if p is not None}
+    m1s, m3s = enumerate_missing(realized, lb1_universe(m))
+    sizes2 = [Fraction(1)] * (m - m1s - m3s) + [Fraction(2, 3)] * m1s
+    sigma2 = [Job(m + k, p) for k, p in enumerate(sizes2, start=1)]
+    _reference_feed(runners, sigma2)
+
+    seq = JobSequence(m, sigma1 + sigma2)
+    # Witness: machines sorted by non-decreasing load of the missing
+    # profile; empty ones first, then one-job, then three-job machines.
+    witness = Schedule(m)
+    empty = m - m1s - m3s
+    t = 0
+    for j in range(empty + 1, empty + m1s + 1):  # one 1/3-job each
+        witness.assign(j, sigma1[t])
+        t += 1
+    for j in range(empty + m1s + 1, m + 1):  # three 1/3-jobs each
+        for _ in range(3):
+            witness.assign(j, sigma1[t])
+            t += 1
+    for j, job in enumerate(sigma2, start=1):  # top up to load 1
+        witness.assign(j, job)
+    if witness.makespan() != 1:
+        raise InvariantViolation("witness schedule must have makespan exactly 1")
+    return AdversaryReport(seq, Fraction(1), witness, _reference_min_makespan(runners),
+                           (m1s, m3s), [r.schedule for r in runners])
+
+
+def lb2_run_reference(
+    m: int,
+    eps: Fraction,
+    victims: Sequence[OnlineScheduler],
+    stop_early: bool = False,
+) -> AdversaryReport:
+    """Force makespan >= 1 + eps' > 1 + eps against few schedules.
+
+    eps' = 1/(4*floor(1/(4 eps))) >= eps.  Odd machine counts get one
+    unit job first; the wave construction then runs on m-1 machines.
+    """
+    eps = Fraction(eps)
+    if not 0 < eps <= Fraction(1, 4):
+        raise ValueError("eps must lie in (0, 1/4]")
+    h = int(1 / (4 * eps))
+    eps_prime = Fraction(1, 4 * h)
+    odd = m % 2 == 1
+    m_int = m - 1 if odd else m
+    if m_int < 2:
+        raise ValueError("construction needs at least 2 interior machines")
+    # Count only as far as the guarantee needs: one profile more than victims.
+    universe_size = sum(1 for _ in itertools.islice(lb2_universe(m_int, h), len(victims) + 1))
+    if len(victims) >= universe_size:
+        raise ValueError("too many schedules: the adversary guarantee is void")
+    if not victims:
+        raise ValueError("need at least one victim schedule")
+    runners = [LaneRunner(v, label=k) for k, v in enumerate(victims)]
+
+    prefix: list[Job] = []
+    t = 1
+    if odd:
+        prefix.append(Job(t, Fraction(1)))
+        t += 1
+    sigma1 = [Job(t + k, eps_prime) for k in range(m_int * h)]
+    t += len(sigma1)
+    _reference_feed(runners, prefix + sigma1)
+
+    bound = 1 + eps_prime
+    if stop_early and _reference_min_makespan(runners) >= bound:
+        seq = JobSequence(m, prefix + sigma1)
+        witness = Schedule(m)
+        unit_machine = m
+        for job in prefix:
+            witness.assign(unit_machine, job)
+        for k, job in enumerate(sigma1):
+            witness.assign(1 + k % m_int, job)
+        return AdversaryReport(seq, witness.makespan(), witness,
+                               _reference_min_makespan(runners), None,
+                               [r.schedule for r in runners], stopped_early=True)
+
+    realized = set()
+    for runner in runners:
+        if odd:
+            uj = runner.schedule.assignment[1]
+            if runner.schedule.job_count(uj) != 1:
+                continue  # unit job shares a machine: that lane is already beaten
+            rest = [j for j in range(1, m + 1) if j != uj]
+            profile = classify_lb2(runner.schedule, h, eps_prime, machines=rest)
+        else:
+            profile = classify_lb2(runner.schedule, h, eps_prime)
+        if profile is not None:
+            realized.add(profile)
+    missing = enumerate_missing(realized, lb2_universe(m_int, h))
+
+    sizes2: list[Fraction] = []
+    for i in range(2 * h):  # ascending i means non-increasing job size
+        sizes2.extend([1 - i * eps_prime] * missing[i])
+    sigma2 = [Job(t + k, p) for k, p in enumerate(sizes2)]
+    _reference_feed(runners, sigma2)
+
+    seq = JobSequence(m, prefix + sigma1 + sigma2)
+    witness = Schedule(m)
+    if odd:
+        witness.assign(m, prefix[0])  # the unit job sits alone on the last machine
+    # Interior machines in non-decreasing profile load: m_0 empty, then
+    # i-job machines, finally full machines of load 1.
+    order: list[int] = []
+    for i in range(2 * h + 1):
+        order.extend([i] * missing[i])
+    k = 0
+    for j, i in enumerate(order, start=1):
+        jobs_here = 4 * h if i == 2 * h else i
+        for _ in range(jobs_here):
+            witness.assign(j, sigma1[k])
+            k += 1
+    for j, job in enumerate(sigma2, start=1):
+        witness.assign(j, job)
+    if witness.makespan() != 1:
+        raise InvariantViolation("witness schedule must have makespan exactly 1")
+    return AdversaryReport(seq, Fraction(1), witness, _reference_min_makespan(runners),
+                           missing, [r.schedule for r in runners])

@@ -20,7 +20,7 @@ from parsched.adversary import (
 from parsched.core import Job, Schedule
 from parsched.oracle import ListScheduler, opt_exact
 
-from helpers import time_limit
+from helpers import lb1_run_reference, lb2_run_reference, time_limit
 
 
 def test_classify_lb1():
@@ -215,3 +215,62 @@ def test_lb2_refuses_saturated_victims():
 def test_lb2_rejects_bad_eps():
     with pytest.raises(ValueError):
         lb2_run(4, F(1, 2), [ListScheduler(4)])
+
+
+VICTIM_SETS = {
+    "empty": lambda m: [],
+    "list": lambda m: [ListScheduler(m)],
+    "list rotations": lambda m: [ListScheduler(m, rotation(m, i)) for i in range(3)],
+    "stack": lambda m: [StackScheduler(m, m)],
+    "random": lambda m: [RandomScheduler(m, seed=5)],
+    "mixed": lambda m: [ListScheduler(m, rotation(m, 1)), StackScheduler(m, 1),
+                        RandomScheduler(m, seed=7)],
+    "too many": lambda m: [ListScheduler(m, rotation(m, i)) for i in range(m // 3 + 1)],
+}
+
+
+def rotation(m, i):
+    base = list(range(1, m + 1))
+    i %= m
+    return base[i:] + base[:i]
+
+
+def outcome(run, *args, **kwargs):
+    """Everything a run reports, in order and with its types, or the
+    refusal's exception type and message."""
+    try:
+        report = run(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (
+        report.sigma.m,
+        [(job.index, repr(job.p)) for job in report.sigma.jobs],
+        repr(report.opt),
+        list(report.opt_witness.assignment.items()),
+        repr(report.forced_makespan),
+        repr(report.chosen_profile),
+        [(s.label, list(s.assignment.items())) for s in report.victim_schedules],
+        repr(report.stopped_early),
+    )
+
+
+@pytest.mark.parametrize("stop_early", [False, True])
+@pytest.mark.parametrize("theorem", ["lb1", "lb2"])
+def test_game_matches_first_written_adversaries(theorem, stop_early):
+    """Both theorems played through the one game report exactly what the
+    two adversaries as first written (tests/helpers.py) report, refusals
+    included, at m = 1..14, eps 1/4, 1/8 and 1/12 and every victim set."""
+    stops = set()
+    for m, eps, name in itertools.product(range(1, 15), (F(1, 4), F(1, 8), F(1, 12)), VICTIM_SETS):
+        victims = VICTIM_SETS[name]
+        if theorem == "lb1":
+            got = outcome(lb1_run, m, victims(m), stop_early=stop_early)
+            want = outcome(lb1_run_reference, m, victims(m), stop_early=stop_early)
+        else:
+            got = outcome(lb2_run, m, eps, victims(m), stop_early=stop_early)
+            want = outcome(lb2_run_reference, m, eps, victims(m), stop_early=stop_early)
+        assert got == want, (m, eps, name)
+        if got[-1] == "True":
+            stops.add(m % 2)
+    # The early stop is reached at both parities whenever it is asked for.
+    assert stops == ({0, 1} if stop_early else set())

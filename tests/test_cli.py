@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from parsched import cli
 from parsched.a2 import A2State, a2_config_from_u, a2_params
 from parsched.cli import main
 from parsched.core import JobSequence
@@ -321,3 +322,56 @@ def test_victim_file_defaults_and_null_perm(tmp_path, capsys):
         code, _ = run_cli(capsys, "adversary", "--theorem", "lb1", "--m", "6",
                           "--victim", f"file:{strategy}", "--out", str(tmp_path / "x.json"))
         assert code == 0, lane
+
+
+@pytest.mark.parametrize("theorem, m, victim, most", [
+    ("lb1", 2000, "list:2000", None),
+    ("lb1", 6, "list:3", 2),
+    ("lb1", 9, "file:{stacks}", 3),
+    ("lb2", 4, "list:2", 1),  # m = 4 at eps 1/4 has two profiles
+    ("lb2", 5, "file:{stacks}", 1),
+])
+def test_adversary_refuses_victim_count_before_building_a_victim(
+        tmp_path, capsys, monkeypatch, theorem, m, victim, most):
+    """Too many victims exit 2 with the theorem's own message, and no
+    victim is constructed first (K list victims would cost K*m memory).
+    The most victims the theorem covers are each built once."""
+    built = []
+    for name in ("ListScheduler", "StackScheduler"):
+        kind = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, kind=kind: built.append(a) or kind(*a))
+    stacks = tmp_path / "stacks.json"
+    stacks.write_text(json.dumps({"lanes": [{"kind": "stack", "machine": j} for j in (1, 2, 3, 4)]}))
+    out_path = tmp_path / "x.json"
+    argv = ["adversary", "--theorem", theorem, "--m", str(m), "--epsilon", "1/4",
+            "--victim", victim.format(stacks=stacks), "--out", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: too many schedules: the adversary guarantee is void\n"
+    assert built == [] and not out_path.exists()
+    if most is not None:
+        argv[argv.index("--victim") + 1] = f"list:{most}"
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == most
+
+
+def test_run_refusals_reach_the_command_line(tmp_path, capsys):
+    """A census lane with no rule under --check-lemmas is an invariant
+    violation (exit 1); a wrapped full run over configuration lanes is bad
+    input (exit 2)."""
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps({"m": 2, "jobs": ["2"]}))
+    assert main(["run", "--algo", "a1", "--epsilon", "1", "--assumed-opt", "1", "--mode", "full",
+                 "--check-lemmas", "--input", str(seq_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invariant violated: census lane had no rule; "
+                            "assumed optimum too small\n")
+
+    gen_planted(1024, 1, 2).save(seq_path)
+    assert main(["run", "--algo", "a3star", "--epsilon", "1", "--mode", "full",
+                 "--input", str(seq_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: full mode wrapping is only supported for census lanes\n"

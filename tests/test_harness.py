@@ -387,6 +387,24 @@ def test_flagged_census_lane_proposes_least_loaded_machine():
     assert not any(lane.least_loaded for lane in a1_family(F(1), 2, F(1)).lanes())
 
 
+@pytest.mark.parametrize("n, canonical", [(1025, (0, 0, 56)), (2000, (0, 0, 111))])
+def test_a3_factory_falls_back_to_capped_canonical_u(n, canonical):
+    """A census that no sequence of optimum <= T has still gets a lane: its
+    canonical u with each entry capped at kappa.  At m = 1024, eps 1/2 and
+    T = 1, jobs of 49/48 all fall in the top (doubled) class; 2,000 of them
+    give a canonical u above kappa = 108, which only the cap keeps valid."""
+    m, eps, T = 1024, F(1, 2), F(1)
+    seq = JobSequence(m, [Job(t, F(49, 48)) for t in range(1, n + 1)])
+    params = a2_params(eps, m, T)
+    counts = a2_class_counts(params, seq.jobs)
+    with pytest.raises(ValueError, match="census cannot belong"):
+        a2_valid_u(params, counts)
+    assert params.canonical_u(counts) == canonical and params.kappa == 108
+    (lane,) = a3_targeted_factory(seq, eps)(T, 1)
+    assert lane.config == a2_config_from_u(params, tuple(min(108, x) for x in canonical))
+    assert lane.config.machine_counts() == (0, 0, 968)
+
+
 @pytest.mark.parametrize("sizes, flagged", [
     (["1/4", "1/2"], True),  # small jobs only (at most eps'*T = 1/2), volume within m*T
     (["1/4", "3/4"], False),  # a job of class 1
