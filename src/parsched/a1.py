@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from ._scaling import GuessLadder, ScaledLane, stream_counts
 from .core import Job, LaneCapExceeded, LeastLoaded, add_equal, check_lane_cap
 from .oracle import MultisetInstance, fit_multiset
-from .rational import ceil_log
+from .rational import accuracy, ceil_log
 
 __all__ = [
     "ClassPartition",
@@ -71,9 +71,7 @@ def a1_partition(eps: Fraction, T: Fraction = Fraction(1)) -> ClassPartition:
     """The class partition of accuracy eps under the guess T.  For eps' = p/q
     in lowest terms, bounds[i] / T = p*(q+p)**i / q**(i+1) is in lowest terms
     too, so unit = q**(levels+1) is the ladder's least common denominator."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = accuracy(eps)
     eps_prime = eps / 2
     levels = ceil_log(1 / eps_prime, 1 + eps_prime)
     p, q = eps_prime.numerator, eps_prime.denominator
@@ -269,7 +267,7 @@ class A1State(ScaledLane):
 
 
 class A1Family:
-    """A full or targeted lane family for one (eps, m, T) choice.
+    """A lane family for one (eps, m, T) choice.
 
     Count vectors are enumerated lexicographically; a lane's label is
     its vector's position in that order.  Plans are built lazily so that
@@ -304,24 +302,11 @@ def a1_family_size(eps: Fraction, m: int) -> int:
     return (a1_count_cap(m, partition.eps_prime) + 1) ** partition.levels
 
 
-def a1_family(
-    eps: Fraction,
-    m: int,
-    T: Fraction,
-    vector: Optional[tuple[int, ...]] = None,
-    lane_cap: Optional[int] = None,
-) -> A1Family:
-    """Build the lane family; `vector` restricts it to a single lane.
-    ``A1Family.at`` rebinds it, with its plans, to another guess."""
+def a1_family(eps: Fraction, m: int, T: Fraction, lane_cap: Optional[int] = None) -> A1Family:
+    """Build the full lane family; ``A1Family.at`` rebinds it, with its
+    plans, to another guess."""
     partition = a1_partition(eps, T)
     cap = a1_count_cap(m, partition.eps_prime)
-    if vector is not None:
-        vector = tuple(int(v) for v in vector)
-        if len(vector) != partition.levels:
-            raise ValueError("vector length must equal the number of large classes")
-        if any(v < 0 or v > cap for v in vector):
-            raise ValueError("vector entries must lie in 0..floor(m/eps')")
-        return A1Family(partition, m, [vector])
     check_lane_cap((cap + 1) ** partition.levels, lane_cap)
     vectors = list(itertools.product(range(cap + 1), repeat=partition.levels))
     return A1Family(partition, m, vectors)

@@ -17,7 +17,7 @@ from itertools import chain, groupby
 from typing import Optional, Sequence
 
 from ._scaling import GuessLadder, ScaledLane, common_scale, scale_values, stream_counts
-from .rational import ceil_log
+from .rational import accuracy, ceil_log
 
 __all__ = [
     "A2Params",
@@ -129,9 +129,7 @@ class A2Params(GuessLadder):
 
 
 def a2_params(eps: Fraction, m: int, T: Fraction = Fraction(1)) -> A2Params:
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = accuracy(eps)
     if m < 1:
         raise ValueError("machine count must be positive")
     eps_prime = eps / 8
@@ -489,7 +487,7 @@ class A2State(ScaledLane):
     one; callers that check the fill line assert that count is zero.
     """
 
-    def __init__(self, config: TargetConfiguration, label: int = 0):
+    def __init__(self, config: TargetConfiguration):
         params = config.params
         self._start(params)
         self.rule = A2Rule(params, config.c, *a2_rule_thresholds(params, self._scale)[1:])
@@ -497,7 +495,6 @@ class A2State(ScaledLane):
         self.m = params.m
         self.params = params
         self.config = config
-        self.label = label
 
     def _rescale(self, k: int) -> None:
         self.rule.rescale(k)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 from .a2 import a2_family_size, a2_params
 from .adversary import RandomScheduler, StackScheduler, lb1_check, lb1_run, lb2_check, lb2_run
@@ -60,7 +59,8 @@ def _add_adversary(sub):
     p = sub.add_parser("adversary", help="run a lower-bound adversary against victims")
     p.add_argument("--theorem", required=True, choices=("lb1", "lb2"))
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--epsilon", default="1/4", help="lb2 accuracy in (0, 1/4]")
+    p.add_argument("--epsilon", default="1/4",
+                   help="lb2 accuracy in (0, 1/4]; lb1 parses it and does not use it")
     p.add_argument("--victim", required=True,
                    help="list:K for K list lanes, or file:strategy.json")
     p.add_argument("--stop-early", action="store_true")
@@ -132,6 +132,16 @@ def _int_field(lane: dict, key: str, default: int, where: str) -> int:
     return value
 
 
+def _victim(where: str, kind, *args):
+    """The constructor of one file victim; a refusal names its lane."""
+    def make():
+        try:
+            return kind(*args)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return make
+
+
 def _file_victims(path: str, m: int):
     """Victim constructors from a strategy file {"lanes": [{"kind": ..., ...}, ...]}."""
     with open(path) as fh:
@@ -150,11 +160,11 @@ def _file_victims(path: str, m: int):
             if perm is not None and not (isinstance(perm, list)
                                          and all(type(x) is int for x in perm)):
                 raise ValueError(f"{where}.perm: expected a list of machine numbers")
-            victims.append(partial(ListScheduler, m, perm))
+            victims.append(_victim(where, ListScheduler, m, perm))
         elif kind == "stack":
-            victims.append(partial(StackScheduler, m, _int_field(lane, "machine", 1, where)))
+            victims.append(_victim(where, StackScheduler, m, _int_field(lane, "machine", 1, where)))
         elif kind == "random":
-            victims.append(partial(RandomScheduler, m, _int_field(lane, "seed", 0, where)))
+            victims.append(_victim(where, RandomScheduler, m, _int_field(lane, "seed", 0, where)))
         else:
             raise ValueError(f"{where}: unknown victim kind {kind!r}")
     return victims
@@ -230,12 +240,12 @@ def _command(args) -> int:
         return 0
 
     if args.command == "adversary":
+        eps = _rot(args.epsilon)
         makers = _victims(args.victim, args.m)
         if args.theorem == "lb1":
             lb1_check(args.m, len(makers))
             report = lb1_run(args.m, [make() for make in makers], stop_early=args.stop_early)
         else:
-            eps = _rot(args.epsilon)
             lb2_check(args.m, eps, len(makers))
             report = lb2_run(args.m, eps, [make() for make in makers], stop_early=args.stop_early)
         doc = {

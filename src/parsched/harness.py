@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from ._scaling import common_scale, scale_values
 from .a1 import (
+    A1Plan,
     A1Plans,
     A1State,
     ClassPartition,
@@ -50,7 +51,7 @@ from .a2 import (
 from .core import InvariantViolation, Job, JobSequence, LaneRunner, default_lane_cap, select_best
 from .fullsim import a2_full_sweep, a2_lane_makespan
 from .oracle import list_schedule, opt_exact
-from .rational import format_rational
+from .rational import accuracy, format_rational
 from .wrapper import AStar, WrapperParams, astar_params
 
 __all__ = [
@@ -232,25 +233,22 @@ def a1_targeted_factory(seq: JobSequence, eps_inner: Fraction):
 
 
 def a3_targeted_factory(seq: JobSequence, eps_inner: Fraction):
-    """Dispatching factory: censuses at accuracy 1/3 below the machine
-    threshold, valid configurations above it.  The configuration
-    parameters are built once per factory and rebound to each guess."""
+    """Dispatching factory: censuses at the dispatch's accuracy below the
+    machine threshold, configurations above it, whose parameters are built
+    once and rebound to each guess.  A configuration lane's guess is the
+    canonical u capped at kappa: the valid guess (``a2_valid_u``) for the
+    census of a sequence with OPT <= T, and for any other a lane that may fail."""
     choice = a3_dispatch(eps_inner, seq.m)
     if choice.kind == "a1":
-        return a1_targeted_factory(seq, Fraction(1, 3))
+        return a1_targeted_factory(seq, choice.eps)
     scale, census = _suffix_census(seq)
     unit = a2_params(eps_inner, seq.m)
 
     def make(T: Fraction, start_t: int):
         params = unit.at(T)
         counts = params.census(census(start_t)[0], scale)
-        try:
-            u = a2_valid_u(params, counts)
-        except ValueError:
-            # Census inconsistent with OPT <= T: the lane may fail.
-            u = tuple(min(params.kappa, x) for x in params.canonical_u(counts))
-        config = a2_config_from_u(params, u)
-        return [A2State(config)]
+        u = tuple(min(params.kappa, x) for x in params.canonical_u(counts))
+        return [A2State(a2_config_from_u(params, u))]
 
     return make
 
@@ -306,8 +304,7 @@ def compose(algo: str, epsilon: Fraction, m: int) -> Composition:
         inner, inner_eps, lanes = _family_accounting(algo, eps, m)
         return Composition(algo, eps, m, inner, inner_eps, None, lanes)
     if algo in ("a1star", "a3star"):
-        if not 0 < eps <= 1:  # the inner accuracy eps/2 alone would allow eps up to 2
-            raise ValueError("eps must lie in (0, 1]")
+        accuracy(eps)  # the inner accuracy eps/2 alone would allow eps up to 2
         inner_eps = eps / 2
         if algo == "a1star":
             rho = 1 + eps / 2
@@ -346,18 +343,18 @@ def _run_plain_a1(seq, eps, T, mode, check, lane_cap) -> RunResult:
     if mode == "targeted":
         partition = a1_partition(eps, T)
         vector = a1_true_vector(seq.jobs, partition, seq.m)
-        family = a1_family(eps, seq.m, T, vector=vector)
+        lanes = [A1State(A1Plan.build(partition, seq.m, vector), partition)]
     else:
-        family = a1_family(eps, seq.m, T, lane_cap=lane_cap)
+        lanes = a1_family(eps, seq.m, T, lane_cap=lane_cap).lanes()
     schedules = []
-    for lane in family.lanes():
+    for lane in lanes:
         runner = LaneRunner(lane, label=lane.label)
         runner.run(seq.jobs)
         if check and runner.had_no_rule:
             raise InvariantViolation("census lane had no rule; assumed optimum too small")
         schedules.append(runner.schedule)
     best = select_best(schedules)
-    return RunResult("a1", eps, seq.m, len(seq), family.size,
+    return RunResult("a1", eps, seq.m, len(seq), len(lanes),
                      best.makespan(), best.label, opt=seq.planted_opt)
 
 
@@ -397,10 +394,12 @@ def run_algorithm(
         schedule = list_schedule(seq)
         return RunResult("list", None, seq.m, len(seq), 1,
                          schedule.makespan(), 0, opt=seq.planted_opt)
-    eps = Fraction(epsilon) if epsilon is not None else None
+    if algo not in ("a1", "a2", "a3", "a1star", "a3star"):
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if epsilon is None:
+        raise ValueError(f"{algo} requires an accuracy epsilon")
+    eps = Fraction(epsilon)
     if algo in ("a1", "a2", "a3"):
-        if eps is None:
-            raise ValueError(f"{algo} requires an accuracy epsilon")
         if assumed_opt is None:
             raise ValueError(f"{algo} is a known-optimum algorithm: pass the assumed optimum")
         comp = compose(algo, eps, seq.m)  # resolves a3 to its family, once
@@ -408,36 +407,32 @@ def run_algorithm(
         result = run(seq, comp.inner_eps, Fraction(assumed_opt), mode, check, lane_cap)
         result.algo, result.epsilon = algo, eps
         return result
-    if algo in ("a1star", "a3star"):
-        if eps is None:
-            raise ValueError(f"{algo} requires an accuracy epsilon")
-        comp = compose(algo, eps, seq.m)
-        if mode == "targeted":
-            factory = (
-                a1_targeted_factory(seq, comp.inner_eps)
-                if algo == "a1star"
-                else a3_targeted_factory(seq, eps / 2)
-            )
-        else:
-            if comp.inner_algo != "a1":
-                raise ValueError("full mode wrapping is only supported for census lanes")
-            factory = a1_full_factory(comp.inner_eps, seq.m, lane_cap)
-        state = AStar(comp.wrapper, seq.m, factory, check=check, trace=trace)
-        best = state.run(seq)
-        live = state.smallest_guess_has_live_lane() if state.groups else None
-        violations = state.fill_violations()
-        if check and violations:
-            raise InvariantViolation("a configuration lane violated the fill-line property")
-        if check and live is False:
-            raise InvariantViolation("the smallest guess has no live lane")
-        return RunResult(
-            algo, eps, seq.m, len(seq), state.lane_count(),
-            best.makespan(), best.label, adjustments=state.adjustments,
-            opt=seq.planted_opt,
-            gamma1=state.smallest_gamma() if state.groups else None,
-            live_lane=live, fill_violations=violations,
+    comp = compose(algo, eps, seq.m)
+    if mode == "targeted":
+        factory = (
+            a1_targeted_factory(seq, comp.inner_eps)
+            if algo == "a1star"
+            else a3_targeted_factory(seq, eps / 2)
         )
-    raise ValueError(f"unknown algorithm {algo!r}")
+    else:
+        if comp.inner_algo != "a1":
+            raise ValueError("full mode wrapping is only supported for census lanes")
+        factory = a1_full_factory(comp.inner_eps, seq.m, lane_cap)
+    state = AStar(comp.wrapper, seq.m, factory, check=check, trace=trace)
+    best = state.run(seq)
+    live = state.smallest_guess_has_live_lane() if state.groups else None
+    violations = state.fill_violations()
+    if check and violations:
+        raise InvariantViolation("a configuration lane violated the fill-line property")
+    if check and live is False:
+        raise InvariantViolation("the smallest guess has no live lane")
+    return RunResult(
+        algo, eps, seq.m, len(seq), state.lane_count(),
+        best.makespan(), best.label, adjustments=state.adjustments,
+        opt=seq.planted_opt,
+        gamma1=state.smallest_gamma() if state.groups else None,
+        live_lane=live, fill_violations=violations,
+    )
 
 
 # ---------------------------------------------------------------------------

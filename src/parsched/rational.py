@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["parse_rational", "format_rational", "ceil_log"]
+__all__ = ["parse_rational", "format_rational", "ceil_log", "accuracy"]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -42,6 +42,16 @@ def format_rational(value: Fraction) -> str:
     """Canonical lowest-terms ``"a/b"`` form (integers render as ``"a/1"``)."""
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def accuracy(eps) -> Fraction:
+    """eps as a Fraction, refused unless it lies in (0, 1], the range of
+    every accuracy parameter: the census and configuration families' and
+    the guess wrapper's."""
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    return eps
 
 
 def ceil_log(x: Fraction, base: Fraction) -> int:

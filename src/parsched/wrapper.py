@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 from .core import (
     InvariantViolation, Job, JobSequence, LeastLoaded, OnlineScheduler, Schedule, select_best,
 )
-from .rational import ceil_log
+from .rational import accuracy, ceil_log
 
 __all__ = [
     "WrapperParams",
@@ -54,11 +54,9 @@ class WrapperParams:
 
 def astar_params(rho: Fraction, eps: Fraction) -> WrapperParams:
     rho = Fraction(rho)
-    eps = Fraction(eps)
     if rho < 1:
         raise ValueError("inner ratio must be at least 1")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = accuracy(eps)
     eps_g = eps / (3 * rho)
     h = ceil_log(1 + 6 * rho / eps, 1 + eps_g)
     return WrapperParams(rho, eps, eps_g, h)

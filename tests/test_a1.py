@@ -66,7 +66,6 @@ def test_family_sizes():
     assert a1_family_size(F(1), 2) == 25
     assert a1_family_size(F(1), 5) == 121
     assert a1_family(F(1), 2, F(1)).size == 25
-    assert a1_family(F(1), 2, F(1), vector=(1, 1)).size == 1
     with pytest.raises(LaneCapExceeded):
         a1_family(F(1, 2), 2, F(1), lane_cap=1000)  # 9**7 lanes
 

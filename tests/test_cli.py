@@ -246,6 +246,9 @@ def test_malformed_sequence_files_fail_cleanly(tmp_path, capsys, name, text, rea
     ("batch --algo a3star --epsilon 3/2 --m 3 --instances 1 --jsonl {out}",
      "eps must lie in (0, 1]"),
     ("adversary --theorem lb1 --m 6 --victim list:abc --out {out}", "got 'abc'"),
+    # lb1 parses --epsilon as lb2 does, though it does not use it.
+    ("adversary --theorem lb1 --m 6 --epsilon abc --victim list:1 --out {out}",
+     "error: not a nonnegative rational literal: 'abc'"),
     ("adversary --theorem lb1 --m 6 --victim list:0 --out {out}", "need at least one victim"),
     ("adversary --theorem lb1 --m 6 --victim file:{missing} --out {out}",
      "No such file or directory"),
@@ -296,6 +299,10 @@ def test_bad_input_fails_cleanly_for_every_command(tmp_path, capsys, argv, reaso
     ({"lanes": [{"kind": "random", "seed": True}]}, "lanes[0].seed: expected an integer"),
     ({"lanes": [{"kind": "random", "seed": [3]}]}, "lanes[0].seed: expected an integer"),
     ({"lanes": [{"kind": "greedy"}]}, "lanes[0]: unknown victim kind 'greedy'"),
+    # Refusals that only a victim's constructor makes, after the count is checked.
+    ({"lanes": [{"kind": "stack", "machine": 9}]}, "lanes[0]: machine out of range"),
+    ({"lanes": [{"kind": "stack"}, {"kind": "list", "perm": [1, 1, 2, 3, 4, 5]}]},
+     "lanes[1]: perm must be a permutation of 1..m"),
 ])
 def test_malformed_victim_files_fail_cleanly(tmp_path, capsys, doc, reason):
     """A `file:` victim strategy of the wrong shape is `error: <path>: ...`
@@ -311,6 +318,18 @@ def test_malformed_victim_files_fail_cleanly(tmp_path, capsys, doc, reason):
     assert captured.err.startswith(f"error: {strategy}: ")
     assert reason in captured.err
     assert not out_path.exists()
+
+
+def test_adversary_lb1_accepts_a_valid_epsilon(tmp_path, capsys):
+    """lb1 takes no accuracy: a value that parses changes nothing."""
+    reports = []
+    for extra in ([], ["--epsilon", "1/3"]):
+        out_path = tmp_path / "report.json"
+        code, out = run_cli(capsys, "adversary", "--theorem", "lb1", "--m", "6", *extra,
+                            "--victim", "list:1", "--out", str(out_path))
+        assert code == 0
+        reports.append((out, out_path.read_text()))
+    assert reports[0] == reports[1]
 
 
 def test_victim_file_defaults_and_null_perm(tmp_path, capsys):

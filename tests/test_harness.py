@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -7,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsched.a1 import (
-    A1State, a1_count_cap, a1_family, a1_family_size, a1_partition, a1_true_vector,
+    A1Family, A1Plan, A1State, a1_count_cap, a1_family, a1_family_size, a1_partition,
+    a1_true_vector,
 )
-from parsched.a2 import a2_class_counts, a2_config_from_u, a2_family_size, a2_params, a2_valid_u
+from parsched.a2 import (
+    a2_class_counts, a2_config_from_u, a2_family_size, a2_params, a2_valid_u, a3_dispatch,
+)
 from parsched import harness
-from parsched.core import InvariantViolation, Job, JobSequence
+from parsched.core import InvariantViolation, Job, JobSequence, LaneRunner, select_best
 from parsched.harness import (
     ORDERS,
     BATCH_ORDERS,
@@ -422,3 +426,88 @@ def test_targeted_factory_flags_only_small_suffixes_that_are_not_doomed(sizes, f
     else:
         with pytest.raises(ValueError, match="all-zero vector"):
             A1State(lane.plan, lane.partition, least_loaded=True)
+
+
+def _parent_a3_guess(params, counts):
+    """The a3 factory's guess as first written: the checked canonical u,
+    else, for a census no sequence of OPT <= T has, its capped canonical u."""
+    try:
+        return a2_valid_u(params, counts)
+    except ValueError:
+        return tuple(min(params.kappa, x) for x in params.canonical_u(counts))
+
+
+@pytest.mark.parametrize("eps, ms", [(F(1), (256, 300, 1024)), (F(1, 2), (1024, 1500))])
+def test_a3_factory_guess_matches_checked_guess_with_fallback(monkeypatch, eps, ms):
+    """The a3 factory's configuration lane takes the capped canonical u.
+    On random censuses at and above the machine threshold that is the guess,
+    and the configuration, of the checked guess with its fallback, whether
+    the census packs into m machines or not and whether an entry is above
+    kappa.  Below the threshold the factory's census lanes run at the
+    dispatch's accuracy."""
+    guesses = []
+    monkeypatch.setattr(harness, "a2_config_from_u",
+                        lambda params, u: guesses.append(u) or a2_config_from_u(params, u))
+    rng = random.Random(7)
+    kinds = set()
+    for m in ms:
+        for _ in range(40):
+            T = F(rng.randint(1, 12), rng.randint(1, 12))
+            params = a2_params(eps, m, T)
+            assert params.m >= params.threshold()
+            top = rng.choice([params.m // 4, 2 * params.m, params.kappa * params.m0 * 3])
+            counts = [rng.randint(0, top) if rng.random() < 0.7 else 0
+                      for _ in range(params.n_classes)]
+            sizes = [b for b, n in zip(params.class_bounds, counts) for _ in range(n)]
+            sizes += [params.small_max] * rng.randint(0, 5)
+            rng.shuffle(sizes)
+            seq = JobSequence.from_sizes(m, sizes)
+            assert a2_class_counts(params, seq.jobs) == tuple(counts)
+            want = _parent_a3_guess(params, counts)
+            (lane,) = a3_targeted_factory(seq, eps)(T, 1)
+            assert guesses.pop() == want
+            assert lane.config == a2_config_from_u(params, want)
+            packing = (sum(counts[:params.levels]) + 1) // 2 + sum(counts[params.levels:])
+            kinds.add((packing > m, max(params.canonical_u(counts)) > params.kappa))
+    assert kinds >= {(False, False), (True, False), (True, True)}
+    for m in (2, 8, 255):
+        (lane,) = a3_targeted_factory(JobSequence.from_sizes(m, ["1/2"]), F(1))(F(1), 1)
+        assert lane.partition.eps == a3_dispatch(F(1), m).eps == F(1, 3)
+
+
+@pytest.mark.parametrize("eps", [F(1), F(1, 2)])
+def test_plain_a1_lane_matches_one_vector_family(monkeypatch, eps):
+    """A plain targeted a1 run builds its one lane from the true vector's
+    plan.  At m = 2..8 it matches, in plan, loads and makespan, the run of
+    the one-vector family ``A1Family(partition, m, [vector])``, also for
+    vectors whose LPT exceeds (1+eps')*T, where the fit decision runs."""
+    made = []
+    monkeypatch.setattr(harness, "A1State", lambda *a: made.append(A1State(*a)) or made[-1])
+    rng = random.Random(11)
+    fitted = 0
+    cases = [(3, F(1), (1, 1, 2, 1, 0, 0, 1))] if eps == F(1, 2) else []
+    levels = a1_partition(eps).levels
+    for _ in range(60):
+        m, T = rng.randint(2, 8), F(rng.randint(1, 9), rng.randint(1, 9))
+        cases.append((m, T, tuple(rng.randint(0, m) if rng.random() < 0.5 else 0
+                                  for _ in range(levels))))
+    for m, T, vector in cases:
+        partition = a1_partition(eps, T)
+        sizes = [b for b, n in zip(partition.bounds[1:], vector) for _ in range(n)]
+        sizes += [partition.bounds[0] * F(rng.randint(1, 4), 4) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(sizes)
+        seq = JobSequence.from_sizes(m, sizes)
+        assert a1_true_vector(seq.jobs, partition, m) == vector
+        family = A1Family(partition, m, [vector])
+        (want,) = family.lanes()
+        runner = LaneRunner(want, label=want.label)
+        runner.run(seq.jobs)
+        best = select_best([runner.schedule])
+        result = run_algorithm("a1", seq, eps, assumed_opt=T)
+        (lane,) = made
+        made.clear()
+        assert lane.plan == want.plan and lane.loads == want.loads
+        assert (result.makespan, result.best_label, result.lanes) == (best.makespan(), best.label,
+                                                                      family.size)
+        fitted += lane.plan != A1Plan.build(partition, m, vector, exact=False)
+    assert fitted or eps == F(1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsched.rational import ceil_log, format_rational, parse_rational
+from parsched.rational import accuracy, ceil_log, format_rational, parse_rational
 
 
 def test_parse_literals():
@@ -20,6 +20,15 @@ def test_parse_literals():
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_accuracy_range():
+    """Every accuracy parameter lies in (0, 1], both ends as written."""
+    assert accuracy(1) == 1 and type(accuracy(1)) is F
+    assert accuracy("1/2") == F(1, 2)
+    for bad in (0, F(-1, 2), F(1001, 1000), 2):
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\]$"):
+            accuracy(bad)
 
 
 def test_format_round_trip():

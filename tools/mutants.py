@@ -244,12 +244,48 @@ REGISTER = [
         "        makers = [lambda v=make(): v for make in _victims(args.victim, args.m)]\n",
         ("tests/test_cli.py::test_adversary_refuses_victim_count_before_building_a_victim",),
     ),
+    # Each targeted-lane rule stated once.
     Mutant(
-        "a3 targeted factory: the fallback's canonical u not capped at kappa",
+        "a3 targeted factory: the guess's canonical u not capped at kappa",
         "src/parsched/harness.py",
         "u = tuple(min(params.kappa, x) for x in params.canonical_u(counts))",
         "u = params.canonical_u(counts)",
         ("tests/test_harness.py::test_a3_factory_falls_back_to_capped_canonical_u",),
+    ),
+    Mutant(
+        "a3 targeted factory: the census branch at the inner eps, not the dispatch's",
+        "src/parsched/harness.py",
+        "return a1_targeted_factory(seq, choice.eps)",
+        "return a1_targeted_factory(seq, eps_inner)",
+        ("tests/test_harness.py::test_a3_factory_guess_matches_checked_guess_with_fallback",),
+    ),
+    Mutant(
+        "plain census run: its lane's plan built with exact=False",
+        "src/parsched/harness.py",
+        "A1Plan.build(partition, seq.m, vector)",
+        "A1Plan.build(partition, seq.m, vector, exact=False)",
+        ("tests/test_harness.py::test_plain_a1_lane_matches_one_vector_family",),
+    ),
+    Mutant(
+        "accuracy: eps = 1 refused",
+        "src/parsched/rational.py",
+        "if not 0 < eps <= 1:",
+        "if not 0 < eps < 1:",
+        ("tests/test_rational.py::test_accuracy_range",),
+    ),
+    Mutant(
+        "cli: lb1 does not parse --epsilon",
+        "src/parsched/cli.py",
+        "        eps = _rot(args.epsilon)\n",
+        "        eps = _rot(args.epsilon) if args.theorem == \"lb2\" else None\n",
+        ("tests/test_cli.py::test_bad_input_fails_cleanly_for_every_command",),
+    ),
+    Mutant(
+        "cli: a victim constructor's refusal does not name its lane",
+        "src/parsched/cli.py",
+        'raise ValueError(f"{where}: {exc}") from None',
+        "raise",
+        ("tests/test_cli.py::test_malformed_victim_files_fail_cleanly",),
     ),
 ]
 
