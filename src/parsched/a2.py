@@ -29,7 +29,6 @@ __all__ = [
     "a2_rule_thresholds",
     "a2_block_lengths",
     "a2_config_from_u",
-    "a2_is_valid",
     "a2_valid_u",
     "a2_family_size",
     "a2_class_counts",
@@ -99,11 +98,6 @@ class A2Params(GuessLadder):
         return self._at_T(self.cap)
 
     @property
-    def fill_line(self) -> Fraction:
-        """(1 + eps') * T, the level small loads are meant to reach."""
-        return self._at_T(self.fill)
-
-    @property
     def class_bounds(self) -> tuple[Fraction, ...]:
         """Upper endpoints of classes 1..2*levels-1, strictly increasing."""
         return self.bounds[1:]
@@ -118,10 +112,6 @@ class A2Params(GuessLadder):
         """The canonical guess floor(n_i / (slots_i * m0)) of a census, not
         capped at kappa; m0 > 0 at or above the machine threshold."""
         return tuple(counts[i] // (self.slots_of(i + 1) * self.m0) for i in range(self.n_classes))
-
-    def ell_bounds_of(self, cls: int) -> tuple[Fraction, Fraction]:
-        """(targeted minimum, targeted maximum) load of a class-cls machine."""
-        return self._at_T(self.ell_minus[cls]), self._at_T(self.ell_plus[cls])
 
     def threshold(self) -> Fraction:
         """Machine count below which the census family takes over."""
@@ -187,10 +177,6 @@ class TargetConfiguration:
         if self.c and (min(self.c) < 0 or max(self.c) > self.params.n_classes):
             raise ValueError("configuration entries must lie in 0..2l-1")
 
-    def machine_counts(self) -> tuple[int, ...]:
-        """m_i = number of class-i core machines, i = 1..2l-1."""
-        return tuple(map(self.c.count, range(1, self.params.n_classes + 1)))
-
 
 def a2_block_lengths(params: A2Params, u: Sequence[int]) -> tuple[int, ...]:
     """Core machines each class claims under guess u, in class order.
@@ -224,24 +210,6 @@ def a2_config_from_u(params: A2Params, u: Sequence[int]) -> TargetConfiguration:
         c.extend([i] * n)
     c.extend([0] * (params.mu - len(c)))
     return TargetConfiguration(params, tuple(c))
-
-
-def a2_is_valid(params: A2Params, config: TargetConfiguration, counts: Sequence[int]) -> bool:
-    """True iff the sequence census supports the configuration.
-
-    Core demand must be covered class by class (two jobs per medium
-    machine, one per doubled machine) and the surplus large jobs must
-    fit on the reserve machines, pairing mediums two per machine.
-    """
-    counts = tuple(int(x) for x in counts)
-    if len(counts) != params.n_classes:
-        raise ValueError("counts length must be 2l-1")
-    m_i = config.machine_counts()
-    if any(params.slots_of(i) * m_i[i - 1] > counts[i - 1] for i in range(1, params.n_classes + 1)):
-        return False
-    surplus_medium = sum(counts[: params.levels]) - 2 * sum(m_i[: params.levels])
-    surplus_big = sum(counts[params.levels :]) - sum(m_i[params.levels :])
-    return (surplus_medium + 1) // 2 + surplus_big <= params.m - params.mu
 
 
 def a2_valid_u(params: A2Params, counts: Sequence[int]) -> tuple[int, ...]:

@@ -40,10 +40,11 @@ _DEFAULT_LANE_CAP = 500_000
 def default_lane_cap(lane_cap: Optional[int] = None) -> int:
     """Lane cap for full families: ``lane_cap`` if given, else PARSCHED_LANE_CAP, else 500000.
 
-    Anything but a positive integer raises ValueError naming its source.
+    Anything but a positive integer, a bool included, raises ValueError
+    naming its source.
     """
     if lane_cap is not None:
-        if not isinstance(lane_cap, int) or lane_cap < 1:
+        if type(lane_cap) is not int or lane_cap < 1:
             raise ValueError(f"lane cap (--lane-cap) must be a positive integer, got {lane_cap!r}")
         return lane_cap
     raw = os.environ.get(_LANE_CAP_ENV)
@@ -79,7 +80,8 @@ class InvariantViolation(AssertionError):
 
 @dataclass(frozen=True)
 class Job:
-    """One job: 1-based arrival position and exact processing time."""
+    """One job: 1-based arrival position and exact processing time, an
+    int or a Fraction; a float or a bool is refused as not exact."""
 
     index: int
     p: Fraction
@@ -87,6 +89,8 @@ class Job:
     def __post_init__(self) -> None:
         if self.index < 1:
             raise ValueError("job index is 1-based")
+        if type(self.p) not in (Fraction, int):
+            raise ValueError(f"job {self.index}: expected an int or a Fraction, got {self.p!r}")
         if self.p <= 0:
             raise ValueError("processing time must be positive")
 
@@ -113,9 +117,15 @@ class JobSequence:
         sizes: Iterable[Fraction | int | str],
         planted_opt: Optional[Fraction] = None,
     ) -> "JobSequence":
+        """Jobs 1..n of the given sizes: ints, Fractions or rational strings
+        such as "3/4" or "0.25".  Any other entry, a float or a bool
+        included, is not exact, and a ValueError names the first."""
         jobs = []
         for t, s in enumerate(sizes, start=1):
-            p = parse_rational(s) if isinstance(s, str) else Fraction(s)
+            if type(s) not in (int, Fraction, str):
+                raise ValueError(f'sizes[{t - 1}]: expected an integer, a Fraction or a string '
+                                 f'like "3/4", got {s!r}')
+            p = parse_rational(s) if type(s) is str else Fraction(s)
             jobs.append(Job(t, p))
         return cls(m, jobs, planted_opt)
 

@@ -1,4 +1,4 @@
-"""Configuration-family sweeps and the brute-force test oracle, in exact integers.
+"""Configuration-family sweeps in exact integers.
 
 A sweep scales every size and threshold of one (eps, m, T) to a common
 denominator and drives ``a2.A2Rule`` over the resulting integers.  A
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._scaling import common_scale, scale_values
 from .a2 import (
     A2Params,
     A2Rule,
@@ -28,7 +27,7 @@ from .a2 import (
     a2_rule_thresholds,
     lane_index_to_u,
 )
-from .core import JobSequence, check_lane_cap
+from .core import check_lane_cap
 
 __all__ = [
     "A2Sweep",
@@ -36,7 +35,6 @@ __all__ = [
     "active_backend",
     "a2_full_sweep",
     "a2_lane_makespan",
-    "brute_force_opt",
 ]
 
 
@@ -149,44 +147,3 @@ def a2_lane_makespan(
     sweep = a2_full_sweep(eps, m, T, jobs, lanes=(lane, lane + 1))
     return sweep.makespan(lane), sweep.fill_violations
 
-
-def brute_force_opt(seq: JobSequence) -> Fraction:
-    """Exact optimum by full m**n enumeration (test oracle, no pruning).
-
-    Recursion places all but the last two jobs and plain loops place
-    those two, so every one of the m**n assignments is still evaluated.
-    """
-    jobs = seq.sizes()
-    n, m = len(jobs), seq.m
-    if n <= 1:
-        return sum(jobs, Fraction(0))
-    scale = common_scale(jobs)
-    jobs_s = scale_values(jobs, scale)
-    loads = [0] * m
-    best = sum(jobs_s) + 1
-    last = jobs_s[-1]
-
-    def walk(idx: int, cur_max: int) -> None:
-        nonlocal best
-        p = jobs_s[idx]
-        if idx == n - 2:
-            for j in range(m):
-                top = loads[j] + p
-                loads[j] = top
-                if top < cur_max:
-                    top = cur_max
-                for load in loads:
-                    load += last
-                    if load < top:
-                        load = top
-                    if load < best:
-                        best = load
-                loads[j] -= p
-            return
-        for j in range(m):
-            loads[j] += p
-            walk(idx + 1, loads[j] if loads[j] > cur_max else cur_max)
-            loads[j] -= p
-
-    walk(0, 0)
-    return Fraction(best, scale)

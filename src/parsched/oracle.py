@@ -1,11 +1,10 @@
-"""Exact offline optimum, multiset scheduling, and greedy baselines.
+"""Exact offline optimum, the multiset fit decision, and greedy baselines.
 
 ``opt_exact`` is a branch-and-bound over arbitrary instances (guarded by
 a size cap).  ``fit_multiset`` decides whether a small number of distinct
 job sizes with multiplicities fits under a load limit, which is what the
-census-family lanes need for their virtual target schedules;
-``opt_multiset`` bisects over such decisions for the optimum.  List/LPT
-serve as baselines and as seeds for the exact searches.
+census-family lanes need for their virtual target schedules.  List/LPT
+serve as baselines and as the seed of the exact search.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "opt_exact",
     "fit_multiset",
-    "opt_multiset",
-    "lpt_multiset",
     "lower_bound",
     "list_schedule",
     "lpt_schedule",
@@ -163,9 +160,6 @@ class MultisetInstance:
         """Classes with positive counts, sorted by decreasing size."""
         return tuple(sorted(((s, c) for s, c in self.classes if c > 0), key=lambda sc: -sc[0]))
 
-    def total(self) -> Fraction:
-        return sum(s * c for s, c in self.classes)
-
 
 @dataclass
 class MultisetSchedule:
@@ -187,14 +181,6 @@ class MultisetSchedule:
     def makespan(self) -> Fraction:
         loads = self.loads()
         return max(loads) if loads else Fraction(0)
-
-
-def lpt_multiset(inst: MultisetInstance) -> MultisetSchedule:
-    """LPT over the multiset; used as incumbent and as a fast fit test."""
-    norm = inst.normalized()
-    loads = [0] * inst.m
-    counts = add_equal(loads, norm)
-    return MultisetSchedule(inst, tuple(s for s, _ in norm), counts, tuple(loads))
 
 
 def _ffd_fits(sizes, counts, m, limit):
@@ -361,39 +347,3 @@ def fit_multiset(inst: MultisetInstance, limit,
     placed = _fit_decision(sizes, [c for _, c in norm], inst.m, limit, node_cap)
     return None if placed is None else MultisetSchedule(inst, sizes, placed)
 
-
-def opt_multiset(inst: MultisetInstance, node_cap: int = 2_000_000) -> MultisetSchedule:
-    """Exact optimal schedule of a multiset instance.
-
-    The optimum makespan is one of the achievable machine loads, i.e. a
-    subset sum of the multiset; the candidates inside [lower bound,
-    LPT makespan] are searched by bisection with an exact fit test.
-    """
-    norm = inst.normalized()
-    sizes = tuple(s for s, _ in norm)
-    counts = [c for _, c in norm]
-    m = inst.m
-    if not sizes:
-        return MultisetSchedule(inst, (), ())
-    incumbent = lpt_multiset(inst)
-    ub = incumbent.makespan()
-    lb = lower_bound(inst.total(), sizes[0], m)
-    if ub == lb:
-        return incumbent
-    sums = {0}
-    for size, count in zip(sizes, counts):
-        reach = min(count, int(ub // size))  # more copies cannot fit under ub
-        step = {s + k * size for s in sums for k in range(1, reach + 1) if s + k * size <= ub}
-        sums |= step
-    candidates = sorted(s for s in sums if lb <= s < ub)
-    best = incumbent
-    lo, hi = 0, len(candidates)  # candidates[hi] == ub conceptually, known feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        fit = fit_multiset(inst, candidates[mid], node_cap)
-        if fit is None:
-            lo = mid + 1
-        else:
-            best = fit
-            hi = mid
-    return best

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import (
-    InvariantViolation, Job, JobSequence, LeastLoaded, OnlineScheduler, Schedule, select_best,
-)
+from .core import InvariantViolation, Job, JobSequence, LeastLoaded, OnlineScheduler, Schedule
 from .rational import accuracy, ceil_log
 
 __all__ = [
@@ -365,9 +363,12 @@ class AStar:
                 raise InvariantViolation("guess order broken")
 
     def _inners(self, gamma: Fraction, start_t: int) -> list[OnlineScheduler]:
-        """The factory's lanes for one guess; every call must return as many."""
+        """The factory's lanes for one guess; the first call must return at
+        least one, and every later call as many as the first."""
         inners = list(self.factory(gamma, start_t))
         if self.lanes_per_guess is None:
+            if not inners:
+                raise ValueError("inner factory returned no lanes")
             self.lanes_per_guess = len(inners)
         elif len(inners) != self.lanes_per_guess:
             raise ValueError("inner factory must return a fixed number of lanes")
@@ -462,9 +463,8 @@ class AStar:
             return Schedule(self.m, 0)  # empty sequence: empty schedule
         # Every lane's physical loads share the run-wide scale, so comparing
         # them picks the schedule select_best would; only that one is built.
+        # Every guess has at least one lane (see _inners).
         lanes = [lane for group in self.groups for lane in group.lanes]
-        if not lanes:
-            return select_best(())  # raises: nothing to select from
         return min(lanes, key=lambda lane: (max(lane.physical_loads), lane.label)).physical
 
     # Diagnostics used by the acceptance suite.

@@ -10,6 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from parsched._scaling import common_scale, scale_values
+from parsched.a2 import A2Params, TargetConfiguration
 from parsched.adversary import (
     AdversaryReport,
     classify_lb1,
@@ -18,8 +20,10 @@ from parsched.adversary import (
     lb1_universe,
     lb2_universe,
 )
-from parsched.core import InvariantViolation, Job, JobSequence, LaneRunner, OnlineScheduler, Schedule
-from parsched.oracle import MultisetSchedule, opt_exact
+from parsched.core import (
+    InvariantViolation, Job, JobSequence, LaneRunner, OnlineScheduler, Schedule, add_equal,
+)
+from parsched.oracle import MultisetInstance, MultisetSchedule, fit_multiset, lower_bound, opt_exact
 
 
 class TimeLimitExceeded(BaseException):
@@ -57,6 +61,136 @@ def multiset_sequence(ms: MultisetSchedule) -> JobSequence:
     for i, size in enumerate(ms.sizes):
         sizes.extend([size] * sum(ms.counts[i]))
     return JobSequence.from_sizes(ms.inst.m, sizes)
+
+
+# References and views that no run calls, kept here so that the package
+# holds only what a run uses: the m**n enumeration, the exact multiset
+# optimum, the configuration-validity predicate and Fraction views of the
+# configuration thresholds.
+
+
+def brute_force_opt(seq: JobSequence) -> Fraction:
+    """Exact optimum by full m**n enumeration (test oracle, no pruning).
+
+    Recursion places all but the last two jobs and plain loops place
+    those two, so every one of the m**n assignments is still evaluated.
+    """
+    jobs = seq.sizes()
+    n, m = len(jobs), seq.m
+    if n <= 1:
+        return sum(jobs, Fraction(0))
+    scale = common_scale(jobs)
+    jobs_s = scale_values(jobs, scale)
+    loads = [0] * m
+    best = sum(jobs_s) + 1
+    last = jobs_s[-1]
+
+    def walk(idx: int, cur_max: int) -> None:
+        nonlocal best
+        p = jobs_s[idx]
+        if idx == n - 2:
+            for j in range(m):
+                top = loads[j] + p
+                loads[j] = top
+                if top < cur_max:
+                    top = cur_max
+                for load in loads:
+                    load += last
+                    if load < top:
+                        load = top
+                    if load < best:
+                        best = load
+                loads[j] -= p
+            return
+        for j in range(m):
+            loads[j] += p
+            walk(idx + 1, loads[j] if loads[j] > cur_max else cur_max)
+            loads[j] -= p
+
+    walk(0, 0)
+    return Fraction(best, scale)
+
+
+def multiset_total(inst: MultisetInstance) -> Fraction:
+    return sum(s * c for s, c in inst.classes)
+
+
+def lpt_multiset(inst: MultisetInstance) -> MultisetSchedule:
+    """LPT over the multiset; used as incumbent and as a fast fit test."""
+    norm = inst.normalized()
+    loads = [0] * inst.m
+    counts = add_equal(loads, norm)
+    return MultisetSchedule(inst, tuple(s for s, _ in norm), counts, tuple(loads))
+
+
+def opt_multiset(inst: MultisetInstance, node_cap: int = 2_000_000) -> MultisetSchedule:
+    """Exact optimal schedule of a multiset instance.
+
+    The optimum makespan is one of the achievable machine loads, i.e. a
+    subset sum of the multiset; the candidates inside [lower bound,
+    LPT makespan] are searched by bisection with an exact fit test.
+    """
+    norm = inst.normalized()
+    sizes = tuple(s for s, _ in norm)
+    counts = [c for _, c in norm]
+    m = inst.m
+    if not sizes:
+        return MultisetSchedule(inst, (), ())
+    incumbent = lpt_multiset(inst)
+    ub = incumbent.makespan()
+    lb = lower_bound(multiset_total(inst), sizes[0], m)
+    if ub == lb:
+        return incumbent
+    sums = {0}
+    for size, count in zip(sizes, counts):
+        reach = min(count, int(ub // size))  # more copies cannot fit under ub
+        step = {s + k * size for s in sums for k in range(1, reach + 1) if s + k * size <= ub}
+        sums |= step
+    candidates = sorted(s for s in sums if lb <= s < ub)
+    best = incumbent
+    lo, hi = 0, len(candidates)  # candidates[hi] == ub conceptually, known feasible
+    while lo < hi:
+        mid = (lo + hi) // 2
+        fit = fit_multiset(inst, candidates[mid], node_cap)
+        if fit is None:
+            lo = mid + 1
+        else:
+            best = fit
+            hi = mid
+    return best
+
+
+def machine_counts(config: TargetConfiguration) -> tuple[int, ...]:
+    """m_i = number of class-i core machines, i = 1..2l-1."""
+    return tuple(map(config.c.count, range(1, config.params.n_classes + 1)))
+
+
+def a2_is_valid(params: A2Params, config: TargetConfiguration, counts: Sequence[int]) -> bool:
+    """True iff the sequence census supports the configuration.
+
+    Core demand must be covered class by class (two jobs per medium
+    machine, one per doubled machine) and the surplus large jobs must
+    fit on the reserve machines, pairing mediums two per machine.
+    """
+    counts = tuple(int(x) for x in counts)
+    if len(counts) != params.n_classes:
+        raise ValueError("counts length must be 2l-1")
+    m_i = machine_counts(config)
+    if any(params.slots_of(i) * m_i[i - 1] > counts[i - 1] for i in range(1, params.n_classes + 1)):
+        return False
+    surplus_medium = sum(counts[: params.levels]) - 2 * sum(m_i[: params.levels])
+    surplus_big = sum(counts[params.levels :]) - sum(m_i[params.levels :])
+    return (surplus_medium + 1) // 2 + surplus_big <= params.m - params.mu
+
+
+def fill_line(params: A2Params) -> Fraction:
+    """(1 + eps') * T, the level small loads are meant to reach."""
+    return params._at_T(params.fill)
+
+
+def ell_bounds_of(params: A2Params, cls: int) -> tuple[Fraction, Fraction]:
+    """(targeted minimum, targeted maximum) load of a class-cls machine."""
+    return params._at_T(params.ell_minus[cls]), params._at_T(params.ell_plus[cls])
 
 
 def check_loads(schedule: Schedule, jobs: Sequence[Job]) -> bool:

@@ -21,9 +21,9 @@ from parsched.a1 import (
 )
 from parsched.core import Job, JobSequence, LaneRunner, select_best
 from parsched.harness import gen_planted
-from parsched.oracle import MultisetInstance, fit_multiset, lpt_multiset
+from parsched.oracle import MultisetInstance, fit_multiset
 
-from helpers import check_offer_matches_propose, scale_jumps, step
+from helpers import check_offer_matches_propose, lpt_multiset, scale_jumps, step
 
 
 def test_partition_examples():

@@ -13,7 +13,6 @@ from parsched.a2 import (
     a2_class_counts,
     a2_config_from_u,
     a2_family_size,
-    a2_is_valid,
     a2_params,
     a2_rule_thresholds,
     a2_valid_u,
@@ -25,7 +24,7 @@ from parsched.core import Job
 from parsched.fullsim import _prepare, a2_full_sweep
 from parsched.harness import gen_planted
 
-from helpers import check_offer_matches_propose, scale_jumps, step
+from helpers import a2_is_valid, check_offer_matches_propose, ell_bounds_of, fill_line, scale_jumps, step
 
 EPS_ONE = a2_params(F(1), 256, F(1))
 
@@ -298,9 +297,9 @@ def test_rule_matches_linear_scan_reference(eps, m, T, scaled, rng):
         config = tuple(rng.randint(0, params.n_classes) for _ in range(params.mu))
     cls, _, jobs_s, emc, epc, cap, fill = _prepare(params, jobs)
     if not scaled:
-        bounds = [params.ell_bounds_of(k) for k in range(params.n_classes + 1)]
+        bounds = [ell_bounds_of(params, k) for k in range(params.n_classes + 1)]
         emc, epc = [lo for lo, _ in bounds], [hi for _, hi in bounds]
-        cap, fill, jobs_s = params.load_cap, params.fill_line, jobs
+        cap, fill, jobs_s = params.load_cap, fill_line(params), jobs
     args = (params, config, cap, fill, emc, epc)
     drive_both(A2Rule(*args), LinearScanRule(*args), list(zip(cls, jobs_s)), rng)
 
@@ -346,8 +345,8 @@ def test_rule_small_runs_match_reference_across_rescale(eps, m, rng):
     params = a2_params(eps, m, F(1))
     u = [rng.randint(0, min(3, params.kappa)) for _ in range(params.n_classes)]
     config = a2_config_from_u(params, u).c
-    bounds = [params.ell_bounds_of(k) for k in range(params.n_classes + 1)]
-    args = (params, config, params.load_cap, params.fill_line,
+    bounds = [ell_bounds_of(params, k) for k in range(params.n_classes + 1)]
+    args = (params, config, params.load_cap, fill_line(params),
             [lo for lo, _ in bounds], [hi for _, hi in bounds])
     rule, ref = A2Rule(*args), LinearScanRule(*args)
     edges = (0, params.small_max) + params.class_bounds
@@ -392,8 +391,8 @@ def test_integer_lane_matches_fraction_rule(eps, m, T, rng):
     else:
         config = TargetConfiguration(
             params, tuple(rng.randint(0, params.n_classes) for _ in range(params.mu)))
-    bounds = [params.ell_bounds_of(k) for k in range(params.n_classes + 1)]
-    ref = A2Rule(params, config.c, params.load_cap, params.fill_line,
+    bounds = [ell_bounds_of(params, k) for k in range(params.n_classes + 1)]
+    ref = A2Rule(params, config.c, params.load_cap, fill_line(params),
                  [lo for lo, _ in bounds], [hi for _, hi in bounds])
     lane = A2State(config)
     top = params.bounds[-1]
@@ -490,8 +489,8 @@ def test_rebound_lane_matches_lane_built_at_the_guess(eps, m, p1, k, rng):
     params = unit.at(T)
     assert params == a2_params(eps, m, T)
     bounds, cap, fill, ell_minus, ell_plus = fraction_params_reference(eps, T)
-    assert (params.bounds, params.load_cap, params.fill_line) == (bounds, cap, fill)
-    assert [params.ell_bounds_of(cls) for cls in range(params.n_classes + 1)] == list(
+    assert (params.bounds, params.load_cap, fill_line(params)) == (bounds, cap, fill)
+    assert [ell_bounds_of(params, cls) for cls in range(params.n_classes + 1)] == list(
         zip(ell_minus, ell_plus))
     assert params.scale() == math.lcm(*(x.denominator for x in (*bounds, cap, fill, *ell_minus,
                                                                    *ell_plus)))

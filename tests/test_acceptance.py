@@ -17,7 +17,6 @@ from parsched.a2 import (
     A2State,
     a2_class_counts,
     a2_config_from_u,
-    a2_is_valid,
     a2_params,
     a2_valid_u,
     u_to_lane_index,
@@ -31,10 +30,10 @@ from parsched.adversary import (
 )
 from parsched.core import JobSequence, LaneRunner, select_best
 from parsched.harness import compose, gen_planted, run_algorithm
-from parsched.oracle import ListScheduler, opt_exact, opt_multiset, MultisetInstance
+from parsched.oracle import ListScheduler, opt_exact, MultisetInstance
 from parsched.rational import ceil_log
 
-from helpers import multiset_sequence, step
+from helpers import a2_is_valid, brute_force_opt, multiset_sequence, opt_multiset, step
 
 ORDERS = ("shuffle", "largest_first", "smallest_first", "interleave")
 
@@ -261,7 +260,7 @@ def test_criterion_7_oracle_agreement():
             m = rng.randint(1, 4)
             sizes = [F(rng.randint(1, 24), rng.choice([1, 2, 3, 4, 6, 8])) for _ in range(n)]
             seq = JobSequence.from_sizes(m, sizes)
-            assert opt_exact(seq) == fullsim.brute_force_opt(seq)
+            assert opt_exact(seq) == brute_force_opt(seq)
         for _ in range(200):
             m = rng.randint(1, 4)
             k = rng.randint(1, 4)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsched.core import Job, JobSequence, LaneRunner, LeastLoaded, Schedule, add_equal, select_best
+from parsched.core import (
+    Job, JobSequence, LaneRunner, LeastLoaded, Schedule, add_equal, default_lane_cap, select_best,
+)
 
 from helpers import check_loads, time_limit
 
@@ -19,6 +21,27 @@ def test_job_validation():
         Job(1, F(0))
     with pytest.raises(ValueError):
         Job(0, F(1))
+    for inexact in (0.5, True):
+        with pytest.raises(ValueError, match=rf"job 2: expected an int or a Fraction, got {inexact!r}"):
+            Job(2, inexact)
+    assert Job(1, 2).p == 2
+
+
+@pytest.mark.parametrize("sizes, k", [([F(1, 2), 0.1, 0.9], 1), ([2, "1/3", True], 2), ([False], 0)])
+def test_sequence_refuses_inexact_sizes(sizes, k):
+    """A float or a bool is not an exact size: from_sizes names the entry,
+    as from_json does, instead of binding the float's binary value."""
+    with pytest.raises(ValueError) as info:
+        JobSequence.from_sizes(2, sizes)
+    assert str(info.value) == (
+        f'sizes[{k}]: expected an integer, a Fraction or a string like "3/4", got {sizes[k]!r}')
+
+
+@pytest.mark.parametrize("cap", [True, False, 0, -1, 1.0, "3"])
+def test_default_lane_cap_takes_positive_ints_only(cap):
+    with pytest.raises(ValueError, match=r"lane cap \(--lane-cap\) must be a positive integer"):
+        default_lane_cap(cap)
+    assert default_lane_cap(7) == 7
 
 
 def test_sequence_round_trip(tmp_path):

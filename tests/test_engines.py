@@ -21,7 +21,7 @@ from parsched.core import Job, JobSequence
 from parsched.harness import gen_planted
 from parsched.oracle import opt_exact
 
-from helpers import step
+from helpers import brute_force_opt, step
 
 
 def random_jobs(rng, n, denom, T):
@@ -109,7 +109,7 @@ def test_brute_force_backends_agree():
         n, m = rng.randint(1, 8), rng.randint(1, 4)
         seq = JobSequence.from_sizes(m, random_jobs(rng, n, 12, F(1)))
         expected = opt_exact(seq)
-        assert fullsim.brute_force_opt(seq) == expected
+        assert brute_force_opt(seq) == expected
 
 
 def test_single_lane_helper_and_best():

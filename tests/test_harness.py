@@ -34,7 +34,7 @@ from parsched.harness import (
 from parsched.oracle import opt_exact
 from parsched.rational import ceil_log
 
-from helpers import gen_planted_reference
+from helpers import gen_planted_reference, machine_counts
 
 
 def test_generator_certificates():
@@ -406,7 +406,7 @@ def test_a3_factory_falls_back_to_capped_canonical_u(n, canonical):
     assert params.canonical_u(counts) == canonical and params.kappa == 108
     (lane,) = a3_targeted_factory(seq, eps)(T, 1)
     assert lane.config == a2_config_from_u(params, tuple(min(108, x) for x in canonical))
-    assert lane.config.machine_counts() == (0, 0, 968)
+    assert machine_counts(lane.config) == (0, 0, 968)
 
 
 @pytest.mark.parametrize("sizes, flagged", [

@@ -18,13 +18,11 @@ from parsched.oracle import (
     fit_multiset,
     list_schedule,
     lower_bound,
-    lpt_multiset,
     lpt_schedule,
     opt_exact,
-    opt_multiset,
 )
 
-from helpers import multiset_sequence
+from helpers import lpt_multiset, multiset_sequence, multiset_total, opt_multiset
 
 
 def brute_opt(sizes, m):
@@ -205,7 +203,7 @@ def _assert_scale_invariant(inst, scale):
         assert got.sizes == tuple(s * scale for s in ref.sizes)
         assert got.loads() == tuple(x * scale for x in ref.loads())
         assert all(type(x) is int for x in got.loads())
-        assert type(got.makespan()) is int and type(ints.total()) is int
+        assert type(got.makespan()) is int and type(multiset_total(ints)) is int
 
 
 def test_multiset_scale_invariance_through_the_exact_search(monkeypatch):

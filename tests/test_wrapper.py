@@ -728,6 +728,29 @@ def test_out_of_range_proposal_raises(proposal, restart):
         assert state.adjustments == 1  # raised in the first guess's restart
 
 
+def test_factory_without_lanes_is_refused_at_the_first_job():
+    """A factory whose first call returns no lanes would leave nothing to
+    select from: the wrapper refuses it at job 1, after that one call, not
+    after adjusting at every job of the run."""
+    calls = []
+    state = AStar(astar_params(F(1), F(1)), 4, lambda T, t: calls.append(t) or [])
+    seq = gen_planted(4, counts=2, denom=8, seed=0)
+    with pytest.raises(ValueError, match="inner factory returned no lanes"):
+        state.run(seq)
+    assert (state.t, calls) == (1, [1])
+
+
+def test_factory_with_changing_lane_count_is_refused():
+    """Every factory call must return as many lanes as the first: here the
+    adjustment at job 2 asks for lanes again and gets two, not one."""
+    state = AStar(astar_params(F(1), F(1)), 2,
+                  lambda T, t: [Scripted(2) for _ in range(1 if t == 1 else 2)])
+    state.step(Job(1, F(1)))  # guesses 1, 4/3, ..., all below job 2
+    with pytest.raises(ValueError, match="inner factory must return a fixed number of lanes"):
+        state.step(Job(2, F(100)))
+    assert state.adjustments == 1
+
+
 # A test-local copy of the wrapper over Fractions, before its loads, caps
 # and prefix moved to integers: the reference for the integer AStar.
 def fraction_check_failure(proposal, virtual_load, p, gamma, prefix_sum, m, rho):

@@ -287,6 +287,42 @@ REGISTER = [
         "raise",
         ("tests/test_cli.py::test_malformed_victim_files_fail_cleanly",),
     ),
+    # Only what a run uses in the package; exact inputs only.
+    Mutant(
+        "AStar._inners: a factory with no lanes accepted",
+        "src/parsched/wrapper.py",
+        '            if not inners:\n                raise ValueError("inner factory returned no lanes")\n',
+        "",
+        ("tests/test_wrapper.py::test_factory_without_lanes_is_refused_at_the_first_job",),
+    ),
+    Mutant(
+        "JobSequence.from_sizes: a float size let through",
+        "src/parsched/core.py",
+        "if type(s) not in (int, Fraction, str):",
+        "if type(s) not in (int, float, Fraction, str):",
+        ("tests/test_core.py::test_sequence_refuses_inexact_sizes",),
+    ),
+    Mutant(
+        "Job: a float size accepted",
+        "src/parsched/core.py",
+        "if type(self.p) not in (Fraction, int):",
+        "if type(self.p) not in (Fraction, int, float):",
+        ("tests/test_core.py::test_job_validation",),
+    ),
+    Mutant(
+        "default_lane_cap: a bool accepted as a lane cap",
+        "src/parsched/core.py",
+        "if type(lane_cap) is not int or lane_cap < 1:",
+        "if not isinstance(lane_cap, int) or lane_cap < 1:",
+        ("tests/test_core.py::test_default_lane_cap_takes_positive_ints_only",),
+    ),
+    Mutant(
+        "oracle: a public function no run calls",
+        "src/parsched/oracle.py",
+        "\n\nclass SearchBudgetExceeded(RuntimeError):",
+        "\n\ndef volume_bound(total, m):\n    return total / m\n\n\nclass SearchBudgetExceeded(RuntimeError):",
+        ("tests/test_public_api.py::test_every_public_name_is_read_by_the_package",),
+    ),
 ]
 
 
